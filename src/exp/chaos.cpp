@@ -81,34 +81,21 @@ std::string ChaosRunResult::fingerprint() const {
   return out;
 }
 
+void OutcomeCounts::add(RunOutcome o) {
+  switch (o) {
+    case RunOutcome::kOk: ++ok; break;
+    case RunOutcome::kViolation: ++violation; break;
+    case RunOutcome::kHung: ++hung; break;
+    case RunOutcome::kCrashed: ++crashed; break;
+  }
+}
+
 int ChaosCampaignResult::violation_count() const {
   int n = 0;
   for (const ChaosRunResult& r : runs) {
     n += static_cast<int>(r.violations.size());
   }
   return n;
-}
-
-OutcomeCounts ChaosCampaignResult::outcome_counts() const {
-  OutcomeCounts c;
-  for (const ChaosRunResult& r : runs) {
-    switch (r.outcome) {
-      case RunOutcome::kOk: ++c.ok; break;
-      case RunOutcome::kViolation: ++c.violation; break;
-      case RunOutcome::kHung: ++c.hung; break;
-      case RunOutcome::kCrashed: ++c.crashed; break;
-    }
-  }
-  return c;
-}
-
-std::string ChaosCampaignResult::digest() const {
-  std::string out;
-  for (const ChaosRunResult& r : runs) {
-    out += r.fingerprint();
-    out += '\n';
-  }
-  return out;
 }
 
 std::vector<std::string> check_chaos_invariants(const SessionResult& res,
@@ -233,10 +220,6 @@ SessionSpec default_chaos_spec() {
   return s;
 }
 
-ScenarioConfig chaos_scenario_config(std::uint64_t run_seed) {
-  return resolve_scenario_config(SessionSpec{}, run_seed);
-}
-
 Video chaos_video(const ChaosConfig& cfg) {
   // Fixed content seed: every chaos run streams the same bytes; only the
   // network and the fault plan vary with the run seed.
@@ -245,16 +228,11 @@ Video chaos_video(const ChaosConfig& cfg) {
                0.1, 42);
 }
 
-SessionConfig chaos_session_config(const ChaosConfig& cfg,
-                                   std::uint64_t run_seed) {
-  return resolve_session_config(cfg.session, run_seed);
-}
-
 ChaosRunResult run_chaos_single(const ChaosConfig& cfg, const Video& video,
                                 std::uint64_t seed, const FaultPlan& plan,
                                 Telemetry& telemetry) {
   Scenario scenario(resolve_scenario_config(cfg.session, seed));
-  SessionConfig scfg = chaos_session_config(cfg, seed);
+  SessionConfig scfg = resolve_session_config(cfg.session, seed);
   SessionEnv env;
   env.telemetry = &telemetry;
   env.faults = &plan;
@@ -319,18 +297,7 @@ ChaosRunResult run_chaos_single(const ChaosConfig& cfg, const Video& video,
     telemetry.remove_sink(jsonl.get());
   }
 
-  if (hung) {
-    if (!cfg.bundle_dir.empty()) {
-      std::string err;
-      if (!write_repro_bundle(make_repro_bundle(cfg, out, plan),
-                              repro_bundle_path(cfg.bundle_dir, seed),
-                              &err)) {
-        std::fprintf(stderr, "chaos: bundle for seed %llu not written: %s\n",
-                     static_cast<unsigned long long>(seed), err.c_str());
-      }
-    }
-    return out;
-  }
+  if (hung) return out;
 
   out.completed = res.completed;
   out.session_s = res.session_s;
@@ -373,14 +340,6 @@ ChaosRunResult run_chaos_single(const ChaosConfig& cfg, const Video& video,
   }
   out.outcome = out.violations.empty() ? RunOutcome::kOk
                                        : RunOutcome::kViolation;
-  if (!cfg.bundle_dir.empty() && out.outcome != RunOutcome::kOk) {
-    std::string err;
-    if (!write_repro_bundle(make_repro_bundle(cfg, out, plan),
-                            repro_bundle_path(cfg.bundle_dir, seed), &err)) {
-      std::fprintf(stderr, "chaos: bundle for seed %llu not written: %s\n",
-                   static_cast<unsigned long long>(seed), err.c_str());
-    }
-  }
   return out;
 }
 
@@ -390,27 +349,17 @@ ChaosCampaignResult run_chaos_campaign(const ChaosConfig& cfg) {
   for (int i = 0; i < cfg.seed_count; ++i) {
     campaign.add("chaos/" + std::to_string(i),
                  [&cfg, &video](RunContext& ctx) {
-                   return run_chaos_single(
-                       cfg, video, ctx.seed,
-                       random_fault_plan(ctx.seed, cfg.plan), ctx.telemetry);
+                   const FaultPlan plan = random_fault_plan(ctx.seed, cfg.plan);
+                   ChaosRunResult r = run_chaos_single(cfg, video, ctx.seed,
+                                                       plan, ctx.telemetry);
+                   if (!cfg.bundle_dir.empty() && !r.ok()) {
+                     emit_repro_bundle(cfg.bundle_dir,
+                                       make_repro_bundle(cfg, r, plan));
+                   }
+                   return r;
                  });
   }
-  CampaignOptions opts;
-  opts.jobs = cfg.jobs;
-  opts.progress = cfg.progress;
-  CampaignResult<ChaosRunResult> res = campaign.run(opts);
-
-  ChaosCampaignResult out;
-  out.stats = res.stats;
-  out.runs = std::move(res.results);
-  for (std::size_t i = 0; i < out.runs.size(); ++i) {
-    if (!res.reports[i].ok) {
-      out.runs[i].seed = res.reports[i].seed;
-      out.runs[i].outcome = RunOutcome::kCrashed;
-      out.runs[i].violations.push_back("run threw: " + res.reports[i].error);
-    }
-  }
-  return out;
+  return run_campaign<ChaosCampaignResult>(campaign, cfg.jobs, cfg.progress);
 }
 
 }  // namespace mpdash

@@ -20,6 +20,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/rollup.h"
@@ -81,9 +82,9 @@ struct ChaosConfig {
   // pure observers, so the campaign digest is unchanged.
   bool attribution = false;
   std::FILE* progress = stderr;  // nullptr silences the runner
-  // When set, every non-ok run writes a self-contained repro bundle
-  // `repro_<seed>.json` into this directory (created on demand). Per-seed
-  // filenames keep emission race-free under any --jobs count.
+  // When set, run_chaos_campaign writes a self-contained repro bundle
+  // `repro_<seed>.json` for every non-ok run into this directory (created
+  // on demand; see emit_repro_bundle).
   std::string bundle_dir;
   // Test-only: runs on the session's event loop before the session starts
   // (livelock injection for the watchdog/quarantine tests). Never set in
@@ -134,18 +135,66 @@ struct OutcomeCounts {
   int crashed = 0;
 
   int bad() const { return violation + hung + crashed; }
+  void add(RunOutcome o);
 };
+
+// Campaign bookkeeping shared by the chaos and fleet campaigns. `Run` is
+// ChaosRunResult or FleetResult: a seed, an outcome, violation strings and
+// a one-line fingerprint().
+template <typename Run>
+OutcomeCounts count_outcomes(const std::vector<Run>& runs) {
+  OutcomeCounts c;
+  for (const Run& r : runs) c.add(r.outcome);
+  return c;
+}
+
+// Concatenated per-run fingerprints: equal digests ⇔ identical campaigns.
+template <typename Run>
+std::string runs_digest(const std::vector<Run>& runs) {
+  std::string out;
+  for (const Run& r : runs) {
+    out += r.fingerprint();
+    out += '\n';
+  }
+  return out;
+}
+
+// A run whose body threw anything but a watchdog trip (which the run
+// reports itself, as kHung): outcome kCrashed, the error its violation.
+template <typename Run>
+void mark_crashed(Run* run, const std::string& error) {
+  run->outcome = RunOutcome::kCrashed;
+  run->violations.push_back("run threw: " + error);
+}
+
+// Runs a chaos or fleet campaign into its `Result` (runs + stats): runs
+// land in add order, each one whose body threw marked crashed under the
+// seed the campaign derived for it.
+template <typename Result, typename Run>
+Result run_campaign(const Campaign<Run>& campaign, int jobs,
+                    std::FILE* progress) {
+  CampaignResult<Run> res = campaign.run(CampaignOptions{jobs, progress});
+  for (std::size_t i = 0; i < res.results.size(); ++i) {
+    if (!res.reports[i].ok) {
+      res.results[i].seed = res.reports[i].seed;
+      mark_crashed(&res.results[i], res.reports[i].error);
+    }
+  }
+  Result out;
+  out.runs = std::move(res.results);
+  out.stats = res.stats;
+  return out;
+}
 
 struct ChaosCampaignResult {
   std::vector<ChaosRunResult> runs;  // seed order
   CampaignStats stats;
 
   int violation_count() const;
-  OutcomeCounts outcome_counts() const;
+  OutcomeCounts outcome_counts() const { return count_outcomes(runs); }
   // Every run finished with outcome kOk.
   bool clean() const { return outcome_counts().bad() == 0; }
-  // Concatenated per-run fingerprints: equal digests ⇔ identical campaigns.
-  std::string digest() const;
+  std::string digest() const { return runs_digest(runs); }
 };
 
 // Audits one finished session against the chaos invariants. Exposed so
@@ -168,25 +217,15 @@ std::vector<std::string> check_counter_invariants(MetricsRegistry& m,
 std::vector<std::string> check_pipeline_invariants(
     const std::vector<TraceRecord>& trace, int max_retries);
 
-// Builds the per-seed SessionConfig (recovery knobs, jitter seed) — shared
-// by the campaign, the CLI, and the acceptance tests. Thin wrapper over
-// resolve_session_config(cfg.session, run_seed).
-SessionConfig chaos_session_config(const ChaosConfig& cfg,
-                                   std::uint64_t run_seed);
-
-// The scenario every chaos run streams over (moderate WiFi + LTE, per-run
-// link loss streams derived from `run_seed`) — the default-spec resolution.
-ScenarioConfig chaos_scenario_config(std::uint64_t run_seed);
-
 // The synthetic chaos video for `cfg.chunk_count` chunks.
 Video chaos_video(const ChaosConfig& cfg);
 
 // The exact campaign run body for one seed with an explicit fault plan:
-// scenario/session from (cfg, seed), watchdog armed, invariants audited,
-// outcome assigned, repro bundle emitted when cfg.bundle_dir is set.
-// Exposed so `mpdash_sim repro` and the shrinker replay a bundle's stored
-// plan through the identical code path the campaign ran — same seeds,
-// same audits, same strings.
+// scenario/session resolved from (cfg.session, seed), watchdog armed,
+// invariants audited, outcome assigned. Exposed so `mpdash_sim repro` and
+// the shrinker replay a bundle's stored plan through the identical code
+// path the campaign ran — same seeds, same audits, same strings. (The
+// campaign, not this function, writes the bundle of a non-ok run.)
 ChaosRunResult run_chaos_single(const ChaosConfig& cfg, const Video& video,
                                 std::uint64_t seed, const FaultPlan& plan,
                                 Telemetry& telemetry);

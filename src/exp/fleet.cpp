@@ -2,28 +2,18 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <iterator>
 #include <memory>
-#include <system_error>
 #include <utility>
 
 #include "core/policy.h"
 #include "dash/server.h"
-#include "fault/fault_json.h"
+#include "exp/repro.h"
 #include "fault/injector.h"
-#include "util/json.h"
 
 namespace mpdash {
 
 namespace {
-
-std::string u64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%llu",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
 
 // One tenant: shared-link facades (flow = session index) plus the full
 // per-session stack and a private telemetry context for the counter audit.
@@ -313,28 +303,6 @@ FleetResult run_fleet(const FleetConfig& cfg, Telemetry* telemetry) {
 
 // --- campaign ----------------------------------------------------------
 
-OutcomeCounts FleetCampaignResult::outcome_counts() const {
-  OutcomeCounts c;
-  for (const FleetResult& r : runs) {
-    switch (r.outcome) {
-      case RunOutcome::kOk: ++c.ok; break;
-      case RunOutcome::kViolation: ++c.violation; break;
-      case RunOutcome::kHung: ++c.hung; break;
-      case RunOutcome::kCrashed: ++c.crashed; break;
-    }
-  }
-  return c;
-}
-
-std::string FleetCampaignResult::digest() const {
-  std::string out;
-  for (const FleetResult& r : runs) {
-    out += r.fingerprint();
-    out += '\n';
-  }
-  return out;
-}
-
 std::string FleetCampaignResult::sessions_csv() const {
   std::string out = kFleetCsvHeader;
   for (const FleetResult& r : runs) out += fleet_sessions_csv(r);
@@ -353,318 +321,13 @@ FleetCampaignResult run_fleet_campaign(const FleetCampaignConfig& cfg) {
         f.faults = &plan;
       }
       FleetResult r = run_fleet(f, &ctx.telemetry);
-      if (!cfg.bundle_dir.empty() && r.outcome != RunOutcome::kOk) {
-        FleetBundle b;
-        b.seed = ctx.seed;
-        b.config = f;
-        b.config.faults = nullptr;
-        b.plan = plan;
-        b.outcome = r.outcome;
-        b.hung_reason = r.hung_reason;
-        b.expected_violations = r.violations;
-        std::string err;
-        if (!write_fleet_bundle(b, fleet_bundle_path(cfg.bundle_dir, ctx.seed),
-                                &err)) {
-          std::fprintf(stderr,
-                       "fleet: bundle for seed %llu not written: %s\n",
-                       static_cast<unsigned long long>(ctx.seed), err.c_str());
-        }
+      if (!cfg.bundle_dir.empty() && !r.ok()) {
+        emit_repro_bundle(cfg.bundle_dir, make_repro_bundle(f, r, plan));
       }
       return r;
     });
   }
-  CampaignOptions opts;
-  opts.jobs = cfg.jobs;
-  opts.progress = cfg.progress;
-  CampaignResult<FleetResult> res = campaign.run(opts);
-
-  FleetCampaignResult out;
-  out.stats = res.stats;
-  out.runs = std::move(res.results);
-  for (std::size_t i = 0; i < out.runs.size(); ++i) {
-    if (!res.reports[i].ok) {
-      out.runs[i].seed = res.reports[i].seed;
-      out.runs[i].outcome = RunOutcome::kCrashed;
-      out.runs[i].violations.push_back("run threw: " + res.reports[i].error);
-    }
-  }
-  return out;
-}
-
-// --- fleet repro bundles -----------------------------------------------
-
-namespace {
-
-std::string fleet_config_to_json(const FleetConfig& c) {
-  // Canonical one-line object, same conventions as session_spec_to_json.
-  std::string out = "{";
-  out += "\"sessions\": " + std::to_string(c.sessions);
-  out += ", \"chunk_count\": " + std::to_string(c.chunk_count);
-  out += ", \"mix\": [";
-  for (std::size_t i = 0; i < c.mix.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += session_spec_to_json(c.mix[i]);
-  }
-  out += "]";
-  out += ", \"discipline\": " + json_quote(to_string(c.discipline));
-  out += ", \"fq_quantum\": " + std::to_string(c.fq_quantum);
-  out += ", \"wifi_mbps\": " + json_double(c.wifi_mbps);
-  out += ", \"lte_mbps\": " + json_double(c.lte_mbps);
-  out += ", \"wifi_up_mbps\": " + json_double(c.wifi_up_mbps);
-  out += ", \"lte_up_mbps\": " + json_double(c.lte_up_mbps);
-  out += ", \"wifi_rtt_ns\": " + std::to_string(c.wifi_rtt.count());
-  out += ", \"lte_rtt_ns\": " + std::to_string(c.lte_rtt.count());
-  out += ", \"queue_capacity\": " + std::to_string(c.queue_capacity);
-  out += ", \"join_stagger_ns\": " + std::to_string(c.join_stagger.count());
-  out += ", \"time_limit_ns\": " + std::to_string(c.time_limit.count());
-  out += ", \"watchdog\": {\"max_sim_events\": " +
-         u64(c.watchdog.max_sim_events) +
-         ", \"max_wall_s\": " + json_double(c.watchdog.max_wall_s) +
-         ", \"poll_interval\": " + u64(c.watchdog.poll_interval) + "}";
-  out += "}";
-  return out;
-}
-
-bool fleet_config_from_json_value(const JsonValue& root, FleetConfig* out,
-                                  std::string* error) {
-  if (!root.is_object()) {
-    if (error) *error = "fleet config: not an object";
-    return false;
-  }
-  FleetConfig c;
-  auto bad = [error](const char* what) {
-    if (error) {
-      *error = std::string("fleet config: missing or bad \"") + what + "\"";
-    }
-    return false;
-  };
-  const JsonValue* v = root.find("sessions");
-  if (v == nullptr || !v->is_number()) return bad("sessions");
-  c.sessions = static_cast<int>(v->as_int64(4));
-  v = root.find("chunk_count");
-  if (v == nullptr || !v->is_number()) return bad("chunk_count");
-  c.chunk_count = static_cast<int>(v->as_int64(20));
-  v = root.find("mix");
-  if (v == nullptr || !v->is_array()) return bad("mix");
-  c.mix.clear();
-  for (const JsonValue& item : v->items) {
-    SessionSpec spec;
-    std::string spec_error;
-    if (!session_spec_from_json_value(item, &spec, &spec_error)) {
-      if (error) *error = "fleet config: mix entry: " + spec_error;
-      return false;
-    }
-    c.mix.push_back(std::move(spec));
-  }
-  v = root.find("discipline");
-  if (v == nullptr || !v->is_string()) return bad("discipline");
-  if (v->str == to_string(QueueDiscipline::kFifo)) {
-    c.discipline = QueueDiscipline::kFifo;
-  } else if (v->str == to_string(QueueDiscipline::kFairQueue)) {
-    c.discipline = QueueDiscipline::kFairQueue;
-  } else {
-    return bad("discipline");
-  }
-  v = root.find("fq_quantum");
-  if (v == nullptr || !v->is_number()) return bad("fq_quantum");
-  c.fq_quantum = v->as_int64(1500);
-  auto read_double = [&root, &bad](const char* name, double* field) {
-    const JsonValue* w = root.find(name);
-    if (w == nullptr || !w->is_number()) return bad(name);
-    *field = w->as_double(0.0);
-    return true;
-  };
-  if (!read_double("wifi_mbps", &c.wifi_mbps)) return false;
-  if (!read_double("lte_mbps", &c.lte_mbps)) return false;
-  if (!read_double("wifi_up_mbps", &c.wifi_up_mbps)) return false;
-  if (!read_double("lte_up_mbps", &c.lte_up_mbps)) return false;
-  v = root.find("wifi_rtt_ns");
-  if (v == nullptr || !v->is_number()) return bad("wifi_rtt_ns");
-  c.wifi_rtt = Duration(v->as_int64(0));
-  v = root.find("lte_rtt_ns");
-  if (v == nullptr || !v->is_number()) return bad("lte_rtt_ns");
-  c.lte_rtt = Duration(v->as_int64(0));
-  v = root.find("queue_capacity");
-  if (v == nullptr || !v->is_number()) return bad("queue_capacity");
-  c.queue_capacity = v->as_int64(0);
-  v = root.find("join_stagger_ns");
-  if (v == nullptr || !v->is_number()) return bad("join_stagger_ns");
-  c.join_stagger = Duration(v->as_int64(0));
-  v = root.find("time_limit_ns");
-  if (v == nullptr || !v->is_number()) return bad("time_limit_ns");
-  c.time_limit = Duration(v->as_int64(0));
-  v = root.find("watchdog");
-  if (v == nullptr || !v->is_object()) return bad("watchdog");
-  {
-    const JsonValue* w = v->find("max_sim_events");
-    if (w == nullptr || !w->is_number()) return bad("watchdog.max_sim_events");
-    c.watchdog.max_sim_events = w->as_uint64(0);
-    w = v->find("max_wall_s");
-    if (w == nullptr || !w->is_number()) return bad("watchdog.max_wall_s");
-    c.watchdog.max_wall_s = w->as_double(0.0);
-    w = v->find("poll_interval");
-    if (w == nullptr || !w->is_number()) return bad("watchdog.poll_interval");
-    c.watchdog.poll_interval = w->as_uint64(4096);
-  }
-  *out = std::move(c);
-  return true;
-}
-
-}  // namespace
-
-std::string fleet_bundle_to_json(const FleetBundle& b) {
-  std::string out = "{\n";
-  out += "\"schema\": 1,\n";
-  out += "\"kind\": \"mpdash-fleet-repro\",\n";
-  out += "\"seed\": " + u64(b.seed) + ",\n";
-  out += "\"config\": " + fleet_config_to_json(b.config) + ",\n";
-  out += "\"plan\": " + fault_plan_to_json(b.plan) + ",\n";
-  out += "\"outcome\": " + json_quote(to_string(b.outcome)) + ",\n";
-  out += "\"hung_reason\": " + json_quote(b.hung_reason) + ",\n";
-  out += "\"expected_violations\": [";
-  for (std::size_t i = 0; i < b.expected_violations.size(); ++i) {
-    out += i == 0 ? "\n  " : ",\n  ";
-    out += json_quote(b.expected_violations[i]);
-  }
-  if (!b.expected_violations.empty()) out += "\n";
-  out += "]\n}\n";
-  return out;
-}
-
-bool fleet_bundle_from_json(const std::string& text, FleetBundle* out,
-                            std::string* error) {
-  JsonValue root;
-  if (!json_parse(text, &root, error)) return false;
-  if (!root.is_object()) {
-    if (error) *error = "fleet bundle: top level is not an object";
-    return false;
-  }
-  const JsonValue* kind = root.find("kind");
-  if (kind == nullptr || !kind->is_string() ||
-      kind->str != "mpdash-fleet-repro") {
-    if (error) *error = "fleet bundle: missing or wrong \"kind\" marker";
-    return false;
-  }
-  FleetBundle b;
-  auto missing = [error](const char* field) {
-    if (error) {
-      *error = std::string("fleet bundle: missing field \"") + field + "\"";
-    }
-    return false;
-  };
-  const JsonValue* v = root.find("schema");
-  if (v == nullptr || !v->is_number()) return missing("schema");
-  b.schema = static_cast<int>(v->as_int64(1));
-  if (b.schema != 1) {
-    if (error) {
-      *error = "fleet bundle: unsupported schema " + std::to_string(b.schema);
-    }
-    return false;
-  }
-  v = root.find("seed");
-  if (v == nullptr || !v->is_number()) return missing("seed");
-  b.seed = v->as_uint64(0);
-  v = root.find("config");
-  if (v == nullptr) return missing("config");
-  if (!fleet_config_from_json_value(*v, &b.config, error)) return false;
-  v = root.find("plan");
-  if (v == nullptr) return missing("plan");
-  if (!fault_plan_from_json_value(*v, &b.plan, error)) return false;
-  v = root.find("outcome");
-  if (v == nullptr || !v->is_string() ||
-      !outcome_from_string(v->str, &b.outcome)) {
-    if (error) *error = "fleet bundle: bad \"outcome\"";
-    return false;
-  }
-  v = root.find("hung_reason");
-  if (v != nullptr && v->is_string()) b.hung_reason = v->str;
-  v = root.find("expected_violations");
-  if (v != nullptr && v->is_array()) {
-    for (const JsonValue& item : v->items) {
-      if (!item.is_string()) {
-        if (error) *error = "fleet bundle: non-string violation entry";
-        return false;
-      }
-      b.expected_violations.push_back(item.str);
-    }
-  }
-  *out = std::move(b);
-  return true;
-}
-
-bool write_fleet_bundle(const FleetBundle& b, const std::string& path,
-                        std::string* error) {
-  const std::filesystem::path p(path);
-  if (p.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(p.parent_path(), ec);
-  }
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    if (error) *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  const std::string text = fleet_bundle_to_json(b);
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  std::fclose(f);
-  if (!ok && error) *error = "short write to " + path;
-  return ok;
-}
-
-bool load_fleet_bundle(const std::string& path, FleetBundle* out,
-                       std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    if (error) *error = "cannot open " + path;
-    return false;
-  }
-  std::string text;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  return fleet_bundle_from_json(text, out, error);
-}
-
-std::string fleet_bundle_path(const std::string& dir, std::uint64_t seed) {
-  std::string path = dir;
-  if (!path.empty() && path.back() != '/') path += '/';
-  return path + "fleet_repro_" + u64(seed) + ".json";
-}
-
-FleetReplayResult replay_fleet_bundle(const FleetBundle& b) {
-  FleetConfig cfg = b.config;
-  cfg.seed = b.seed;
-  cfg.faults = b.plan.empty() ? nullptr : &b.plan;
-  Telemetry telemetry;
-  FleetReplayResult out;
-  out.run = run_fleet(cfg, &telemetry);
-
-  if (out.run.outcome != b.outcome) {
-    out.mismatches.push_back(std::string("outcome: expected ") +
-                             to_string(b.outcome) + ", got " +
-                             to_string(out.run.outcome));
-  }
-  if (out.run.hung_reason != b.hung_reason) {
-    out.mismatches.push_back("hung reason: expected \"" + b.hung_reason +
-                             "\", got \"" + out.run.hung_reason + "\"");
-  }
-  const std::size_t n =
-      std::max(b.expected_violations.size(), out.run.violations.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::string* want =
-        i < b.expected_violations.size() ? &b.expected_violations[i] : nullptr;
-    const std::string* got =
-        i < out.run.violations.size() ? &out.run.violations[i] : nullptr;
-    if (want != nullptr && got != nullptr && *want == *got) continue;
-    std::string line = "violation " + std::to_string(i) + ": expected ";
-    line += want != nullptr ? "\"" + *want + "\"" : "<none>";
-    line += ", got ";
-    line += got != nullptr ? "\"" + *got + "\"" : "<none>";
-    out.mismatches.push_back(std::move(line));
-  }
-  out.matches = out.mismatches.empty();
-  return out;
+  return run_campaign<FleetCampaignResult>(campaign, cfg.jobs, cfg.progress);
 }
 
 }  // namespace mpdash

@@ -19,8 +19,8 @@
 //
 // Chaos composes: a fleet-level fault plan attaches to the *shared* links,
 // so one AP blackout perturbs every tenant at once; the whole fleet runs
-// under one watchdog and non-ok campaign runs emit self-contained fleet
-// repro bundles (the fleet analogue of exp/repro.h).
+// under one watchdog and non-ok campaign runs emit self-contained repro
+// bundles (exp/repro.h), which `mpdash_sim repro` and `shrink` take.
 
 #include <cstdint>
 #include <string>
@@ -153,48 +153,14 @@ struct FleetCampaignResult {
   std::vector<FleetResult> runs;  // seed order
   CampaignStats stats;
 
-  OutcomeCounts outcome_counts() const;
+  OutcomeCounts outcome_counts() const { return count_outcomes(runs); }
   bool clean() const { return outcome_counts().bad() == 0; }
   // Concatenated per-run fingerprints: equal digests ⇔ identical campaigns.
-  std::string digest() const;
+  std::string digest() const { return runs_digest(runs); }
   // Header + every run's per-session rows, seed order.
   std::string sessions_csv() const;
 };
 
 FleetCampaignResult run_fleet_campaign(const FleetCampaignConfig& cfg);
-
-// --- fleet repro bundles -----------------------------------------------
-// The fleet analogue of ReproBundle: the full FleetConfig (minus the
-// borrowed plan pointer), the plan itself, and the outcome the campaign
-// observed. Canonical serialization, same contract as exp/repro.h.
-
-struct FleetBundle {
-  int schema = 1;
-  std::uint64_t seed = 0;
-  FleetConfig config;  // config.faults is ignored; the plan is `plan`
-  FaultPlan plan;
-  RunOutcome outcome = RunOutcome::kViolation;
-  std::string hung_reason;
-  std::vector<std::string> expected_violations;
-};
-
-std::string fleet_bundle_to_json(const FleetBundle& b);
-bool fleet_bundle_from_json(const std::string& text, FleetBundle* out,
-                            std::string* error);
-bool write_fleet_bundle(const FleetBundle& b, const std::string& path,
-                        std::string* error);
-bool load_fleet_bundle(const std::string& path, FleetBundle* out,
-                       std::string* error);
-std::string fleet_bundle_path(const std::string& dir, std::uint64_t seed);
-
-struct FleetReplayResult {
-  FleetResult run;
-  bool matches = false;  // outcome + violation strings bitwise identical
-  std::vector<std::string> mismatches;
-};
-
-// Replays the bundle's plan through run_fleet and compares outcome and
-// violation strings against the bundle's expectations.
-FleetReplayResult replay_fleet_bundle(const FleetBundle& b);
 
 }  // namespace mpdash

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
+#include <limits>
 #include <system_error>
 #include <utility>
 
@@ -13,25 +15,164 @@ namespace mpdash {
 
 namespace {
 
-std::string u64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%llu",
-                static_cast<unsigned long long>(v));
-  return buf;
+// Each kind's marker and current layout version; every version from 1 up
+// to the current one loads.
+struct Layout {
+  const char* kind;
+  int schema;
+};
+constexpr Layout kSessionLayout{"mpdash-repro", 2};
+constexpr Layout kFleetLayout{"mpdash-fleet-repro", 1};
+
+std::string fleet_config_to_json(const FleetConfig& c) {
+  // Canonical one-line object, same conventions as session_spec_to_json.
+  std::string out = "{";
+  out += "\"sessions\": " + std::to_string(c.sessions);
+  out += ", \"chunk_count\": " + std::to_string(c.chunk_count);
+  out += ", \"mix\": [";
+  for (std::size_t i = 0; i < c.mix.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += session_spec_to_json(c.mix[i]);
+  }
+  out += "]";
+  out += ", \"discipline\": " + json_quote(to_string(c.discipline));
+  out += ", \"fq_quantum\": " + std::to_string(c.fq_quantum);
+  out += ", \"wifi_mbps\": " + json_double(c.wifi_mbps);
+  out += ", \"lte_mbps\": " + json_double(c.lte_mbps);
+  out += ", \"wifi_up_mbps\": " + json_double(c.wifi_up_mbps);
+  out += ", \"lte_up_mbps\": " + json_double(c.lte_up_mbps);
+  out += ", \"wifi_rtt_ns\": " + std::to_string(c.wifi_rtt.count());
+  out += ", \"lte_rtt_ns\": " + std::to_string(c.lte_rtt.count());
+  out += ", \"queue_capacity\": " + std::to_string(c.queue_capacity);
+  out += ", \"join_stagger_ns\": " + std::to_string(c.join_stagger.count());
+  out += ", \"time_limit_ns\": " + std::to_string(c.time_limit.count());
+  out += ", \"watchdog\": {\"max_sim_events\": " +
+         json_u64(c.watchdog.max_sim_events) +
+         ", \"max_wall_s\": " + json_double(c.watchdog.max_wall_s) +
+         ", \"poll_interval\": " + json_u64(c.watchdog.poll_interval) + "}";
+  out += "}";
+  return out;
+}
+
+bool fleet_config_from_json_value(const JsonValue& root, FleetConfig* out,
+                                  std::string* error) {
+  if (!root.is_object()) {
+    if (error) *error = "fleet config: not an object";
+    return false;
+  }
+  FleetConfig c;
+  auto bad = [error](const char* what) {
+    if (error) {
+      *error = std::string("fleet config: missing or bad \"") + what + "\"";
+    }
+    return false;
+  };
+  const JsonValue* v = root.find("sessions");
+  if (v == nullptr || !v->is_number()) return bad("sessions");
+  c.sessions = static_cast<int>(v->as_int64(4));
+  v = root.find("chunk_count");
+  if (v == nullptr || !v->is_number()) return bad("chunk_count");
+  c.chunk_count = static_cast<int>(v->as_int64(20));
+  v = root.find("mix");
+  if (v == nullptr || !v->is_array()) return bad("mix");
+  c.mix.clear();
+  for (const JsonValue& item : v->items) {
+    SessionSpec spec;
+    std::string spec_error;
+    if (!session_spec_from_json_value(item, &spec, &spec_error)) {
+      if (error) *error = "fleet config: mix entry: " + spec_error;
+      return false;
+    }
+    c.mix.push_back(std::move(spec));
+  }
+  v = root.find("discipline");
+  if (v == nullptr || !v->is_string()) return bad("discipline");
+  if (v->str == to_string(QueueDiscipline::kFifo)) {
+    c.discipline = QueueDiscipline::kFifo;
+  } else if (v->str == to_string(QueueDiscipline::kFairQueue)) {
+    c.discipline = QueueDiscipline::kFairQueue;
+  } else {
+    return bad("discipline");
+  }
+  v = root.find("fq_quantum");
+  if (v == nullptr || !v->is_number()) return bad("fq_quantum");
+  c.fq_quantum = v->as_int64(1500);
+  auto read_double = [&root, &bad](const char* name, double* field) {
+    const JsonValue* w = root.find(name);
+    if (w == nullptr || !w->is_number()) return bad(name);
+    *field = w->as_double(0.0);
+    return true;
+  };
+  if (!read_double("wifi_mbps", &c.wifi_mbps)) return false;
+  if (!read_double("lte_mbps", &c.lte_mbps)) return false;
+  if (!read_double("wifi_up_mbps", &c.wifi_up_mbps)) return false;
+  if (!read_double("lte_up_mbps", &c.lte_up_mbps)) return false;
+  v = root.find("wifi_rtt_ns");
+  if (v == nullptr || !v->is_number()) return bad("wifi_rtt_ns");
+  c.wifi_rtt = Duration(v->as_int64(0));
+  v = root.find("lte_rtt_ns");
+  if (v == nullptr || !v->is_number()) return bad("lte_rtt_ns");
+  c.lte_rtt = Duration(v->as_int64(0));
+  v = root.find("queue_capacity");
+  if (v == nullptr || !v->is_number()) return bad("queue_capacity");
+  c.queue_capacity = v->as_int64(0);
+  v = root.find("join_stagger_ns");
+  if (v == nullptr || !v->is_number()) return bad("join_stagger_ns");
+  c.join_stagger = Duration(v->as_int64(0));
+  v = root.find("time_limit_ns");
+  if (v == nullptr || !v->is_number()) return bad("time_limit_ns");
+  c.time_limit = Duration(v->as_int64(0));
+  v = root.find("watchdog");
+  if (v == nullptr || !v->is_object()) return bad("watchdog");
+  {
+    const JsonValue* w = v->find("max_sim_events");
+    if (w == nullptr || !w->is_number()) return bad("watchdog.max_sim_events");
+    c.watchdog.max_sim_events = w->as_uint64(0);
+    w = v->find("max_wall_s");
+    if (w == nullptr || !w->is_number()) return bad("watchdog.max_wall_s");
+    c.watchdog.max_wall_s = w->as_double(0.0);
+    w = v->find("poll_interval");
+    if (w == nullptr || !w->is_number()) return bad("watchdog.poll_interval");
+    c.watchdog.poll_interval = w->as_uint64(4096);
+  }
+  *out = std::move(c);
+  return true;
+}
+
+// The fields every campaign snapshot shares, whatever the run kind.
+template <typename Run>
+ReproBundle snapshot(const Run& run, const FaultPlan& plan) {
+  ReproBundle b;
+  b.seed = run.seed;
+  b.plan = plan;
+  b.outcome = run.outcome;
+  b.hung_reason = run.hung_reason;
+  b.expected_violations = run.violations;
+  return b;
+}
+
+template <typename Run>
+BundleRun bundle_run(const Run& r) {
+  return BundleRun{r.outcome, r.hung_reason, r.violations, r.fingerprint()};
 }
 
 }  // namespace
 
 std::string repro_bundle_to_json(const ReproBundle& b) {
   // Canonical: fixed field order, every field always emitted, one
-  // top-level field per line (the embedded spec and plan keep their own
-  // layouts). Always writes the current schema.
+  // top-level field per line (the embedded spec/config and plan keep their
+  // own layouts). Always writes the current schema of the bundle's kind.
+  const Layout& layout = b.fleet ? kFleetLayout : kSessionLayout;
   std::string out = "{\n";
-  out += "\"schema\": 2,\n";
-  out += "\"kind\": \"mpdash-repro\",\n";
-  out += "\"seed\": " + u64(b.seed) + ",\n";
-  out += "\"spec\": " + session_spec_to_json(b.spec) + ",\n";
-  out += "\"chunk_count\": " + std::to_string(b.chunk_count) + ",\n";
+  out += "\"schema\": " + std::to_string(layout.schema) + ",\n";
+  out += "\"kind\": " + json_quote(layout.kind) + ",\n";
+  out += "\"seed\": " + json_u64(b.seed) + ",\n";
+  if (b.fleet) {
+    out += "\"config\": " + fleet_config_to_json(*b.fleet) + ",\n";
+  } else {
+    out += "\"spec\": " + session_spec_to_json(b.spec) + ",\n";
+    out += "\"chunk_count\": " + std::to_string(b.chunk_count) + ",\n";
+  }
   out += "\"plan\": " + fault_plan_to_json(b.plan) + ",\n";
   out += "\"outcome\": " + json_quote(to_string(b.outcome)) + ",\n";
   out += "\"hung_reason\": " + json_quote(b.hung_reason) + ",\n";
@@ -54,20 +195,34 @@ bool repro_bundle_from_json(const std::string& text, ReproBundle* out,
     return false;
   }
   const JsonValue* kind = root.find("kind");
-  if (kind == nullptr || !kind->is_string() || kind->str != "mpdash-repro") {
+  if (kind == nullptr || !kind->is_string() ||
+      (kind->str != kSessionLayout.kind && kind->str != kFleetLayout.kind)) {
     if (error) *error = "bundle: missing or wrong \"kind\" marker";
     return false;
   }
+  const bool fleet = kind->str == kFleetLayout.kind;
+  const Layout& layout = fleet ? kFleetLayout : kSessionLayout;
 
   ReproBundle b;
   auto missing = [error](const char* field) {
     if (error) *error = std::string("bundle: missing field \"") + field + "\"";
     return false;
   };
+  // Bundles come from outside the program: a run needs at least one
+  // tenant and one chunk, and a count must fit the int that stores it.
+  auto valid_count = [error](const JsonValue& obj, const char* field) {
+    const std::int64_t n = obj.find(field)->as_int64(0);
+    if (n >= 1 && n <= std::numeric_limits<int>::max()) return true;
+    if (error) {
+      *error = std::string("bundle: \"") + field + "\" must be from 1 to " +
+               std::to_string(std::numeric_limits<int>::max());
+    }
+    return false;
+  };
   const JsonValue* v = root.find("schema");
   if (v == nullptr || !v->is_number()) return missing("schema");
   b.schema = static_cast<int>(v->as_int64(1));
-  if (b.schema != 1 && b.schema != 2) {
+  if (b.schema < 1 || b.schema > layout.schema) {
     if (error) {
       *error = "bundle: unsupported schema " + std::to_string(b.schema);
     }
@@ -76,7 +231,16 @@ bool repro_bundle_from_json(const std::string& text, ReproBundle* out,
   v = root.find("seed");
   if (v == nullptr || !v->is_number()) return missing("seed");
   b.seed = v->as_uint64(0);
-  if (b.schema >= 2) {
+  if (fleet) {
+    v = root.find("config");
+    if (v == nullptr) return missing("config");
+    FleetConfig config;
+    if (!fleet_config_from_json_value(*v, &config, error) ||
+        !valid_count(*v, "sessions") || !valid_count(*v, "chunk_count")) {
+      return false;
+    }
+    b.fleet = std::move(config);
+  } else if (b.schema >= 2) {
     v = root.find("spec");
     if (v == nullptr) return missing("spec");
     std::string spec_error;
@@ -85,9 +249,9 @@ bool repro_bundle_from_json(const std::string& text, ReproBundle* out,
       return false;
     }
   } else {
-    // Schema-1 bundle: the session knobs were flat top-level fields; map
-    // them into the spec (unlisted spec fields keep the chaos-era
-    // defaults those bundles implied).
+    // Schema-1 session bundle: the knobs were flat top-level fields; map
+    // them into the spec (unlisted spec fields keep the chaos-era defaults
+    // those bundles implied).
     v = root.find("scheme");
     if (v == nullptr || !v->is_string() ||
         !scheme_from_string(v->str, &b.spec.scheme)) {
@@ -117,9 +281,12 @@ bool repro_bundle_from_json(const std::string& text, ReproBundle* out,
       if (w != nullptr) b.spec.watchdog.poll_interval = w->as_uint64(4096);
     }
   }
-  v = root.find("chunk_count");
-  if (v == nullptr || !v->is_number()) return missing("chunk_count");
-  b.chunk_count = static_cast<int>(v->as_int64(0));
+  if (!fleet) {
+    v = root.find("chunk_count");
+    if (v == nullptr || !v->is_number()) return missing("chunk_count");
+    if (!valid_count(root, "chunk_count")) return false;
+    b.chunk_count = static_cast<int>(v->as_int64(0));
+  }
   v = root.find("plan");
   if (v == nullptr) return missing("plan");
   if (!fault_plan_from_json_value(*v, &b.plan, error)) return false;
@@ -180,43 +347,65 @@ bool load_repro_bundle(const std::string& path, ReproBundle* out,
   return repro_bundle_from_json(text, out, error);
 }
 
-std::string repro_bundle_path(const std::string& dir, std::uint64_t seed) {
+std::string repro_bundle_path(const std::string& dir, std::uint64_t seed,
+                              bool fleet) {
   std::string path = dir;
   if (!path.empty() && path.back() != '/') path += '/';
-  return path + "repro_" + u64(seed) + ".json";
+  return path + (fleet ? "fleet_repro_" : "repro_") + json_u64(seed) +
+         ".json";
 }
 
 ReproBundle make_repro_bundle(const ChaosConfig& cfg,
                               const ChaosRunResult& run,
                               const FaultPlan& plan) {
-  ReproBundle b;
-  b.seed = run.seed;
+  ReproBundle b = snapshot(run, plan);
   b.spec = cfg.session;
   b.chunk_count = cfg.chunk_count;
-  b.plan = plan;
-  b.outcome = run.outcome;
-  b.hung_reason = run.hung_reason;
-  b.expected_violations = run.violations;
   return b;
 }
 
-ChaosConfig bundle_chaos_config(const ReproBundle& b) {
-  ChaosConfig cfg;
-  cfg.seed_count = 1;
-  cfg.base_seed = b.seed;
-  cfg.session = b.spec;
-  cfg.chunk_count = b.chunk_count;
-  cfg.progress = nullptr;
-  // Never re-emit bundles from a replay.
-  cfg.bundle_dir.clear();
-  return cfg;
+ReproBundle make_repro_bundle(const FleetConfig& cfg, const FleetResult& run,
+                              const FaultPlan& plan) {
+  ReproBundle b = snapshot(run, plan);
+  b.fleet = cfg;
+  b.fleet->faults = nullptr;
+  return b;
+}
+
+void emit_repro_bundle(const std::string& dir, const ReproBundle& b) {
+  std::string err;
+  const bool fleet = b.fleet.has_value();
+  if (!write_repro_bundle(b, repro_bundle_path(dir, b.seed, fleet), &err)) {
+    std::fprintf(stderr, "%s: bundle for seed %llu not written: %s\n",
+                 fleet ? "fleet" : "chaos",
+                 static_cast<unsigned long long>(b.seed), err.c_str());
+  }
+}
+
+BundleRun run_repro_bundle(const ReproBundle& b, Telemetry& telemetry) {
+  try {
+    if (b.fleet) {
+      FleetConfig cfg = *b.fleet;
+      cfg.seed = b.seed;
+      cfg.faults = &b.plan;
+      return bundle_run(run_fleet(cfg, &telemetry));
+    }
+    ChaosConfig cfg;
+    cfg.session = b.spec;
+    cfg.chunk_count = b.chunk_count;
+    return bundle_run(
+        run_chaos_single(cfg, chaos_video(cfg), b.seed, b.plan, telemetry));
+  } catch (const std::exception& e) {
+    BundleRun crashed;
+    mark_crashed(&crashed, e.what());
+    return crashed;
+  }
 }
 
 ReplayResult replay_repro_bundle(const ReproBundle& b) {
-  const ChaosConfig cfg = bundle_chaos_config(b);
   Telemetry telemetry;
   ReplayResult out;
-  out.run = run_chaos_single(cfg, chaos_video(cfg), b.seed, b.plan, telemetry);
+  out.run = run_repro_bundle(b, telemetry);
 
   if (out.run.outcome != b.outcome) {
     out.mismatches.push_back(std::string("outcome: expected ") +

@@ -1,9 +1,9 @@
 #include "exp/shrink.h"
 
 #include <algorithm>
-#include <cstring>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -12,6 +12,17 @@
 namespace mpdash {
 
 std::string violation_kind(const std::string& violation) {
+  // A fleet hoists each tenant's violations as "session <i>: <violation>";
+  // which tenant failed is run-specific detail, like the counts.
+  constexpr std::string_view kTenant = "session ";
+  std::string_view v = violation;
+  if (v.rfind(kTenant, 0) == 0) {
+    std::size_t end = kTenant.size();
+    while (end < v.size() && v[end] >= '0' && v[end] <= '9') ++end;
+    if (end > kTenant.size() && v.substr(end, 2) == ": ") {
+      v.remove_prefix(end + 2);
+    }
+  }
   struct KindRule {
     const char* needle;
     const char* key;
@@ -39,12 +50,12 @@ std::string violation_kind(const std::string& violation) {
       {"delivered to dead span", "dead span response"},
   };
   for (const KindRule& r : kPrefix) {
-    if (violation.rfind(r.needle, 0) == 0) return r.key;
+    if (v.rfind(r.needle, 0) == 0) return r.key;
   }
   for (const KindRule& r : kSubstr) {
-    if (violation.find(r.needle) != std::string::npos) return r.key;
+    if (v.find(r.needle) != std::string_view::npos) return r.key;
   }
-  return violation;
+  return std::string(v);
 }
 
 std::string violation_signature(RunOutcome outcome,
@@ -64,22 +75,14 @@ std::string violation_signature(RunOutcome outcome,
 
 namespace {
 
-// Replays one candidate through the campaign code path; any non-watchdog
-// exception becomes the same kCrashed shape the campaign reports.
-ChaosRunResult probe(const ReproBundle& bundle, const FaultPlan& plan,
-                     Duration time_limit, Telemetry& telemetry) {
-  ChaosConfig cfg = bundle_chaos_config(bundle);
-  cfg.session.time_limit = time_limit;
-  try {
-    return run_chaos_single(cfg, chaos_video(cfg), bundle.seed, plan,
-                            telemetry);
-  } catch (const std::exception& e) {
-    ChaosRunResult r;
-    r.seed = bundle.seed;
-    r.outcome = RunOutcome::kCrashed;
-    r.violations.push_back(std::string("run threw: ") + e.what());
-    return r;
-  }
+// Runs one candidate — the bundle with `plan` under horizon `time_limit`
+// — through the campaign code path.
+BundleRun probe(const ReproBundle& bundle, const FaultPlan& plan,
+                Duration time_limit, Telemetry& telemetry) {
+  ReproBundle candidate = bundle;
+  candidate.plan = plan;
+  candidate.time_limit() = time_limit;
+  return run_repro_bundle(candidate, telemetry);
 }
 
 // The delta-debugging oracle: candidate batches replay through the
@@ -92,7 +95,7 @@ struct Oracle {
   std::string target;
   int sim_runs = 0;
 
-  bool interesting(const ChaosRunResult& r) const {
+  bool interesting(const BundleRun& r) const {
     return violation_signature(r.outcome, r.violations, cfg.strict) == target;
   }
 
@@ -192,11 +195,11 @@ ShrinkResult shrink_repro_bundle(const ReproBundle& bundle,
 
   // Baseline: the stored plan must still provoke a failure, and its
   // signature becomes the oracle target.
-  ChaosRunResult base;
+  BundleRun base;
   {
     ++oracle.sim_runs;
     Telemetry telemetry;
-    base = probe(bundle, bundle.plan, bundle.spec.time_limit, telemetry);
+    base = run_repro_bundle(bundle, telemetry);
   }
   oracle.target = violation_signature(base.outcome, base.violations,
                                       cfg.strict);
@@ -210,7 +213,7 @@ ShrinkResult shrink_repro_bundle(const ReproBundle& bundle,
   res.reproduced = true;
 
   FaultPlan plan = bundle.plan;
-  Duration time_limit = bundle.spec.time_limit;
+  Duration time_limit = bundle.time_limit();
 
   // --- ddmin over event indices -----------------------------------------
   // Quick exit: if the failure does not need faults at all, the minimal
@@ -277,60 +280,54 @@ ShrinkResult shrink_repro_bundle(const ReproBundle& bundle,
         std::to_string(plan.events.size()) + " events");
 
   // --- attribute ladders (serial, order-deterministic) ------------------
-  if (cfg.shrink_durations) {
-    const Duration floor = seconds(0.1);
-    for (std::size_t i = 0; i < plan.events.size(); ++i) {
-      while (plan.events[i].duration > floor) {
-        Duration half = plan.events[i].duration / 2;
-        if (half < floor) half = floor;
-        FaultPlan trial = plan;
-        trial.events[i].duration = half;
-        if (!oracle.check(trial, time_limit)) break;
-        ++res.steps;
-        logln("duration: event " + std::to_string(i) + " " +
-              std::to_string(plan.events[i].duration.count()) + "ns -> " +
-              std::to_string(half.count()) + "ns");
-        plan = std::move(trial);
-      }
-    }
-  }
-  if (cfg.shrink_values) {
-    for (std::size_t i = 0; i < plan.events.size(); ++i) {
-      for (;;) {
-        FaultPlan trial = plan;
-        if (!benign_step(&trial.events[i])) break;
-        if (!oracle.check(trial, time_limit)) break;
-        ++res.steps;
-        logln("value: event " + std::to_string(i) + " " +
-              std::to_string(plan.events[i].value) + " -> " +
-              std::to_string(trial.events[i].value));
-        plan = std::move(trial);
-      }
-    }
-  }
-  if (cfg.shrink_horizon) {
-    const Duration floor = seconds(10.0);
-    while (time_limit > floor) {
-      Duration half = time_limit / 2;
-      if (half < floor) half = floor;
-      if (!oracle.check(plan, half)) break;
+  const Duration duration_floor = seconds(0.1);
+  for (std::size_t i = 0; i < plan.events.size(); ++i) {
+    while (plan.events[i].duration > duration_floor) {
+      Duration half = plan.events[i].duration / 2;
+      if (half < duration_floor) half = duration_floor;
+      FaultPlan trial = plan;
+      trial.events[i].duration = half;
+      if (!oracle.check(trial, time_limit)) break;
       ++res.steps;
-      logln("horizon: time limit " + std::to_string(time_limit.count()) +
-            "ns -> " + std::to_string(half.count()) + "ns");
-      time_limit = half;
+      logln("duration: event " + std::to_string(i) + " " +
+            std::to_string(plan.events[i].duration.count()) + "ns -> " +
+            std::to_string(half.count()) + "ns");
+      plan = std::move(trial);
     }
+  }
+  for (std::size_t i = 0; i < plan.events.size(); ++i) {
+    for (;;) {
+      FaultPlan trial = plan;
+      if (!benign_step(&trial.events[i])) break;
+      if (!oracle.check(trial, time_limit)) break;
+      ++res.steps;
+      logln("value: event " + std::to_string(i) + " " +
+            std::to_string(plan.events[i].value) + " -> " +
+            std::to_string(trial.events[i].value));
+      plan = std::move(trial);
+    }
+  }
+  const Duration horizon_floor = seconds(10.0);
+  while (time_limit > horizon_floor) {
+    Duration half = time_limit / 2;
+    if (half < horizon_floor) half = horizon_floor;
+    if (!oracle.check(plan, half)) break;
+    ++res.steps;
+    logln("horizon: time limit " + std::to_string(time_limit.count()) +
+          "ns -> " + std::to_string(half.count()) + "ns");
+    time_limit = half;
   }
 
   // Final run rewrites the bundle's expectations to the minimized plan's
   // actual strings, so `mpdash_sim repro minimized.json` verifies bitwise.
-  ChaosRunResult fin;
+  BundleRun fin;
   {
     ++oracle.sim_runs;
     Telemetry telemetry;
     fin = probe(bundle, plan, time_limit, telemetry);
   }
   res.minimized.plan = plan;
-  res.minimized.spec.time_limit = time_limit;
+  res.minimized.time_limit() = time_limit;
   res.minimized.outcome = fin.outcome;
   res.minimized.hung_reason = fin.hung_reason;
   res.minimized.expected_violations = fin.violations;

@@ -1,22 +1,23 @@
 #pragma once
 // Delta-debugging fault-plan minimizer (`mpdash_sim shrink <bundle>`).
 //
-// Given a repro bundle whose plan provokes a violation or hang, ddmin
-// over the plan's events finds a 1-minimal subset that still provokes
-// the *same class* of failure, then attribute ladders shrink what's
-// left: event durations halve toward a floor, fault magnitudes step
-// toward benign, and the session time limit halves toward a floor.
+// Given a repro bundle — one chaos session or one fleet — whose plan
+// provokes a violation or hang, ddmin over the plan's events finds a
+// 1-minimal subset that still provokes the *same class* of failure, then
+// attribute ladders shrink what's left: event durations halve toward a
+// floor, fault magnitudes step toward benign, and the run horizon (the
+// session's or the fleet's time limit) halves toward a floor.
 //
-// Oracle contract: a candidate is "interesting" iff replaying it through
-// run_chaos_single — the deterministic campaign code path — yields the
+// Oracle contract: a candidate is "interesting" iff running it through
+// run_repro_bundle — the deterministic campaign code path — yields the
 // same violation signature as the original bundle. The signature is the
 // outcome plus the canonical *kinds* of the violations (sorted, unique),
-// so a shrunk plan that trips the same invariants with different counts
-// still qualifies; `strict` tightens this to the exact violation
-// strings. Candidate batches run through the parallel campaign runner,
-// and the accepted candidate is always the first interesting one in
-// batch order, so the minimized bundle and the shrink log are bitwise
-// identical for any --jobs count.
+// so a shrunk plan that trips the same invariants with different counts,
+// or on a different fleet tenant, still qualifies; `strict` tightens this
+// to the exact violation strings. Candidate batches run through the
+// parallel campaign runner, and the accepted candidate is always the
+// first interesting one in batch order, so the minimized bundle and the
+// shrink log are bitwise identical for any --jobs count.
 
 #include <cstdio>
 #include <string>
@@ -30,9 +31,6 @@ struct ShrinkConfig {
   int jobs = 1;          // candidate-batch parallelism (ddmin rounds)
   bool strict = false;   // match exact violation strings, not kinds
   std::FILE* progress = nullptr;  // live step mirror; log is always kept
-  bool shrink_durations = true;
-  bool shrink_values = true;
-  bool shrink_horizon = true;
 };
 
 struct ShrinkResult {
@@ -47,7 +45,8 @@ struct ShrinkResult {
 
 // Canonical class of one violation string (prefix/substring matching to
 // a stable key, e.g. "chunk accounting: delivered 3 + abandoned 1 != 6"
-// → "chunk accounting"). Unrecognized strings map to themselves.
+// → "chunk accounting"). A fleet tenant's "session <i>: " prefix is
+// dropped first. Unrecognized strings map to themselves, unprefixed.
 std::string violation_kind(const std::string& violation);
 
 // Outcome + sorted unique violation kinds (or exact strings when

@@ -1,7 +1,6 @@
 #include "exp/spec.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 namespace mpdash {
@@ -16,17 +15,6 @@ bool scheme_from_string(std::string_view name, Scheme* out) {
   }
   return false;
 }
-
-namespace {
-
-std::string u64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%llu",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-}  // namespace
 
 std::string session_spec_to_json(const SessionSpec& s) {
   // Canonical: fixed field order, every field always emitted, one line —
@@ -45,9 +33,10 @@ std::string session_spec_to_json(const SessionSpec& s) {
   out += ", \"startup_buffer_s\": " + json_double(s.startup_buffer_s);
   out += std::string(", \"recovery\": ") + (s.recovery ? "true" : "false");
   out += ", \"time_limit_ns\": " + std::to_string(s.time_limit.count());
-  out += ", \"watchdog\": {\"max_sim_events\": " + u64(s.watchdog.max_sim_events) +
+  out += ", \"watchdog\": {\"max_sim_events\": " +
+         json_u64(s.watchdog.max_sim_events) +
          ", \"max_wall_s\": " + json_double(s.watchdog.max_wall_s) +
-         ", \"poll_interval\": " + u64(s.watchdog.poll_interval) + "}";
+         ", \"poll_interval\": " + json_u64(s.watchdog.poll_interval) + "}";
   out += "}";
   return out;
 }

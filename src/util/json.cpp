@@ -326,4 +326,10 @@ std::string json_double(double v) {
   return std::string(buf, res.ptr);
 }
 
+std::string json_u64(std::uint64_t v) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, res.ptr);
+}
+
 }  // namespace mpdash

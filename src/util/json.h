@@ -66,4 +66,8 @@ std::string json_quote(std::string_view s);
 // uses so parse → re-serialize is bitwise stable.
 std::string json_double(double v);
 
+// Decimal form of an unsigned 64-bit value (seeds, event budgets): JSON
+// numbers carry it losslessly because the parser keeps the raw literal.
+std::string json_u64(std::uint64_t v);
+
 }  // namespace mpdash

@@ -3,7 +3,7 @@
 // --jobs-invariant, fair queueing equalizes tenants that FIFO starves,
 // the cross-session aggregates are consistent with the per-session rows,
 // the session mix cycles deterministically, and fleet repro bundles
-// round-trip and replay to the same outcome.
+// round-trip and replay to the same outcome through the one repro path.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "exp/fleet.h"
+#include "exp/repro.h"
 #include "exp/spec.h"
 #include "fault/fault.h"
 #include "runner/campaign.h"
@@ -184,12 +185,12 @@ TEST(Fleet, ChaosCampaignIsJobsInvariant) {
 
 // --- fleet repro bundles -------------------------------------------------
 
-FleetBundle sample_fleet_bundle() {
-  FleetBundle b;
+ReproBundle sample_fleet_bundle() {
+  ReproBundle b;
   b.seed = 33;
-  b.config = FleetConfig{};
-  b.config.sessions = 2;
-  b.config.chunk_count = 6;
+  b.fleet = FleetConfig{};
+  b.fleet->sessions = 2;
+  b.fleet->chunk_count = 6;
   FaultEvent e;
   e.kind = FaultKind::kRateCollapse;
   e.at = kTimeZero + seconds(5.0);
@@ -202,39 +203,69 @@ FleetBundle sample_fleet_bundle() {
   return b;
 }
 
-TEST(FleetBundle, JsonRoundTripsBitwise) {
-  const FleetBundle b = sample_fleet_bundle();
-  const std::string text = fleet_bundle_to_json(b);
-  FleetBundle parsed;
+TEST(FleetReproBundle, JsonRoundTripsBitwise) {
+  const ReproBundle b = sample_fleet_bundle();
+  const std::string text = repro_bundle_to_json(b);
+  EXPECT_NE(text.find("\"kind\": \"mpdash-fleet-repro\""), std::string::npos);
+  ReproBundle parsed;
   std::string err;
-  ASSERT_TRUE(fleet_bundle_from_json(text, &parsed, &err)) << err;
+  ASSERT_TRUE(repro_bundle_from_json(text, &parsed, &err)) << err;
   EXPECT_EQ(parsed.seed, b.seed);
-  EXPECT_EQ(parsed.config, b.config);
+  ASSERT_TRUE(parsed.fleet.has_value());
+  EXPECT_EQ(*parsed.fleet, *b.fleet);
   EXPECT_EQ(parsed.outcome, b.outcome);
   EXPECT_EQ(parsed.expected_violations, b.expected_violations);
-  EXPECT_EQ(fleet_bundle_to_json(parsed), text);
+  EXPECT_EQ(repro_bundle_to_json(parsed), text);
 
-  EXPECT_FALSE(fleet_bundle_from_json("{}", &parsed, &err));
-  EXPECT_FALSE(fleet_bundle_from_json("not json", &parsed, &err));
+  EXPECT_FALSE(repro_bundle_from_json("{}", &parsed, &err));
+  EXPECT_FALSE(repro_bundle_from_json("not json", &parsed, &err));
 }
 
-TEST(FleetBundle, FileRoundTripAndPath) {
+TEST(FleetReproBundle, RejectsSchemaAndCountsOutOfRange) {
+  const std::string text = repro_bundle_to_json(sample_fleet_bundle());
+  auto parse_with = [&text](const std::string& needle,
+                            const std::string& replacement) {
+    std::string bad = text;
+    bad.replace(bad.find(needle), needle.size(), replacement);
+    ReproBundle parsed;
+    std::string err;
+    EXPECT_FALSE(repro_bundle_from_json(bad, &parsed, &err)) << replacement;
+    return err;
+  };
+  // Fleet bundles have one layout version.
+  EXPECT_EQ(parse_with("\"schema\": 1", "\"schema\": 2"),
+            "bundle: unsupported schema 2");
+  // Bundles are input from outside the program: a fleet needs a tenant
+  // and a chunk, and a count must fit an int rather than wrap into one.
+  for (const char* sessions : {"0", "4294967298"}) {
+    EXPECT_NE(parse_with("\"sessions\": 2",
+                         std::string("\"sessions\": ") + sessions)
+                  .find("sessions"),
+              std::string::npos);
+  }
+  EXPECT_NE(parse_with("{\"sessions\": 2, \"chunk_count\": 6",
+                       "{\"sessions\": 2, \"chunk_count\": 0")
+                .find("chunk_count"),
+            std::string::npos);
+}
+
+TEST(FleetReproBundle, FileRoundTripAndPath) {
   const std::string dir =
-      (std::filesystem::temp_directory_path() / "mpdash_fleet_bundle_test")
+      (std::filesystem::temp_directory_path() / "mpdash_fleet_repro_bundle_test")
           .string();
   std::filesystem::remove_all(dir);
-  const FleetBundle b = sample_fleet_bundle();
-  const std::string path = fleet_bundle_path(dir, b.seed);
+  const ReproBundle b = sample_fleet_bundle();
+  const std::string path = repro_bundle_path(dir, b.seed, /*fleet=*/true);
   EXPECT_NE(path.find("fleet_repro_33.json"), std::string::npos);
   std::string err;
-  ASSERT_TRUE(write_fleet_bundle(b, path, &err)) << err;
-  FleetBundle loaded;
-  ASSERT_TRUE(load_fleet_bundle(path, &loaded, &err)) << err;
-  EXPECT_EQ(fleet_bundle_to_json(loaded), fleet_bundle_to_json(b));
+  ASSERT_TRUE(write_repro_bundle(b, path, &err)) << err;
+  ReproBundle loaded;
+  ASSERT_TRUE(load_repro_bundle(path, &loaded, &err)) << err;
+  EXPECT_EQ(repro_bundle_to_json(loaded), repro_bundle_to_json(b));
   std::filesystem::remove_all(dir);
 }
 
-TEST(FleetBundle, ReplayReproducesTheRecordedRun) {
+TEST(FleetReproBundle, ReplayReproducesTheRecordedRun) {
   // Record a real run (whatever its outcome), snapshot it as a bundle,
   // and check the replay path reports a match against itself.
   FaultEvent e;
@@ -245,24 +276,44 @@ TEST(FleetBundle, ReplayReproducesTheRecordedRun) {
   FaultPlan plan;
   plan.events.push_back(e);
 
-  FleetBundle b;
-  b.seed = 13;
-  b.config = small_fleet(2, 8);
-  b.config.seed = 13;
-  b.plan = plan;
-  b.config.faults = nullptr;  // the bundle's plan is authoritative
-
-  FleetConfig probe = b.config;
+  FleetConfig probe = small_fleet(2, 8);
+  probe.seed = 13;
   probe.faults = &plan;
   const FleetResult run = run_fleet(probe);
-  b.outcome = run.outcome;
-  b.hung_reason = run.hung_reason;
-  b.expected_violations = run.violations;
+  // The campaign's snapshot: the bundle's plan is authoritative.
+  const ReproBundle b = make_repro_bundle(probe, run, plan);
+  EXPECT_EQ(b.seed, 13u);
+  EXPECT_EQ(b.fleet->faults, nullptr);
 
-  const FleetReplayResult replay = replay_fleet_bundle(b);
+  const ReplayResult replay = replay_repro_bundle(b);
   EXPECT_TRUE(replay.matches)
       << (replay.mismatches.empty() ? "" : replay.mismatches.front());
-  EXPECT_EQ(replay.run.fingerprint(), run.fingerprint());
+  EXPECT_EQ(replay.run.fingerprint, run.fingerprint());
+}
+
+TEST(FleetReproBundle, CampaignEmitsBundlesTheReproPathReplays) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "mpdash_fleet_bundles";
+  std::filesystem::remove_all(dir);
+  FleetCampaignConfig cfg;
+  cfg.fleet = small_fleet(2, 6);
+  // A fleet horizon shorter than the content: every run violates.
+  cfg.fleet.time_limit = seconds(5.0);
+  cfg.seed_count = 2;
+  cfg.progress = nullptr;
+  cfg.bundle_dir = dir.string();
+  const FleetCampaignResult res = run_fleet_campaign(cfg);
+  ASSERT_EQ(res.outcome_counts().violation, 2);
+  for (const FleetResult& r : res.runs) {
+    ReproBundle b;
+    std::string err;
+    const std::string path = repro_bundle_path(dir.string(), r.seed, true);
+    ASSERT_TRUE(load_repro_bundle(path, &b, &err)) << path << ": " << err;
+    ASSERT_TRUE(b.fleet.has_value());
+    EXPECT_EQ(b.expected_violations, r.violations);
+    EXPECT_TRUE(replay_repro_bundle(b).matches) << path;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

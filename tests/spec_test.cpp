@@ -253,6 +253,19 @@ TEST(ReproBundleCompat, Schema1BundleReplaysIdentically) {
   EXPECT_EQ(replay.run.violations, run.violations);
 }
 
+TEST(ReproBundleCompat, Schema1BundleWithoutChunksIsRejected) {
+  ChaosRunResult run;
+  run.seed = 11;
+  run.outcome = RunOutcome::kViolation;
+  std::string text = schema1_bundle_text(run, blackout_plan());
+  const std::string needle = "\"chunk_count\": 8";
+  text.replace(text.find(needle), needle.size(), "\"chunk_count\": 0");
+  ReproBundle parsed;
+  std::string err;
+  EXPECT_FALSE(repro_bundle_from_json(text, &parsed, &err));
+  EXPECT_EQ(err, "bundle: \"chunk_count\" must be from 1 to 2147483647");
+}
+
 TEST(ReproBundleCompat, UnsupportedSchemaIsRejected) {
   ReproBundle b;
   const std::string text = repro_bundle_to_json(b);

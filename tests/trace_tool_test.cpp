@@ -311,8 +311,8 @@ TEST(Flame, GoldenPipelinedSnapshot) {
   TypeFilterSink filter(&capture, flame_trace_mask());
   telemetry.add_sink(&filter);
 
-  Scenario scenario(chaos_scenario_config(7));
-  SessionConfig scfg = chaos_session_config(cfg, 7);
+  Scenario scenario(resolve_scenario_config(cfg.session, 7));
+  SessionConfig scfg = resolve_session_config(cfg.session, 7);
   SessionEnv env;
   env.telemetry = &telemetry;
   env.faults = &plan;

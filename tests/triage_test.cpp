@@ -1,6 +1,6 @@
 // Chaos triage subsystem: run watchdogs (sim-event + wall-clock budgets),
 // lossless FaultPlan / repro-bundle JSON, deterministic repro replay, and
-// the delta-debugging shrinker.
+// the delta-debugging shrinker, for chaos sessions and fleets alike.
 //
 // Determinism is the contract under test everywhere here: watchdog trips
 // must be bitwise reproducible, bundles must re-serialize byte-identical,
@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <functional>
 #include <memory>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "exp/chaos.h"
+#include "exp/fleet.h"
 #include "exp/repro.h"
 #include "exp/shrink.h"
 #include "fault/fault.h"
@@ -240,6 +242,21 @@ TEST(ReproBundleJson, RejectsWrongKindAndSchema) {
   EXPECT_NE(err.find("schema"), std::string::npos);
 }
 
+TEST(ReproBundleJson, RejectsChunkCountOutOfRange) {
+  // Bundles are input from outside the program: a run needs a chunk, and
+  // the count must fit an int rather than wrap into one.
+  for (const char* count : {"0", "-3", "4294967297"}) {
+    std::string text = repro_bundle_to_json(sample_bundle());
+    const std::string needle = "\"chunk_count\": 6";
+    text.replace(text.find(needle), needle.size(),
+                 std::string("\"chunk_count\": ") + count);
+    ReproBundle parsed;
+    std::string err;
+    EXPECT_FALSE(repro_bundle_from_json(text, &parsed, &err)) << count;
+    EXPECT_NE(err.find("chunk_count"), std::string::npos) << err;
+  }
+}
+
 // A hand-built plan that deterministically violates: the origin holds
 // every response for most of a session too short to finish afterwards,
 // with recovery off so nothing times the requests out.
@@ -256,10 +273,8 @@ ReproBundle stalled_session_bundle() {
 TEST(Repro, DeterministicViolationReplaysBitwise) {
   ReproBundle b = stalled_session_bundle();
   // First run: capture what this plan actually does.
-  const ChaosConfig cfg = bundle_chaos_config(b);
   Telemetry telemetry;
-  const ChaosRunResult run =
-      run_chaos_single(cfg, chaos_video(cfg), b.seed, b.plan, telemetry);
+  const BundleRun run = run_repro_bundle(b, telemetry);
   ASSERT_EQ(run.outcome, RunOutcome::kViolation);
   ASSERT_FALSE(run.violations.empty());
   EXPECT_NE(run.violations[0].find("session hung"), std::string::npos);
@@ -274,7 +289,7 @@ TEST(Repro, DeterministicViolationReplaysBitwise) {
                                      : first.mismatches[0]);
   const ReplayResult second = replay_repro_bundle(b);
   EXPECT_TRUE(second.matches);
-  EXPECT_EQ(first.run.fingerprint(), second.run.fingerprint());
+  EXPECT_EQ(first.run.fingerprint, second.run.fingerprint);
 }
 
 TEST(Repro, CampaignEmitsLoadableBundlesForNonOkRuns) {
@@ -392,6 +407,36 @@ TEST(Signature, CanonicalKindsDropRunSpecificDetail) {
             violation_signature(RunOutcome::kOk, {}, false));
 }
 
+TEST(Signature, FleetTenantPrefixIsDropped) {
+  // A fleet hoists tenant violations as "session <i>: ..."; which tenant
+  // failed is run-specific detail, like the counts.
+  EXPECT_EQ(violation_kind(
+                "session 3: chunk accounting: delivered 3 + abandoned 0 != 6"),
+            "chunk accounting");
+  EXPECT_EQ(violation_kind("session 12: session hung: time limit reached "
+                           "before playback finished"),
+            "session hung");
+  EXPECT_EQ(violation_kind("session 0: 2 fault events had no attachable "
+                           "target"),
+            "fault target missing");
+  EXPECT_EQ(violation_kind("session 1: something entirely new"),
+            "something entirely new");
+  // Only a "session <digits>: " head is a tenant prefix.
+  EXPECT_EQ(violation_kind(
+                "session hung: time limit reached before playback finished"),
+            "session hung");
+  EXPECT_EQ(violation_kind("session x: odd"), "session x: odd");
+
+  const std::vector<std::string> tenant0 = {
+      "session 0: chunk accounting: delivered 4 + abandoned 0 != 6"};
+  const std::vector<std::string> tenant3 = {
+      "session 3: chunk accounting: delivered 2 + abandoned 0 != 6"};
+  EXPECT_EQ(violation_signature(RunOutcome::kViolation, tenant0, false),
+            violation_signature(RunOutcome::kViolation, tenant3, false));
+  EXPECT_NE(violation_signature(RunOutcome::kViolation, tenant0, true),
+            violation_signature(RunOutcome::kViolation, tenant3, true));
+}
+
 // Six-event plan: one server stall actually causes the hang; five benign
 // short events are noise ddmin must discard.
 ReproBundle noisy_bundle() {
@@ -457,6 +502,71 @@ TEST(Shrink, DeterministicAcrossRepeatsAndJobs) {
   EXPECT_EQ(first.sim_runs, parallel.sim_runs);
 }
 
+// Four tenants on the shared links, recovery off and a 30 s fleet horizon:
+// the origin stall wedges every tenant, and three benign short events are
+// noise. Expectations are recorded from a real run.
+ReproBundle stalled_fleet_bundle() {
+  ReproBundle b;
+  b.seed = 7;
+  FleetConfig fleet;
+  fleet.sessions = 4;
+  fleet.chunk_count = 6;
+  fleet.time_limit = seconds(30.0);
+  SessionSpec tenant;
+  tenant.recovery = false;
+  fleet.mix = {tenant};
+  b.fleet = fleet;
+  b.plan.events.push_back(make_event(FaultKind::kServerStall, 2.0, 26.0, -1));
+  b.plan.events.push_back(
+      make_event(FaultKind::kRttSpike, 4.0, 0.5, 0, 10.0));
+  b.plan.events.push_back(make_event(FaultKind::kFlap, 6.0, 1.0, 1, 0.2));
+  b.plan.events.push_back(
+      make_event(FaultKind::kRateCollapse, 10.0, 1.0, 1, 0.8));
+  Telemetry telemetry;
+  const BundleRun run = run_repro_bundle(b, telemetry);
+  b.outcome = run.outcome;
+  b.hung_reason = run.hung_reason;
+  b.expected_violations = run.violations;
+  return b;
+}
+
+TEST(Shrink, FleetPlanShrinksToTheStallJobsInvariantly) {
+  const ReproBundle bundle = stalled_fleet_bundle();
+  ASSERT_EQ(bundle.outcome, RunOutcome::kViolation);
+  ASSERT_FALSE(bundle.expected_violations.empty());
+  auto shrink_at = [&bundle](int jobs) {
+    ShrinkConfig cfg;
+    cfg.jobs = jobs;
+    return shrink_repro_bundle(bundle, cfg);
+  };
+  const ShrinkResult serial = shrink_at(1);
+
+  EXPECT_TRUE(serial.reproduced);
+  EXPECT_EQ(serial.initial_events, 4);
+  EXPECT_LE(serial.final_events, 2);
+  ASSERT_TRUE(serial.minimized.fleet.has_value());
+  ASSERT_FALSE(serial.minimized.plan.events.empty());
+  EXPECT_EQ(serial.minimized.plan.events[0].kind, FaultKind::kServerStall);
+
+  // The minimized fleet bundle's rewritten expectations replay bitwise.
+  const ReplayResult replay = replay_repro_bundle(serial.minimized);
+  EXPECT_TRUE(replay.matches)
+      << (replay.mismatches.empty() ? "" : replay.mismatches[0]);
+
+  const ShrinkResult parallel = shrink_at(4);
+  EXPECT_EQ(repro_bundle_to_json(serial.minimized),
+            repro_bundle_to_json(parallel.minimized));
+  EXPECT_EQ(serial.log, parallel.log);
+
+  // Why ddmin stays on fault events: FleetConfig can only drop tenants
+  // from the end, and here the failing tenants are the last two.
+  EXPECT_EQ(bundle.expected_violations.front().rfind("session 2: ", 0), 0u);
+  ReproBundle prefix = bundle;
+  prefix.fleet->sessions = 2;
+  Telemetry telemetry;
+  EXPECT_EQ(run_repro_bundle(prefix, telemetry).outcome, RunOutcome::kOk);
+}
+
 TEST(Shrink, CleanBundleReportsNothingToShrink) {
   ReproBundle b;  // no faults, generous time limit: the run is clean
   b.seed = 3;
@@ -464,6 +574,47 @@ TEST(Shrink, CleanBundleReportsNothingToShrink) {
   const ShrinkResult res = shrink_repro_bundle(b, ShrinkConfig{});
   EXPECT_FALSE(res.reproduced);
   EXPECT_EQ(res.sim_runs, 1);  // just the baseline probe
+}
+
+// --- committed bundles ---------------------------------------------------
+// Bundles exactly as the campaigns write them; each kind's on-disk layout
+// must keep loading, re-serializing byte for byte, and replaying:
+//   chaos_repro_schema2.json: `mpdash_sim chaos --seed-count 50 --seed 1
+//     --no-recovery --keep-going --bundle-dir <dir>` (one of its bundles)
+//   fleet_repro_schema1.json: `mpdash_sim fleet --sessions 4 --chunks 6
+//     --seed-count 10 --seed 1 --chaos --no-recovery --wifi 1 --lte 0.5
+//     --keep-going --bundle-dir <dir>` (its only bundle)
+
+std::string read_fixture(const std::string& path) {
+  std::string text;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return text;
+  char buf[4096];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
+  std::fclose(f);
+  return text;
+}
+
+void expect_fixture_replays(const char* name, bool fleet) {
+  const std::string path = std::string(MPDASH_TEST_DATA_DIR) + "/" + name;
+  ReproBundle b;
+  std::string err;
+  ASSERT_TRUE(load_repro_bundle(path, &b, &err)) << path << ": " << err;
+  EXPECT_EQ(b.fleet.has_value(), fleet);
+  EXPECT_FALSE(b.expected_violations.empty());
+  EXPECT_EQ(repro_bundle_to_json(b), read_fixture(path));
+  const ReplayResult replay = replay_repro_bundle(b);
+  EXPECT_TRUE(replay.matches)
+      << (replay.mismatches.empty() ? "" : replay.mismatches[0]);
+}
+
+TEST(ReproFixture, ChaosSchema2BundleReplays) {
+  expect_fixture_replays("chaos_repro_schema2.json", false);
+}
+
+TEST(ReproFixture, FleetSchema1BundleReplays) {
+  expect_fixture_replays("fleet_repro_schema1.json", true);
 }
 
 }  // namespace

@@ -11,14 +11,19 @@
 //   mpdash_sim sweep --algo bba --jobs 8      # parallel field-study campaign
 //   mpdash_sim chaos --seed-count 50 --jobs 8 # fault-plan invariant sweep
 //   mpdash_sim fleet --sessions 16 --seed 7   # N tenants, shared bottleneck
+//   mpdash_sim repro bundles/repro_<seed>.json # replay a chaos/fleet bundle
 
 #include <algorithm>
+#include <charconv>
+#include <cfloat>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 
 #include "dash/video.h"
 #include "exp/chaos.h"
@@ -42,7 +47,7 @@ namespace {
 
 struct Args {
   std::string command;
-  std::string input;  // positional: repro/shrink/fleet bundle path
+  std::string input;  // positional: repro/shrink bundle path
   std::string scheme = "mpdash-rate";
   std::string algo = "festive";
   std::string video = "bbb";
@@ -160,16 +165,17 @@ const CommandSpec kCommands[] = {
      "(default 20/12)\n"
      "  --stagger <s>   join stagger between tenants (default 1.0)\n"
      "  --chunks <n>   chunks per tenant (default 20)  --no-recovery\n"
+     "  --inflight <n>   every tenant's prefetch window\n"
      "  --chaos   seeded random fault plan per seed on the shared links\n"
      "  --csv <path>   per-session rows, bitwise identical for any --jobs\n"
      "  --bundle-dir <dir>   write fleet_repro_<seed>.json for non-ok runs\n"
-     "  --keep-going   exit 0 even when runs report violations\n"
-     "  fleet <bundle.json>   replay a fleet repro bundle instead\n",
+     "               (replay with `repro`, minimize with `shrink`)\n"
+     "  --keep-going   exit 0 even when runs report violations\n",
      cmd_fleet},
-    {"repro", "replay a chaos repro bundle and verify the failure reproduces",
-     "  repro <bundle.json>\n",
+    {"repro", "replay a chaos or fleet bundle; verify the failure reproduces",
+     "  repro <bundle.json>   repro_<seed>.json or fleet_repro_<seed>.json\n",
      cmd_repro},
-    {"shrink", "ddmin-minimize a repro bundle's fault plan",
+    {"shrink", "ddmin-minimize a chaos or fleet repro bundle's fault plan",
      "  shrink <bundle.json>   (writes <bundle>.min.json + .log)\n"
      "  --out <path>   minimized bundle destination\n"
      "  --strict       oracle matches exact violation strings\n"
@@ -201,10 +207,27 @@ void print_command_usage(const CommandSpec& c, std::FILE* out) {
                c.summary, c.usage);
 }
 
-[[noreturn]] void usage(const char* msg = nullptr) {
-  if (msg) std::fprintf(stderr, "error: %s\n\n", msg);
+[[noreturn]] void usage(const std::string& msg = "") {
+  if (!msg.empty()) std::fprintf(stderr, "error: %s\n\n", msg.c_str());
   print_usage(stderr);
   std::exit(2);
+}
+
+// Numeric flag values must be whole, finite tokens of at least `min`:
+// "abc", "3x" and "" are rejected, never read as a prefix or as zero.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text, T min) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < min ||
+      !std::isfinite(static_cast<double>(v))) {
+    usage("bad " + flag + " value '" + text + "' (want " +
+          (std::is_integral_v<T> ? "an integer >= " + std::to_string(min)
+                                 : std::string("a finite number")) +
+          ")");
+  }
+  return v;
 }
 
 Args parse(int argc, char** argv) {
@@ -216,13 +239,15 @@ Args parse(int argc, char** argv) {
   Args a;
   a.command = argv[1];
   const CommandSpec* spec = find_command(a.command);
-  if (spec == nullptr) usage(("unknown command " + a.command).c_str());
+  if (spec == nullptr) usage("unknown command " + a.command);
   for (int i = 2; i < argc; ++i) {
     const std::string flag = argv[i];
     auto value = [&]() -> std::string {
-      if (i + 1 >= argc) usage(("missing value for " + flag).c_str());
+      if (i + 1 >= argc) usage("missing value for " + flag);
       return argv[++i];
     };
+    auto number = [&] { return parse_number(flag, value(), -DBL_MAX); };
+    auto count = [&](int min) { return parse_number(flag, value(), min); };
     if (flag == "-h" || flag == "--help") {
       print_command_usage(*spec, stdout);
       std::exit(0);
@@ -231,50 +256,55 @@ Args parse(int argc, char** argv) {
     else if (flag == "--algo") a.algo = value();
     else if (flag == "--video") a.video = value();
     else if (flag == "--location") a.location = value();
-    else if (flag == "--wifi") a.wifi_mbps = std::atof(value().c_str());
-    else if (flag == "--lte") a.lte_mbps = std::atof(value().c_str());
+    else if (flag == "--wifi") a.wifi_mbps = number();
+    else if (flag == "--lte") a.lte_mbps = number();
     else if (flag == "--wifi-trace") a.wifi_trace_path = value();
     else if (flag == "--lte-trace") a.lte_trace_path = value();
-    else if (flag == "--chunk") a.chunk_s = std::atof(value().c_str());
-    else if (flag == "--alpha") a.alpha = std::atof(value().c_str());
+    else if (flag == "--chunk") a.chunk_s = number();
+    else if (flag == "--alpha") a.alpha = number();
     else if (flag == "--scheduler") a.mptcp_scheduler = value();
-    else if (flag == "--size-mb") a.size_mb = std::atof(value().c_str());
-    else if (flag == "--deadline") a.deadline_s = std::atof(value().c_str());
+    else if (flag == "--size-mb") a.size_mb = number();
+    else if (flag == "--deadline") a.deadline_s = number();
     else if (flag == "--no-mpdash") a.use_mpdash = false;
-    else if (flag == "--jobs") a.jobs = std::atoi(value().c_str());
-    else if (flag == "--seed-count") a.seed_count = std::atoi(value().c_str());
-    else if (flag == "--seed") a.seed = std::strtoull(value().c_str(), nullptr, 10);
+    else if (flag == "--jobs") a.jobs = count(0);
+    else if (flag == "--seed-count") a.seed_count = count(1);
+    else if (flag == "--seed") a.seed = parse_number(flag, value(), 0ull);
     else if (flag == "--no-recovery") a.recovery = false;
-    else if (flag == "--inflight") a.inflight = std::atoi(value().c_str());
-    else if (flag == "--chunks") a.chunks = std::atoi(value().c_str());
+    else if (flag == "--inflight") a.inflight = count(1);
+    else if (flag == "--chunks") a.chunks = count(1);
     else if (flag == "--csv") a.csv_path = value();
     else if (flag == "--metrics") a.metrics_path = value();
     else if (flag == "--metrics-prom") a.metrics_prom_path = value();
     else if (flag == "--trace") a.trace_path = value();
     else if (flag == "--trace-types") a.trace_types = value();
     else if (flag == "--series") a.series_path = value();
-    else if (flag == "--series-interval")
-      a.series_interval_s = std::atof(value().c_str());
+    else if (flag == "--series-interval") a.series_interval_s = number();
     else if (flag == "--attrib") a.attrib_path = value();
     else if (flag == "--bundle-dir") a.bundle_dir = value();
     else if (flag == "--keep-going") a.keep_going = true;
     else if (flag == "--strict") a.strict = true;
     else if (flag == "--out") a.out_path = value();
-    else if (flag == "--sessions") a.sessions = std::atoi(value().c_str());
-    else if (flag == "--stagger") a.stagger_s = std::atof(value().c_str());
+    else if (flag == "--sessions") a.sessions = count(1);
+    else if (flag == "--stagger") a.stagger_s = number();
     else if (flag == "--discipline") a.discipline = value();
     else if (flag == "--mix") a.mix = value();
     else if (flag == "--chaos") a.chaos = true;
     else if (!flag.empty() && flag[0] != '-' && a.input.empty())
       a.input = flag;
-    else usage(("unknown flag " + flag).c_str());
+    else usage("unknown flag " + flag);
+  }
+  if (!a.input.empty() && a.command != "repro" && a.command != "shrink") {
+    usage(a.command == "fleet"
+              ? "fleet takes no bundle; replay or minimize one with "
+                "`mpdash_sim repro <bundle>` or `mpdash_sim shrink <bundle>`"
+              : "unexpected argument " + a.input);
   }
   return a;
 }
 
 Scheme parse_scheme(const std::string& s) {
   Scheme out;
-  if (!scheme_from_string(s, &out)) usage(("unknown scheme " + s).c_str());
+  if (!scheme_from_string(s, &out)) usage("unknown scheme " + s);
   return out;
 }
 
@@ -284,7 +314,7 @@ Video pick_video(const Args& a) {
   if (a.video == "redbull") return red_bull_playstreets(chunk);
   if (a.video == "tears") return tears_of_steel(chunk);
   if (a.video == "tears-hd") return tears_of_steel_hd(chunk);
-  usage(("unknown video " + a.video).c_str());
+  usage("unknown video " + a.video);
 }
 
 ScenarioConfig build_network(const Args& a, Duration horizon) {
@@ -299,7 +329,7 @@ ScenarioConfig build_network(const Args& a, Duration horizon) {
         return cfg;
       }
     }
-    usage(("unknown location " + a.location).c_str());
+    usage("unknown location " + a.location);
   }
   ScenarioConfig cfg =
       constant_scenario(DataRate::mbps(a.wifi_mbps.value_or(3.8)),
@@ -337,9 +367,8 @@ std::uint32_t trace_type_mask(const Args& a) {
   if (a.trace_types.empty()) return ~0u;
   std::uint32_t mask = 0;
   if (!parse_trace_types(a.trace_types, &mask) || mask == 0) {
-    usage(("bad --trace-types '" + a.trace_types +
-           "' (names as in trace JSON \"type\", comma-separated)")
-              .c_str());
+    usage("bad --trace-types '" + a.trace_types +
+          "' (names as in trace JSON \"type\", comma-separated)");
   }
   return mask;
 }
@@ -352,7 +381,7 @@ int cmd_stream(const Args& a) {
   cfg.adaptation = a.algo;
   cfg.alpha = a.alpha;
   cfg.mptcp_scheduler = a.mptcp_scheduler;
-  cfg.player.max_inflight_chunks = std::max(1, a.inflight);
+  cfg.player.max_inflight_chunks = a.inflight;
 
   Telemetry telemetry;
   MetricsTimeline timeline;
@@ -613,6 +642,21 @@ int cmd_sweep(const Args& a) {
   return 0;
 }
 
+// Every hung reason and violation of a chaos or fleet campaign, per seed,
+// on stderr.
+template <typename Run>
+void print_run_problems(const std::vector<Run>& runs) {
+  for (const Run& r : runs) {
+    const auto seed = static_cast<unsigned long long>(r.seed);
+    if (!r.hung_reason.empty()) {
+      std::fprintf(stderr, "seed %llu: %s\n", seed, r.hung_reason.c_str());
+    }
+    for (const std::string& v : r.violations) {
+      std::fprintf(stderr, "seed %llu: %s\n", seed, v.c_str());
+    }
+  }
+}
+
 // Chaos campaign: N seeded random fault plans through the full stack with
 // recovery on, invariants audited per run. Exit status is the gate CI
 // uses: 0 only when every invariant held on every seed.
@@ -651,17 +695,7 @@ int cmd_chaos(const Args& a) {
                    std::to_string(r.violations.size())});
   }
   std::printf("%s", table.render().c_str());
-  for (const ChaosRunResult& r : res.runs) {
-    if (!r.hung_reason.empty()) {
-      std::fprintf(stderr, "seed %llu: %s\n",
-                   static_cast<unsigned long long>(r.seed),
-                   r.hung_reason.c_str());
-    }
-    for (const std::string& v : r.violations) {
-      std::fprintf(stderr, "seed %llu: %s\n",
-                   static_cast<unsigned long long>(r.seed), v.c_str());
-    }
-  }
+  print_run_problems(res.runs);
   const int violations = res.violation_count();
   const OutcomeCounts oc = res.outcome_counts();
   std::printf("chaos: %d seeds on %d workers, %.2fs wall, recovery %s, "
@@ -750,7 +784,7 @@ std::vector<SessionSpec> parse_mix(const Args& a) {
   base.adaptation = a.algo;
   base.mptcp_scheduler = a.mptcp_scheduler;
   base.alpha = a.alpha;
-  base.inflight = std::max(1, a.inflight);
+  base.inflight = a.inflight;
   base.recovery = a.recovery;
   if (a.mix.empty()) {
     mix.push_back(base);
@@ -768,49 +802,16 @@ std::vector<SessionSpec> parse_mix(const Args& a) {
     if (colon != std::string::npos) spec.adaptation = entry.substr(colon + 1);
     mix.push_back(std::move(spec));
   }
-  if (mix.empty()) usage(("empty --mix '" + a.mix + "'").c_str());
+  if (mix.empty()) usage("empty --mix '" + a.mix + "'");
   return mix;
-}
-
-int replay_fleet(const Args& a) {
-  FleetBundle bundle;
-  std::string err;
-  if (!load_fleet_bundle(a.input, &bundle, &err)) {
-    usage(("cannot load fleet bundle " + a.input + ": " + err).c_str());
-  }
-  std::printf("fleet repro: %s\n", a.input.c_str());
-  std::printf("  seed %llu, %d sessions, %d chunks, discipline %s\n",
-              static_cast<unsigned long long>(bundle.seed),
-              bundle.config.sessions, bundle.config.chunk_count,
-              to_string(bundle.config.discipline));
-  std::printf("  fault plan (%zu events), expected outcome %s, "
-              "%zu violation%s\n",
-              bundle.plan.events.size(), to_string(bundle.outcome),
-              bundle.expected_violations.size(),
-              bundle.expected_violations.size() == 1 ? "" : "s");
-  const FleetReplayResult replay = replay_fleet_bundle(bundle);
-  std::printf("  replayed outcome %s, %zu violation%s\n",
-              to_string(replay.run.outcome), replay.run.violations.size(),
-              replay.run.violations.size() == 1 ? "" : "s");
-  if (replay.matches) {
-    std::printf("fleet repro: reproduced\n");
-    return 0;
-  }
-  for (const std::string& m : replay.mismatches) {
-    std::fprintf(stderr, "mismatch: %s\n", m.c_str());
-  }
-  std::fprintf(stderr, "fleet repro: did NOT reproduce\n");
-  return 1;
 }
 
 // Fleet workload: per seed, N tenants share one WiFi+LTE bottleneck pair
 // on a single event loop; seeds fan out over the campaign runner. The
 // per-session CSV lands in (seed, session) order for any --jobs count.
 int cmd_fleet(const Args& a) {
-  if (!a.input.empty()) return replay_fleet(a);
-
   FleetCampaignConfig cfg;
-  cfg.fleet.sessions = std::max(1, a.sessions);
+  cfg.fleet.sessions = a.sessions;
   if (a.chunks > 0) cfg.fleet.chunk_count = a.chunks;
   cfg.fleet.mix = parse_mix(a);
   if (a.discipline == "fifo") {
@@ -818,7 +819,7 @@ int cmd_fleet(const Args& a) {
   } else if (a.discipline == "fq") {
     cfg.fleet.discipline = QueueDiscipline::kFairQueue;
   } else {
-    usage(("unknown discipline " + a.discipline + " (fifo|fq)").c_str());
+    usage("unknown discipline " + a.discipline + " (fifo|fq)");
   }
   if (a.wifi_mbps) cfg.fleet.wifi_mbps = *a.wifi_mbps;
   if (a.lte_mbps) cfg.fleet.lte_mbps = *a.lte_mbps;
@@ -844,17 +845,7 @@ int cmd_fleet(const Args& a) {
                    std::to_string(r.violations.size())});
   }
   std::printf("%s", table.render().c_str());
-  for (const FleetResult& r : res.runs) {
-    if (!r.hung_reason.empty()) {
-      std::fprintf(stderr, "seed %llu: %s\n",
-                   static_cast<unsigned long long>(r.seed),
-                   r.hung_reason.c_str());
-    }
-    for (const std::string& v : r.violations) {
-      std::fprintf(stderr, "seed %llu: %s\n",
-                   static_cast<unsigned long long>(r.seed), v.c_str());
-    }
-  }
+  print_run_problems(res.runs);
   const OutcomeCounts oc = res.outcome_counts();
   std::printf("fleet: %d seeds x %d sessions (%s) on %d workers, %.2fs "
               "wall, chaos %s\n",
@@ -877,21 +868,35 @@ int cmd_fleet(const Args& a) {
   return a.keep_going ? 0 : (oc.bad() == 0 ? 0 : 1);
 }
 
+// Loads the positional bundle (chaos or fleet); bad input exits 2.
+ReproBundle load_bundle_arg(const Args& a) {
+  if (a.input.empty()) usage(a.command + " needs a bundle path");
+  ReproBundle bundle;
+  std::string err;
+  if (!load_repro_bundle(a.input, &bundle, &err)) {
+    usage("cannot load bundle " + a.input + ": " + err);
+  }
+  return bundle;
+}
+
 // Replays a repro bundle through the identical campaign code path and
 // verifies the stored failure reproduces bitwise (outcome + violation
 // strings). Exit 0 only on an exact match.
 int cmd_repro(const Args& a) {
-  if (a.input.empty()) usage("repro needs a bundle path");
-  ReproBundle bundle;
-  std::string err;
-  if (!load_repro_bundle(a.input, &bundle, &err)) {
-    usage(("cannot load bundle " + a.input + ": " + err).c_str());
-  }
+  const ReproBundle bundle = load_bundle_arg(a);
   std::printf("repro: %s\n", a.input.c_str());
-  std::printf("  seed %llu, scheme %s, %d chunks, recovery %s\n",
-              static_cast<unsigned long long>(bundle.seed),
-              to_string(bundle.spec.scheme), bundle.chunk_count,
-              bundle.spec.recovery ? "on" : "off");
+  if (bundle.fleet) {
+    std::printf("  seed %llu, fleet of %d sessions, %d chunks, "
+                "discipline %s\n",
+                static_cast<unsigned long long>(bundle.seed),
+                bundle.fleet->sessions, bundle.fleet->chunk_count,
+                to_string(bundle.fleet->discipline));
+  } else {
+    std::printf("  seed %llu, scheme %s, %d chunks, recovery %s\n",
+                static_cast<unsigned long long>(bundle.seed),
+                to_string(bundle.spec.scheme), bundle.chunk_count,
+                bundle.spec.recovery ? "on" : "off");
+  }
   std::printf("  fault plan (%zu events):\n", bundle.plan.events.size());
   for (const FaultEvent& e : bundle.plan.events) {
     std::printf("    %s\n", describe(e).c_str());
@@ -919,12 +924,7 @@ int cmd_repro(const Args& a) {
 // duration/magnitude/horizon ladders, writing the minimized bundle and a
 // deterministic shrink log.
 int cmd_shrink(const Args& a) {
-  if (a.input.empty()) usage("shrink needs a bundle path");
-  ReproBundle bundle;
-  std::string err;
-  if (!load_repro_bundle(a.input, &bundle, &err)) {
-    usage(("cannot load bundle " + a.input + ": " + err).c_str());
-  }
+  const ReproBundle bundle = load_bundle_arg(a);
   ShrinkConfig scfg;
   scfg.jobs = a.jobs;
   scfg.strict = a.strict;
@@ -938,6 +938,7 @@ int cmd_shrink(const Args& a) {
   }
   const std::string out_path =
       a.out_path.empty() ? a.input + ".min.json" : a.out_path;
+  std::string err;
   if (!write_repro_bundle(res.minimized, out_path, &err)) {
     std::fprintf(stderr, "cannot write %s: %s\n", out_path.c_str(),
                  err.c_str());
