@@ -20,26 +20,82 @@ EventId EventLoop::schedule_in(Duration delay, Callback cb) {
 bool EventLoop::cancel(EventId id) {
   if (!id.valid()) return false;
   if (callbacks_.erase(id.value) == 0) return false;
-  ++cancelled_pending_;
-  // A schedule/cancel-heavy workload (RTO timers re-armed per ack) would
-  // otherwise accumulate stale heap entries without bound; rebuild once
-  // they outnumber the live ones.
-  if (cancelled_pending_ > 64 && cancelled_pending_ > callbacks_.size()) {
-    compact();
-  }
+  compact_if_stale();
   return true;
+}
+
+TimerId EventLoop::make_timer(Callback cb) {
+  timers_.push_back(Timer{std::move(cb)});
+  return TimerId{static_cast<std::uint32_t>(timers_.size() - 1)};
+}
+
+void EventLoop::arm_timer(TimerId t, TimePoint at) {
+  if (at < now_) at = now_;
+  Timer& timer = timers_[t.index];
+  if (timer.seq == 0) ++armed_timers_;
+  timer.at = at;
+  timer.seq = next_seq_++;
+  // A queued entry at or before the new deadline surfaces first and is
+  // re-queued then (timer_due); only an earlier deadline needs a push now,
+  // which leaves the old entry stale.
+  const bool queued = timer.queued_seq != 0;
+  if (queued && timer.queued_at <= at) return;
+  queue_.push(Entry{at, timer.seq, kTimerTag | t.index});
+  timer.queued_at = at;
+  timer.queued_seq = timer.seq;
+  if (queued) compact_if_stale();
+}
+
+void EventLoop::disarm_timer(TimerId t) {
+  Timer& timer = timers_[t.index];
+  if (timer.seq == 0) return;
+  timer.seq = 0;
+  timer.queued_seq = 0;  // its heap entry is stale now
+  --armed_timers_;
+  compact_if_stale();
+}
+
+bool EventLoop::timer_due(const Entry& top) {
+  Timer& timer = timers_[top.id & ~kTimerTag];
+  if (top.seq == timer.queued_seq && top.seq == timer.seq) return true;
+  queue_.pop();
+  if (top.seq == timer.queued_seq) {
+    // Re-armed to a later key since this entry was pushed.
+    queue_.push(Entry{timer.at, timer.seq, top.id});
+    timer.queued_at = timer.at;
+    timer.queued_seq = timer.seq;
+  }
+  return false;
+}
+
+void EventLoop::compact_if_stale() {
+  // A schedule/cancel-heavy workload would otherwise accumulate stale heap
+  // entries without bound; rebuild once they outnumber the live ones.
+  const std::size_t live = callbacks_.size() + armed_timers_;
+  const std::size_t stale = queue_.size() - live;
+  if (stale > 64 && stale > live) compact();
 }
 
 void EventLoop::compact() {
   std::vector<Entry> live;
-  live.reserve(callbacks_.size());
+  live.reserve(callbacks_.size() + armed_timers_);
   while (!queue_.empty()) {
-    if (callbacks_.contains(queue_.top().id)) live.push_back(queue_.top());
+    const Entry& e = queue_.top();
+    const bool keep = (e.id & kTimerTag)
+                          ? e.seq == timers_[e.id & ~kTimerTag].queued_seq
+                          : callbacks_.contains(e.id);
+    if (keep) live.push_back(e);
     queue_.pop();
   }
   queue_ = std::priority_queue<Entry, std::vector<Entry>, std::greater<>>(
       std::greater<>{}, std::move(live));
-  cancelled_pending_ = 0;
+}
+
+void EventLoop::begin_event(TimePoint at) {
+  assert(at >= now_);
+  now_ = at;
+  ++executed_;
+  if (telemetry_) executed_counter_.increment();
 }
 
 bool EventLoop::step() {
@@ -52,19 +108,26 @@ bool EventLoop::step() {
   }
   while (!queue_.empty()) {
     const Entry top = queue_.top();
+    if (top.id & kTimerTag) {
+      if (!timer_due(top)) continue;
+      queue_.pop();
+      Timer& timer = timers_[top.id & ~kTimerTag];
+      timer.seq = 0;
+      timer.queued_seq = 0;
+      --armed_timers_;
+      begin_event(top.at);
+      timer.cb();
+      return true;
+    }
     auto it = callbacks_.find(top.id);
     if (it == callbacks_.end()) {
       queue_.pop();  // cancelled
-      if (cancelled_pending_ > 0) --cancelled_pending_;
       continue;
     }
     Callback cb = std::move(it->second);
     callbacks_.erase(it);
     queue_.pop();
-    assert(top.at >= now_);
-    now_ = top.at;
-    ++executed_;
-    if (telemetry_) executed_counter_.increment();
+    begin_event(top.at);
     cb();
     return true;
   }
@@ -79,9 +142,10 @@ void EventLoop::run() {
 void EventLoop::run_until(TimePoint deadline) {
   while (!queue_.empty()) {
     const Entry top = queue_.top();
-    if (callbacks_.find(top.id) == callbacks_.end()) {
+    if (top.id & kTimerTag) {
+      if (!timer_due(top)) continue;
+    } else if (!callbacks_.contains(top.id)) {
       queue_.pop();
-      if (cancelled_pending_ > 0) --cancelled_pending_;
       continue;
     }
     if (top.at > deadline) break;
@@ -91,8 +155,8 @@ void EventLoop::run_until(TimePoint deadline) {
 }
 
 bool EventLoop::has_pending() const {
-  // Stale (cancelled) heap entries don't count.
-  return !callbacks_.empty();
+  // Stale heap entries don't count.
+  return !callbacks_.empty() || armed_timers_ > 0;
 }
 
 void EventLoop::set_interrupt(std::function<void()> check,

@@ -7,6 +7,7 @@
 // deterministic for a given seed.
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <queue>
 #include <unordered_map>
@@ -24,6 +25,11 @@ struct EventId {
   bool valid() const { return value != 0; }
 };
 
+// Handle for a re-armable timer (see EventLoop::make_timer).
+struct TimerId {
+  std::uint32_t index = 0;
+};
+
 class EventLoop {
  public:
   using Callback = std::function<void()>;
@@ -39,18 +45,37 @@ class EventLoop {
   // no-op. Returns true if the event was pending.
   bool cancel(EventId id);
 
+  // Re-armable timer for deadlines that move on every call, such as a
+  // TCP retransmission timeout re-armed per ack. Firing disarms it; `cb`
+  // may re-arm. The timer lives as long as the loop: an owner that dies
+  // first disarms it in its destructor.
+  //
+  // arm_timer(t, at) behaves exactly like cancel() + schedule_at(at, cb):
+  // it claims the next tie-break sequence number, and the timer fires at
+  // that (at, seq) key, so every event keeps the position the two calls
+  // would give it. It costs less: the heap keeps one entry per timer,
+  // pushed anew only when the deadline moves earlier than that entry's.
+  // A later deadline leaves the entry in place; when it surfaces early
+  // it is re-queued under the claimed key, which neither executes an
+  // event nor polls the interrupt hook. disarm_timer(t) claims nothing,
+  // like cancel().
+  TimerId make_timer(Callback cb);
+  void arm_timer(TimerId t, TimePoint at);
+  void disarm_timer(TimerId t);
+
   // Runs events until the queue is empty.
   void run();
   // Runs events with timestamp <= deadline, then advances now() to deadline.
   void run_until(TimePoint deadline);
 
-  // True if any event is pending.
+  // True if any event is pending or any timer armed.
   bool has_pending() const;
   std::size_t executed_events() const { return executed_; }
-  // Live (non-cancelled) callbacks awaiting execution.
+  // Live (non-cancelled) scheduled callbacks awaiting execution; armed
+  // timers are not counted.
   std::size_t pending_callbacks() const { return callbacks_.size(); }
-  // Heap entries including stale ones left behind by cancel(); bounded by
-  // compaction (see cancel()), exposed for the regression tests.
+  // Heap entries including stale ones left behind by cancel() and by
+  // timers; bounded by compaction, exposed for the regression tests.
   std::size_t queued_entries() const { return queue_.size(); }
 
   // Attaches telemetry (counter `sim.executed_events`). Pass nullptr to
@@ -73,6 +98,10 @@ class EventLoop {
   std::uint64_t allocate_id() { return next_alloc_id_++; }
 
  private:
+  // Timer entries carry kTimerTag | timer index in `id`; event ids never
+  // reach that bit.
+  static constexpr std::uint64_t kTimerTag = std::uint64_t{1} << 63;
+
   struct Entry {
     TimePoint at;
     std::uint64_t seq;
@@ -84,12 +113,29 @@ class EventLoop {
     }
   };
 
+  struct Timer {
+    Callback cb;
+    // The key the last arm claimed; seq 0 = disarmed.
+    TimePoint at = kTimeZero;
+    std::uint64_t seq = 0;
+    // The key of the timer's one live heap entry, at or before the claimed
+    // key; seq 0 = none, exactly when disarmed.
+    TimePoint queued_at = kTimeZero;
+    std::uint64_t queued_seq = 0;
+  };
+
   // Pops and runs the next event; returns false if queue empty after
   // discarding cancelled entries.
   bool step();
-  // Drops every stale heap entry once cancelled entries dominate the heap
-  // (cancel() leaves them behind; without this a schedule/cancel loop
-  // would grow the heap without bound).
+  // Settles a timer entry at the top of the heap. Returns true when it is
+  // due under the key its last arm claimed; otherwise pops it (superseded
+  // or disarmed) or re-queues it under that key, and returns false.
+  bool timer_due(const Entry& top);
+  void begin_event(TimePoint at);
+  // Drops every stale heap entry once stale entries dominate the heap
+  // (cancel() and moving timers leave them behind; without this a
+  // schedule/cancel loop would grow the heap without bound).
+  void compact_if_stale();
   void compact();
 
   TimePoint now_ = kTimeZero;
@@ -97,11 +143,13 @@ class EventLoop {
   std::uint64_t next_id_ = 1;
   std::uint64_t next_alloc_id_ = 1;
   std::size_t executed_ = 0;
-  std::size_t cancelled_pending_ = 0;  // stale entries still in the heap
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
   // Callbacks keyed by id; erased on cancel so stale heap entries are
   // skipped cheaply.
   std::unordered_map<std::uint64_t, Callback> callbacks_;
+  // A deque keeps a running timer's callback in place if it makes timers.
+  std::deque<Timer> timers_;
+  std::size_t armed_timers_ = 0;
 
   Telemetry* telemetry_ = nullptr;
   Counter executed_counter_;

@@ -15,10 +15,13 @@ SubflowSender::SubflowSender(EventLoop& loop, SubflowConfig config,
       on_capacity_(std::move(on_capacity)),
       cwnd_(config.initial_cwnd),
       srtt_(config.initial_rtt),
-      rttvar_(config.initial_rtt / 2) {}
+      rttvar_(config.initial_rtt / 2),
+      rto_timer_(loop.make_timer([this] { on_rto(); })) {}
+
+SubflowSender::~SubflowSender() { loop_.disarm_timer(rto_timer_); }
 
 bool SubflowSender::can_send() const {
-  return static_cast<double>(inflight_.size()) < cwnd_;
+  return static_cast<double>(inflight_) < cwnd_;
 }
 
 void SubflowSender::set_telemetry(Telemetry* telemetry,
@@ -73,11 +76,12 @@ void SubflowSender::send_data(std::uint64_t data_seq, Bytes len,
   // Congestion window validation (RFC 7661 spirit): after an idle period
   // the ack clock is gone, so restart from the initial window instead of
   // blasting a stale, arbitrarily large cwnd into the bottleneck queue.
-  if (inflight_.empty() && last_send_ != kTimeZero &&
+  if (inflight_ == 0 && last_send_ != kTimeZero &&
       loop_.now() - last_send_ > rto()) {
     cwnd_ = std::min(cwnd_, config_.initial_cwnd);
   }
   last_send_ = loop_.now();
+  if (next_seq_ - base_seq_ == window_.size()) grow_window();
   const std::uint64_t seq = next_seq_++;
   // Retransmits reuse this SentPacket, so the span sticks to the chunk
   // request that originally queued the bytes. Pipelined senders stamp the
@@ -92,10 +96,11 @@ void SubflowSender::send_data(std::uint64_t data_seq, Bytes len,
     }
   }
   if (span == 0) span = telemetry_ ? telemetry_->active_span() : 0;
-  auto [it, inserted] = inflight_.emplace(
-      seq, SentPacket{data_seq, len, std::move(segments), loop_.now(), span});
-  assert(inserted);
-  transmit_packet(seq, it->second, /*retransmit=*/false);
+  SentPacket& sp = slot(seq);
+  sp = SentPacket{data_seq, len, std::move(segments), loop_.now(), span};
+  sp.live = true;
+  ++inflight_;
+  transmit_packet(seq, sp, /*retransmit=*/false);
   bytes_sent_ += len;
   arm_rto();
 }
@@ -132,9 +137,9 @@ void SubflowSender::update_rtt(Duration sample) {
 void SubflowSender::on_ack(const Packet& ack) {
   const std::uint64_t seq = ack.ack_subflow_seq;
   if (seq == 0) return;  // bare control ack (path-mask update only)
-
-  auto it = inflight_.find(seq);
-  if (it == inflight_.end()) return;  // duplicate/stale ack
+  if (seq < base_seq_ || seq >= next_seq_) return;  // duplicate/stale ack
+  SentPacket& acked = slot(seq);
+  if (!acked.live) return;
 
   if (!ack.echo_is_retransmit) {
     update_rtt(loop_.now() - ack.echo_sent_at);  // Karn's rule
@@ -145,21 +150,31 @@ void SubflowSender::on_ack(const Packet& ack) {
   rto_backoff_ = 0;
   consecutive_timeouts_ = 0;
 
-  bytes_acked_ += it->second.payload_len;
+  bytes_acked_ += acked.payload_len;
   // Congestion avoidance / slow start.
   if (cwnd_ < ssthresh_) {
     cwnd_ += 1.0;
   } else {
     cwnd_ += 1.0 / cwnd_;
   }
-  const TimePoint acked_sent_at = it->second.sent_at;
-  inflight_.erase(it);
+  const TimePoint acked_sent_at = acked.sent_at;
+  if (acked.resent) {
+    resent_.erase(std::lower_bound(resent_.begin(), resent_.end(), seq));
+  }
+  acked.live = false;
+  acked.segments = std::vector<SegmentRef>();
+  --inflight_;
+  pop_dead_front();
 
   // Time-based (RACK-style) loss accounting: any packet transmitted
-  // before the one just acknowledged has been "overtaken". This covers
-  // retransmissions naturally — their clock restarts at retransmit time.
-  for (auto& [s, sp] : inflight_) {
-    if (sp.sent_at < acked_sent_at) ++sp.sacked_above;
+  // before the one just acknowledged has been "overtaken". Packets never
+  // retransmitted are in send order, so the overtaken ones among them are
+  // a prefix. Resent packets need no count (see detect_losses).
+  for (std::uint64_t s = first_original(); s < next_seq_; ++s) {
+    SentPacket& sp = slot(s);
+    if (!sp.live || sp.resent) continue;
+    if (sp.sent_at >= acked_sent_at) break;
+    ++sp.sacked_above;
   }
   detect_losses();
   arm_rto();
@@ -178,29 +193,48 @@ void SubflowSender::detect_losses() {
   // At most one retransmission per incoming ack: keeps recovery
   // self-clocked at the bottleneck rate instead of re-flooding the queue
   // that just overflowed (RFC 6675's pipe rule, radically simplified).
-  for (auto& [seq, sp] : inflight_) {
-    if (sp.sacked_above >= 3 && !sp.retransmitted) {
-      enter_recovery(seq);
-      sp.retransmitted = true;
-      sp.sent_at = loop_.now();
-      ++retransmissions_;
-      if (telemetry_) retransmissions_counter_.increment();
-      transmit_packet(seq, sp, /*retransmit=*/true);
+  // The lowest seq with three overtakes and no pending retransmission
+  // goes. Each ack bumps a prefix of the never-retransmitted packets, so
+  // their overtake counts fall with seq and the first one speaks for all.
+  // A resent packet is due again once an RTO has cleared its flag: a fast
+  // retransmit needed three overtakes already, and the packet an RTO
+  // resends is the front, which only the next RTO unflags — and resends.
+  std::uint64_t lost = first_original();
+  if (lost < next_seq_ && slot(lost).sacked_above < 3) lost = next_seq_;
+  for (std::uint64_t s : resent_) {
+    if (s >= lost) break;
+    if (!slot(s).retransmitted) {
+      lost = s;
       break;
     }
   }
+  if (lost == next_seq_) return;
+  enter_recovery(lost);
+  retransmit(lost, slot(lost));
+}
+
+void SubflowSender::retransmit(std::uint64_t seq, SentPacket& sp) {
+  if (!sp.resent) {
+    sp.resent = true;
+    resent_.insert(std::upper_bound(resent_.begin(), resent_.end(), seq), seq);
+  }
+  sp.retransmitted = true;
+  sp.sent_at = loop_.now();
+  ++retransmissions_;
+  if (telemetry_) retransmissions_counter_.increment();
+  transmit_packet(seq, sp, /*retransmit=*/true);
 }
 
 void SubflowSender::arm_rto() {
-  loop_.cancel(rto_timer_);
-  rto_timer_ = EventId{};
-  if (inflight_.empty()) return;
-  rto_timer_ = loop_.schedule_in(rto(), [this] { on_rto(); });
+  if (inflight_ == 0) {
+    loop_.disarm_timer(rto_timer_);
+  } else {
+    loop_.arm_timer(rto_timer_, loop_.now() + rto());
+  }
 }
 
 void SubflowSender::on_rto() {
-  rto_timer_ = EventId{};
-  if (inflight_.empty()) return;
+  if (inflight_ == 0) return;
   ++timeouts_;
   ++rto_backoff_;
   ++consecutive_timeouts_;
@@ -219,37 +253,57 @@ void SubflowSender::on_rto() {
   // An RTO voids the retransmitted flags (a retransmission may itself
   // have been lost) but keeps the overtake counters — fast retransmit
   // must stay armed for the rest of the window.
-  for (auto& [s, p] : inflight_) p.retransmitted = false;
+  for (std::uint64_t s : resent_) slot(s).retransmitted = false;
   // Retransmit the oldest outstanding packet; later ones follow as acks
   // (or further timeouts) arrive.
-  auto& [seq, sp] = *inflight_.begin();
-  sp.retransmitted = true;
-  sp.sent_at = loop_.now();
-  sp.sacked_above = 0;
-  ++retransmissions_;
-  if (telemetry_) retransmissions_counter_.increment();
-  transmit_packet(seq, sp, /*retransmit=*/true);
+  retransmit(base_seq_, slot(base_seq_));
   arm_rto();
   if (telemetry_) publish_window_state();
   if (can_send() && on_capacity_) on_capacity_();
 }
 
-std::vector<UnackedData> SubflowSender::take_unacked() {
-  loop_.cancel(rto_timer_);
-  rto_timer_ = EventId{};
-  std::vector<UnackedData> out;
-  out.reserve(inflight_.size());
-  for (auto& [seq, sp] : inflight_) {
-    out.push_back({sp.data_seq, sp.payload_len, std::move(sp.segments)});
+void SubflowSender::grow_window() {
+  std::vector<SentPacket> ring(std::max<std::size_t>(16, 2 * window_.size()));
+  for (std::uint64_t s = base_seq_; s < next_seq_; ++s) {
+    ring[s & (ring.size() - 1)] = std::move(slot(s));
   }
-  inflight_.clear();
+  window_ = std::move(ring);
+}
+
+void SubflowSender::pop_dead_front() {
+  while (base_seq_ < next_seq_ && !slot(base_seq_).live) ++base_seq_;
+  if (base_seq_ == next_seq_) {
+    window_ = std::vector<SentPacket>();
+    resent_ = std::vector<std::uint64_t>();
+  }
+}
+
+std::uint64_t SubflowSender::first_original() {
+  std::uint64_t s = std::max(originals_from_, base_seq_);
+  while (s < next_seq_ && (!slot(s).live || slot(s).resent)) ++s;
+  originals_from_ = s;
+  return s;
+}
+
+std::vector<UnackedData> SubflowSender::take_unacked() {
+  loop_.disarm_timer(rto_timer_);
+  std::vector<UnackedData> out;
+  out.reserve(inflight_);
+  for (std::uint64_t s = base_seq_; s < next_seq_; ++s) {
+    SentPacket& sp = slot(s);
+    if (sp.live) {
+      out.push_back({sp.data_seq, sp.payload_len, std::move(sp.segments)});
+    }
+  }
+  inflight_ = 0;
+  base_seq_ = next_seq_;
+  pop_dead_front();
   return out;
 }
 
 void SubflowSender::reset_for_reconnect() {
-  assert(inflight_.empty());
-  loop_.cancel(rto_timer_);
-  rto_timer_ = EventId{};
+  assert(inflight_ == 0);
+  loop_.disarm_timer(rto_timer_);
   cwnd_ = config_.initial_cwnd;
   ssthresh_ = 1e9;
   recovery_until_ = next_seq_;

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "link/packet.h"
@@ -48,6 +47,10 @@ class SubflowSender {
   SubflowSender(EventLoop& loop, SubflowConfig config,
                 std::function<void(Packet)> transmit,
                 std::function<void()> on_capacity);
+  // The RTO timer's callback holds `this`.
+  ~SubflowSender();
+  SubflowSender(const SubflowSender&) = delete;
+  SubflowSender& operator=(const SubflowSender&) = delete;
 
   // True when a new data packet fits in the congestion window.
   bool can_send() const;
@@ -91,7 +94,7 @@ class SubflowSender {
   double ssthresh() const { return ssthresh_; }
   Duration srtt() const { return srtt_; }
   Duration rto() const;
-  std::size_t inflight_packets() const { return inflight_.size(); }
+  std::size_t inflight_packets() const { return inflight_; }
   Bytes bytes_sent() const { return bytes_sent_; }
   Bytes bytes_acked() const { return bytes_acked_; }
   std::size_t retransmissions() const { return retransmissions_; }
@@ -100,13 +103,15 @@ class SubflowSender {
 
  private:
   struct SentPacket {
-    std::uint64_t data_seq;
-    Bytes payload_len;
+    std::uint64_t data_seq = 0;
+    Bytes payload_len = 0;
     std::vector<SegmentRef> segments;
-    TimePoint sent_at;
+    TimePoint sent_at = kTimeZero;
     std::uint64_t span = 0;  // chunk span active at first transmission
-    int sacked_above = 0;   // acks seen for higher sequence numbers
-    bool retransmitted = false;
+    int sacked_above = 0;   // acks of later-sent packets, until resent
+    bool retransmitted = false;  // cleared by an RTO
+    bool resent = false;         // ever retransmitted: sent_at was reset
+    bool live = false;           // sent and neither acked nor taken
   };
 
   void transmit_packet(std::uint64_t subflow_seq, const SentPacket& sp,
@@ -115,8 +120,21 @@ class SubflowSender {
   void publish_window_state();
   void enter_recovery(std::uint64_t trigger_seq);
   void detect_losses();
+  void retransmit(std::uint64_t seq, SentPacket& sp);
   void arm_rto();
   void on_rto();
+
+  // The in-flight window: packets [base_seq_, next_seq_) in a ring whose
+  // size is a power of two at least that span, indexed by seq. Acked
+  // slots die and pop from the front, so the front slot is live while
+  // the window is not empty, and an empty window releases the ring.
+  SentPacket& slot(std::uint64_t seq) {
+    return window_[seq & (window_.size() - 1)];
+  }
+  void grow_window();
+  void pop_dead_front();
+  // First live packet never retransmitted, or next_seq_ if none.
+  std::uint64_t first_original();
 
   EventLoop& loop_;
   SubflowConfig config_;
@@ -128,7 +146,14 @@ class SubflowSender {
   double ssthresh_ = 1e9;
   std::uint64_t next_seq_ = 1;
   std::uint64_t recovery_until_ = 0;  // seqs below this don't re-halve cwnd
-  std::map<std::uint64_t, SentPacket> inflight_;
+  std::vector<SentPacket> window_;
+  std::uint64_t base_seq_ = 1;
+  std::size_t inflight_ = 0;  // live slots
+  // Packets never retransmitted keep their first sent_at, so they are in
+  // send order by seq: below this seq every slot is dead or resent.
+  std::uint64_t originals_from_ = 1;
+  // Live resent packets, ascending.
+  std::vector<std::uint64_t> resent_;
 
   TimePoint last_send_ = kTimeZero;
   Duration srtt_;
@@ -136,7 +161,7 @@ class SubflowSender {
   bool have_rtt_sample_ = false;
   int rto_backoff_ = 0;
   int consecutive_timeouts_ = 0;
-  EventId rto_timer_;
+  TimerId rto_timer_;
 
   Bytes bytes_sent_ = 0;
   Bytes bytes_acked_ = 0;

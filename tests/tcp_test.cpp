@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <map>
+#include <set>
 #include <vector>
 
 #include "link/link.h"
 #include "mptcp/wire_data.h"
 #include "sim/event_loop.h"
 #include "tcp/subflow.h"
+#include "util/rng.h"
 
 namespace mpdash {
 namespace {
@@ -177,6 +181,499 @@ TEST(Subflow, RtoBackoffNeverExceedsMaxRto) {
   // With a 2 s cap, 60 s of silence yields at least ~25 firings; an uncapped
   // doubling series would manage only ~7.
   EXPECT_GE(sender.timeouts(), 20u);
+}
+
+// ---------------------------------------------------------------------------
+// Differential test of the ACK path. MapSender is the sender as it was
+// before the seq-indexed window: every in-flight packet in a std::map, a
+// full scan per ack for the RACK overtakes and for loss detection, and an
+// RTO re-armed by cancel + schedule per ack. SubflowSender must match it
+// packet for packet. Telemetry, spans and the capacity callback are left
+// out; the scripts send explicitly.
+class MapSender {
+ public:
+  MapSender(EventLoop& loop, SubflowConfig config,
+            std::function<void(Packet)> transmit)
+      : loop_(loop),
+        config_(config),
+        transmit_(std::move(transmit)),
+        cwnd_(config.initial_cwnd),
+        srtt_(config.initial_rtt),
+        rttvar_(config.initial_rtt / 2) {}
+
+  bool can_send() const {
+    return static_cast<double>(inflight_.size()) < cwnd_;
+  }
+
+  void send_data(std::uint64_t data_seq, Bytes len,
+                 std::vector<SegmentRef> segments) {
+    if (inflight_.empty() && last_send_ != kTimeZero &&
+        loop_.now() - last_send_ > rto()) {
+      cwnd_ = std::min(cwnd_, config_.initial_cwnd);
+    }
+    last_send_ = loop_.now();
+    const std::uint64_t seq = next_seq_++;
+    auto [it, inserted] = inflight_.emplace(
+        seq, SentPacket{data_seq, len, std::move(segments), loop_.now()});
+    transmit_packet(seq, it->second, false);
+    arm_rto();
+  }
+
+  void on_ack(const Packet& ack) {
+    const std::uint64_t seq = ack.ack_subflow_seq;
+    if (seq == 0) return;
+    auto it = inflight_.find(seq);
+    if (it == inflight_.end()) return;
+    if (!ack.echo_is_retransmit) update_rtt(loop_.now() - ack.echo_sent_at);
+    rto_backoff_ = 0;
+    consecutive_timeouts_ = 0;
+    bytes_acked_ += it->second.payload_len;
+    if (cwnd_ < ssthresh_) {
+      cwnd_ += 1.0;
+    } else {
+      cwnd_ += 1.0 / cwnd_;
+    }
+    const TimePoint acked_sent_at = it->second.sent_at;
+    const bool acked_resent = it->second.resent;
+    inflight_.erase(it);
+    std::size_t overtaken = 0;
+    for (auto& [s, sp] : inflight_) {
+      if (sp.sent_at < acked_sent_at) {
+        ++sp.sacked_above;
+        ++overtaken;
+      }
+    }
+    if (acked_resent && overtaken >= 2 && overtaken == inflight_.size()) {
+      ++resent_acks_overtaking_window;
+    }
+    detect_losses();
+    arm_rto();
+  }
+
+  std::vector<UnackedData> take_unacked() {
+    loop_.cancel(rto_timer_);
+    rto_timer_ = EventId{};
+    std::vector<UnackedData> out;
+    for (auto& [seq, sp] : inflight_) {
+      out.push_back({sp.data_seq, sp.payload_len, std::move(sp.segments)});
+    }
+    inflight_.clear();
+    return out;
+  }
+
+  void reset_for_reconnect() {
+    loop_.cancel(rto_timer_);
+    rto_timer_ = EventId{};
+    cwnd_ = config_.initial_cwnd;
+    ssthresh_ = 1e9;
+    recovery_until_ = next_seq_;
+    srtt_ = config_.initial_rtt;
+    rttvar_ = config_.initial_rtt / 2;
+    have_rtt_sample_ = false;
+    rto_backoff_ = 0;
+    consecutive_timeouts_ = 0;
+    last_send_ = kTimeZero;
+  }
+
+  void set_failure_handler(std::function<void()> h) {
+    on_failure_ = std::move(h);
+  }
+
+  Duration rto() const {
+    Duration base = srtt_ + 4 * rttvar_;
+    base = std::clamp(base, config_.min_rto, config_.max_rto);
+    return std::min(base * (1 << std::min(rto_backoff_, 6)),
+                    config_.max_rto);
+  }
+  double cwnd() const { return cwnd_; }
+  double ssthresh() const { return ssthresh_; }
+  Duration srtt() const { return srtt_; }
+  std::size_t inflight_packets() const { return inflight_.size(); }
+  Bytes bytes_acked() const { return bytes_acked_; }
+  std::size_t retransmissions() const { return retransmissions_; }
+  std::size_t timeouts() const { return timeouts_; }
+  int consecutive_timeouts() const { return consecutive_timeouts_; }
+
+  // Coverage of the two cases the window's invariant must survive: an RTO
+  // clearing several retransmitted flags, and the ack of a retransmission
+  // overtaking every other packet in flight.
+  std::size_t max_flags_cleared_by_rto = 0;
+  std::size_t resent_acks_overtaking_window = 0;
+
+ private:
+  struct SentPacket {
+    std::uint64_t data_seq;
+    Bytes payload_len;
+    std::vector<SegmentRef> segments;
+    TimePoint sent_at;
+    int sacked_above = 0;
+    bool retransmitted = false;
+    bool resent = false;  // coverage bookkeeping only
+  };
+
+  void transmit_packet(std::uint64_t subflow_seq, const SentPacket& sp,
+                       bool retransmit) {
+    Packet p;
+    p.kind = PacketKind::kData;
+    p.path_id = config_.path_id;
+    p.subflow_seq = subflow_seq;
+    p.data_seq = sp.data_seq;
+    p.payload_len = sp.payload_len;
+    p.segments = sp.segments;
+    p.is_retransmit = retransmit;
+    p.wire_size = sp.payload_len + kPacketHeaderBytes;
+    p.sent_at = loop_.now();
+    transmit_(std::move(p));
+  }
+
+  void update_rtt(Duration sample) {
+    if (!have_rtt_sample_) {
+      srtt_ = sample;
+      rttvar_ = sample / 2;
+      have_rtt_sample_ = true;
+      return;
+    }
+    const auto diff = srtt_ > sample ? srtt_ - sample : sample - srtt_;
+    rttvar_ = (3 * rttvar_ + diff) / 4;
+    srtt_ = (7 * srtt_ + sample) / 8;
+  }
+
+  void enter_recovery(std::uint64_t trigger_seq) {
+    if (trigger_seq < recovery_until_) return;
+    recovery_until_ = next_seq_;
+    ssthresh_ = std::max(cwnd_ / 2.0, config_.min_cwnd);
+    cwnd_ = ssthresh_;
+  }
+
+  void detect_losses() {
+    for (auto& [seq, sp] : inflight_) {
+      if (sp.sacked_above >= 3 && !sp.retransmitted) {
+        enter_recovery(seq);
+        sp.retransmitted = true;
+        sp.resent = true;
+        sp.sent_at = loop_.now();
+        ++retransmissions_;
+        transmit_packet(seq, sp, true);
+        break;
+      }
+    }
+  }
+
+  void arm_rto() {
+    loop_.cancel(rto_timer_);
+    rto_timer_ = EventId{};
+    if (inflight_.empty()) return;
+    rto_timer_ = loop_.schedule_in(rto(), [this] { on_rto(); });
+  }
+
+  void on_rto() {
+    rto_timer_ = EventId{};
+    if (inflight_.empty()) return;
+    ++timeouts_;
+    ++rto_backoff_;
+    ++consecutive_timeouts_;
+    if (config_.max_consecutive_rtos > 0 &&
+        consecutive_timeouts_ >= config_.max_consecutive_rtos && on_failure_) {
+      on_failure_();
+      return;
+    }
+    ssthresh_ = std::max(cwnd_ / 2.0, config_.min_cwnd);
+    cwnd_ = 1.0;
+    recovery_until_ = next_seq_;
+    std::size_t cleared = 0;
+    for (auto& [s, p] : inflight_) {
+      cleared += p.retransmitted ? 1 : 0;
+      p.retransmitted = false;
+    }
+    max_flags_cleared_by_rto = std::max(max_flags_cleared_by_rto, cleared);
+    auto& [seq, sp] = *inflight_.begin();
+    sp.retransmitted = true;
+    sp.resent = true;
+    sp.sent_at = loop_.now();
+    sp.sacked_above = 0;
+    ++retransmissions_;
+    transmit_packet(seq, sp, true);
+    arm_rto();
+  }
+
+  EventLoop& loop_;
+  SubflowConfig config_;
+  std::function<void(Packet)> transmit_;
+  std::function<void()> on_failure_;
+  double cwnd_;
+  double ssthresh_ = 1e9;
+  std::uint64_t next_seq_ = 1;
+  std::uint64_t recovery_until_ = 0;
+  std::map<std::uint64_t, SentPacket> inflight_;
+  TimePoint last_send_ = kTimeZero;
+  Duration srtt_;
+  Duration rttvar_;
+  bool have_rtt_sample_ = false;
+  int rto_backoff_ = 0;
+  int consecutive_timeouts_ = 0;
+  EventId rto_timer_;
+  Bytes bytes_acked_ = 0;
+  std::size_t retransmissions_ = 0;
+  std::size_t timeouts_ = 0;
+};
+
+// SubflowSender and MapSender on twin event loops, fed the same calls.
+// The test keeps its own view of which seqs are outstanding, acked or
+// gone (taken back) to aim acks.
+struct AckPath {
+  EventLoop loop;
+  EventLoop ref_loop;
+  std::vector<Packet> wire;
+  std::vector<Packet> ref_wire;
+  SubflowSender sender;
+  MapSender reference;
+  std::vector<UnackedData> taken;
+  std::vector<UnackedData> ref_taken;
+  std::set<std::uint64_t> outstanding;
+  std::set<std::uint64_t> acked;
+  std::set<std::uint64_t> gone;
+  std::uint64_t next_data_seq = 0;
+  std::size_t checked = 0;
+
+  explicit AckPath(SubflowConfig cfg)
+      : sender(
+            loop, cfg, [this](Packet p) { wire.push_back(std::move(p)); },
+            [] {}),
+        reference(ref_loop, cfg,
+                  [this](Packet p) { ref_wire.push_back(std::move(p)); }) {
+    sender.set_failure_handler([this] { take_from_sender(); });
+    reference.set_failure_handler(
+        [this] { append(ref_taken, reference.take_unacked()); });
+  }
+
+  static void append(std::vector<UnackedData>& to,
+                     std::vector<UnackedData> from) {
+    for (auto& u : from) to.push_back(std::move(u));
+  }
+
+  void take_from_sender() {
+    append(taken, sender.take_unacked());
+    gone.insert(outstanding.begin(), outstanding.end());
+    outstanding.clear();
+  }
+
+  void send(Bytes len) {
+    sender.send_data(next_data_seq, len, wire_virtual(len));
+    reference.send_data(next_data_seq, len, wire_virtual(len));
+    next_data_seq += static_cast<std::uint64_t>(len);
+    outstanding.insert(wire.back().subflow_seq);
+  }
+
+  // Acks one transmission of `seq` (the latest when `which` < 0), echoing
+  // its timestamp and retransmit flag as the receiver would.
+  void ack(std::uint64_t seq, int which = -1) {
+    std::vector<const Packet*> tx;
+    for (const Packet& p : wire) {
+      if (p.subflow_seq == seq) tx.push_back(&p);
+    }
+    Packet a;
+    a.kind = PacketKind::kAck;
+    a.ack_subflow_seq = seq;
+    if (!tx.empty()) {
+      const Packet* p = which < 0 ? tx.back()
+                                  : tx[static_cast<std::size_t>(which) %
+                                       tx.size()];
+      a.echo_sent_at = p->sent_at;
+      a.echo_is_retransmit = p->is_retransmit;
+    }
+    sender.on_ack(a);
+    reference.on_ack(a);
+    if (outstanding.erase(seq) > 0) acked.insert(seq);
+  }
+
+  void advance(Duration d) {
+    loop.run_until(loop.now() + d);
+    ref_loop.run_until(ref_loop.now() + d);
+  }
+
+  void send_spaced(int n) {
+    for (int i = 0; i < n; ++i) {
+      send(kMaxSegmentSize);
+      advance(milliseconds(1));
+    }
+  }
+
+  void take_and_reconnect() {
+    take_from_sender();
+    append(ref_taken, reference.take_unacked());
+    sender.reset_for_reconnect();
+    reference.reset_for_reconnect();
+  }
+
+  ::testing::AssertionResult same() {
+    if (wire.size() != ref_wire.size()) {
+      return ::testing::AssertionFailure()
+             << "transmitted " << wire.size() << " vs " << ref_wire.size();
+    }
+    for (; checked < wire.size(); ++checked) {
+      const Packet& a = wire[checked];
+      const Packet& b = ref_wire[checked];
+      if (a.subflow_seq != b.subflow_seq ||
+          a.is_retransmit != b.is_retransmit || a.sent_at != b.sent_at ||
+          a.data_seq != b.data_seq || a.payload_len != b.payload_len) {
+        return ::testing::AssertionFailure()
+               << "packet " << checked << ": seq " << a.subflow_seq << "/"
+               << b.subflow_seq << " retx " << a.is_retransmit << "/"
+               << b.is_retransmit << " sent_at " << a.sent_at.count() << "/"
+               << b.sent_at.count();
+      }
+    }
+    if (sender.cwnd() != reference.cwnd() ||
+        sender.ssthresh() != reference.ssthresh() ||
+        sender.retransmissions() != reference.retransmissions() ||
+        sender.timeouts() != reference.timeouts() ||
+        sender.inflight_packets() != reference.inflight_packets() ||
+        sender.bytes_acked() != reference.bytes_acked() ||
+        sender.srtt() != reference.srtt() ||
+        sender.rto() != reference.rto() ||
+        sender.consecutive_timeouts() != reference.consecutive_timeouts() ||
+        sender.can_send() != reference.can_send() ||
+        loop.now() != ref_loop.now()) {
+      return ::testing::AssertionFailure()
+             << "state: cwnd " << sender.cwnd() << "/" << reference.cwnd()
+             << " ssthresh " << sender.ssthresh() << "/"
+             << reference.ssthresh() << " retx " << sender.retransmissions()
+             << "/" << reference.retransmissions() << " timeouts "
+             << sender.timeouts() << "/" << reference.timeouts()
+             << " inflight " << sender.inflight_packets() << "/"
+             << reference.inflight_packets();
+    }
+    if (taken.size() != ref_taken.size()) {
+      return ::testing::AssertionFailure()
+             << "taken " << taken.size() << " vs " << ref_taken.size();
+    }
+    for (std::size_t i = 0; i < taken.size(); ++i) {
+      if (taken[i].data_seq != ref_taken[i].data_seq ||
+          taken[i].payload_len != ref_taken[i].payload_len) {
+        return ::testing::AssertionFailure() << "taken entry " << i;
+      }
+    }
+    return ::testing::AssertionSuccess();
+  }
+};
+
+template <typename T>
+T pick(Rng& rng, const std::set<T>& from) {
+  auto it = from.begin();
+  std::advance(it, rng.uniform_int(0, static_cast<std::int64_t>(from.size()) - 1));
+  return *it;
+}
+
+// Random scripts: sends within cwnd, acks in order, out of order (any
+// transmission of an outstanding seq), duplicate, stale and unsent, time
+// steps short and long enough for RTOs, and take_unacked +
+// reset_for_reconnect. Every third script declares the path dead after
+// three RTOs, so the failure handler takes the window from inside on_rto.
+TEST(SubflowDifferential, RandomScriptsMatchMapSender) {
+  std::size_t rto_clears_several = 0;
+  std::size_t resent_ack_overtakes_all = 0;
+  std::size_t retransmissions = 0;
+  for (std::uint64_t seed = 1; seed <= 250; ++seed) {
+    Rng rng(seed);
+    SubflowConfig cfg;
+    cfg.max_consecutive_rtos = seed % 3 == 0 ? 3 : 0;
+    AckPath path(cfg);
+    for (int step = 0; step < 200; ++step) {
+      const std::int64_t op = rng.uniform_int(0, 99);
+      if (op < 25) {
+        for (std::int64_t n = rng.uniform_int(1, 6);
+             n > 0 && path.sender.can_send(); --n) {
+          path.send(rng.uniform_int(1, kMaxSegmentSize));
+        }
+      } else if (op < 45) {
+        if (!path.outstanding.empty()) path.ack(*path.outstanding.begin());
+      } else if (op < 65) {
+        if (!path.outstanding.empty()) {
+          path.ack(pick(rng, path.outstanding),
+                   static_cast<int>(rng.uniform_int(0, 3)));
+        }
+      } else if (op < 69) {
+        if (!path.acked.empty()) path.ack(pick(rng, path.acked));
+      } else if (op < 72) {
+        if (!path.gone.empty() && rng.uniform() < 0.5) {
+          path.ack(pick(rng, path.gone));
+        } else {
+          path.ack(path.wire.size() + 5);  // never sent
+        }
+      } else if (op < 93) {
+        path.advance(milliseconds(rng.uniform_int(0, 30)));
+      } else if (op < 98) {
+        path.advance(milliseconds(rng.uniform_int(200, 3000)));
+      } else {
+        path.take_and_reconnect();
+      }
+      ASSERT_TRUE(path.same()) << "seed " << seed << " step " << step;
+    }
+    rto_clears_several = std::max(rto_clears_several,
+                                   path.reference.max_flags_cleared_by_rto);
+    resent_ack_overtakes_all +=
+        path.reference.resent_acks_overtaking_window;
+    retransmissions += path.sender.retransmissions();
+  }
+  // The scripts reach the cases the window's invariant must survive.
+  EXPECT_GE(rto_clears_several, 3u);
+  EXPECT_GT(resent_ack_overtakes_all, 0u);
+  EXPECT_GT(retransmissions, 1000u);
+}
+
+// Directed: four fast retransmits outstanding when the RTO fires; the RTO
+// clears all four flags, and the acks that follow fast-retransmit them
+// again, in seq order, one per ack. Sends are 1 ms apart: packets sent
+// at one instant never overtake each other.
+TEST(SubflowDifferential, RtoClearsSeveralRetransmittedFlags) {
+  AckPath path(SubflowConfig{});
+  path.send_spaced(10);
+  path.advance(milliseconds(40));
+  for (std::uint64_t seq = 5; seq <= 8; ++seq) path.ack(seq);
+  ASSERT_TRUE(path.same());
+  EXPECT_EQ(path.sender.retransmissions(), 2u);  // seqs 1 and 2
+  for (std::uint64_t seq = 9; seq <= 10; ++seq) path.ack(seq);
+  ASSERT_TRUE(path.same());
+  EXPECT_EQ(path.sender.retransmissions(), 4u);  // seqs 1-4
+  path.advance(milliseconds(300));  // one 200 ms RTO, not the next
+  ASSERT_TRUE(path.same());
+  EXPECT_EQ(path.sender.timeouts(), 1u);
+  EXPECT_EQ(path.reference.max_flags_cleared_by_rto, 4u);
+  path.ack(1);  // the RTO's retransmission overtakes seqs 2-4
+  ASSERT_TRUE(path.same());
+  EXPECT_EQ(path.wire.back().subflow_seq, 2u);
+  EXPECT_TRUE(path.wire.back().is_retransmit);
+  for (std::uint64_t seq = 2; seq <= 4; ++seq) path.ack(seq);
+  ASSERT_TRUE(path.same());
+  EXPECT_EQ(path.sender.retransmissions(), 8u);  // 4 fast, 1 RTO, 3 fast
+  EXPECT_EQ(path.sender.inflight_packets(), 0u);
+}
+
+// Directed: acks of retransmissions, newest first, each overtake every
+// packet still in flight, and the third fast-retransmits the oldest
+// original.
+TEST(SubflowDifferential, RetransmissionAckOvertakesWholeWindow) {
+  AckPath path(SubflowConfig{});
+  path.send_spaced(15);
+  path.advance(milliseconds(40));
+  path.ack(4);
+  path.ack(5);
+  path.ack(6);  // seqs 1-3 reach three overtakes; seq 1 goes again
+  path.advance(milliseconds(1));
+  path.ack(7);  // seq 2 goes again
+  path.advance(milliseconds(1));
+  path.ack(8);  // seq 3 goes again
+  ASSERT_TRUE(path.same());
+  ASSERT_EQ(path.sender.retransmissions(), 3u);
+  for (std::uint64_t seq = 3; seq >= 1; --seq) {
+    path.advance(milliseconds(1));
+    path.ack(seq);
+    ASSERT_TRUE(path.same());
+  }
+  EXPECT_EQ(path.reference.resent_acks_overtaking_window, 3u);
+  EXPECT_EQ(path.wire.back().subflow_seq, 9u);  // the oldest original
+  EXPECT_TRUE(path.wire.back().is_retransmit);
+  EXPECT_EQ(path.sender.retransmissions(), 4u);
 }
 
 }  // namespace

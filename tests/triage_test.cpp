@@ -111,11 +111,16 @@ TEST(FaultPlanJson, RejectsMalformedInput) {
 
 // --- watchdog ------------------------------------------------------------
 
-// A zero-delay self-rescheduling event: the canonical livelock.
+// A zero-delay self-rescheduling event: the canonical livelock. Each
+// event schedules a copy of itself and owns nothing, so the copy still
+// pending when a watchdog aborts the run dies with the loop.
+struct Livelock {
+  EventLoop* loop;
+  void operator()() const { loop->schedule_in(kDurationZero, *this); }
+};
+
 void livelock(EventLoop& loop) {
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [&loop, tick] { loop.schedule_in(kDurationZero, *tick); };
-  loop.schedule_in(kDurationZero, *tick);
+  loop.schedule_in(kDurationZero, Livelock{&loop});
 }
 
 TEST(Watchdog, SimEventBudgetKillsLivelock) {
