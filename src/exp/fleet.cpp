@@ -6,7 +6,6 @@
 #include <memory>
 #include <utility>
 
-#include "core/policy.h"
 #include "dash/server.h"
 #include "exp/repro.h"
 #include "fault/injector.h"
@@ -15,25 +14,19 @@ namespace mpdash {
 
 namespace {
 
-// One tenant: shared-link facades (flow = session index) plus the full
-// per-session stack and a private telemetry context for the counter audit.
+// One tenant: its flow's views of the shared paths (flow = session index)
+// plus the full per-session stack and a private telemetry context for the
+// counter audit.
 struct Tenant {
   std::uint64_t seed = 0;
   SessionSpec spec;
   SessionConfig config;
   Telemetry telemetry;
-  NetPath wifi;
-  NetPath lte;
+  std::vector<NetPath> paths;
   std::unique_ptr<StreamingSession> session;
   TimePoint join{};
   bool done = false;
   TimePoint finish{};
-
-  Tenant(const PathDescription& wifi_desc, const PathDescription& lte_desc,
-         Link& wifi_down, Link& wifi_up, Link& lte_down, Link& lte_up,
-         int flow)
-      : wifi(wifi_desc, wifi_down, wifi_up, flow),
-        lte(lte_desc, lte_down, lte_up, flow) {}
 };
 
 Video fleet_video(int chunk_count) {
@@ -92,60 +85,22 @@ FleetResult run_fleet(const FleetConfig& cfg, Telemetry* telemetry) {
   out.seed = cfg.seed;
   const int n = std::max(1, cfg.sessions);
 
-  EventLoop loop;
-  if (telemetry) loop.set_telemetry(telemetry);
-
-  // Shared bottlenecks: one WiFi AP and one cellular carrier, each a
-  // down/up link pair every tenant contends on. Loss streams derive from
-  // the fleet seed exactly as a Scenario's do (per-link private RNGs).
-  const std::uint64_t net_seed = derive_stream_seed(cfg.seed, "links");
-  auto make_link = [&](int id, const char* name, double mbps,
-                       Duration rtt, std::uint64_t loss_seed) {
-    LinkConfig lc;
-    lc.id = id;
-    lc.name = name;
-    lc.rate = BandwidthTrace::constant(DataRate::mbps(mbps));
-    lc.propagation_delay = rtt / 2;
-    lc.queue_capacity = cfg.queue_capacity;
-    lc.loss_seed = loss_seed;
-    lc.discipline = cfg.discipline;
-    lc.fq_quantum = cfg.fq_quantum;
-    return std::make_unique<Link>(loop, lc);
-  };
-  const std::uint64_t wifi_seed = derive_stream_seed(net_seed, "wifi");
-  const std::uint64_t lte_seed = derive_stream_seed(net_seed, "lte");
-  auto wifi_down = make_link(2 * kWifiPathId, "wifi.down", cfg.wifi_mbps,
-                             cfg.wifi_rtt,
-                             derive_stream_seed(wifi_seed, ".down"));
-  auto wifi_up = make_link(2 * kWifiPathId + 1, "wifi.up", cfg.wifi_up_mbps,
-                           cfg.wifi_rtt,
-                           derive_stream_seed(wifi_seed, ".up"));
-  auto lte_down = make_link(2 * kCellularPathId, "lte.down", cfg.lte_mbps,
-                            cfg.lte_rtt,
-                            derive_stream_seed(lte_seed, ".down"));
-  auto lte_up = make_link(2 * kCellularPathId + 1, "lte.up", cfg.lte_up_mbps,
-                          cfg.lte_rtt, derive_stream_seed(lte_seed, ".up"));
-  if (telemetry) {
-    wifi_down->set_telemetry(telemetry);
-    wifi_up->set_telemetry(telemetry);
-    lte_down->set_telemetry(telemetry);
-    lte_up->set_telemetry(telemetry);
-  }
-
-  PathDescription wifi_desc;
-  wifi_desc.id = kWifiPathId;
-  wifi_desc.name = "wifi";
-  wifi_desc.kind = InterfaceKind::kWifi;
-  wifi_desc.metered = false;
-  PathDescription lte_desc;
-  lte_desc.id = kCellularPathId;
-  lte_desc.name = "lte";
-  lte_desc.kind = InterfaceKind::kCellular;
-  lte_desc.metered = true;
-  std::vector<PathDescription> descs{wifi_desc, lte_desc};
-  prefer_wifi_policy().apply(descs);
-  wifi_desc = descs[0];
-  lte_desc = descs[1];
+  // Shared bottlenecks: the Scenario topology, one WiFi AP and one
+  // cellular carrier, each a down/up link pair every tenant contends on.
+  // Loss streams derive from the fleet seed exactly as a chaos session's do.
+  ScenarioConfig net = constant_scenario(DataRate::mbps(cfg.wifi_mbps),
+                                         DataRate::mbps(cfg.lte_mbps));
+  net.wifi_up = DataRate::mbps(cfg.wifi_up_mbps);
+  net.lte_up = DataRate::mbps(cfg.lte_up_mbps);
+  net.wifi_rtt = cfg.wifi_rtt;
+  net.lte_rtt = cfg.lte_rtt;
+  net.queue_capacity = cfg.queue_capacity;
+  net.discipline = cfg.discipline;
+  net.fq_quantum = cfg.fq_quantum;
+  net.seed = derive_stream_seed(cfg.seed, "links");
+  Scenario scenario(std::move(net));
+  EventLoop& loop = scenario.loop();
+  if (telemetry) scenario.set_telemetry(telemetry);
 
   const Video video = fleet_video(cfg.chunk_count);
 
@@ -155,8 +110,8 @@ FleetResult run_fleet(const FleetConfig& cfg, Telemetry* telemetry) {
   tenants.reserve(static_cast<std::size_t>(n));
   int done_count = 0;
   for (int i = 0; i < n; ++i) {
-    auto t = std::make_unique<Tenant>(wifi_desc, lte_desc, *wifi_down,
-                                      *wifi_up, *lte_down, *lte_up, i);
+    auto t = std::make_unique<Tenant>();
+    for (NetPath* p : scenario.paths()) t->paths.push_back(p->for_flow(i));
     t->seed = derive_stream_seed(cfg.seed, "session/" + std::to_string(i));
     t->spec = cfg.mix.empty()
                   ? SessionSpec{}
@@ -167,7 +122,8 @@ FleetResult run_fleet(const FleetConfig& cfg, Telemetry* telemetry) {
     t->config.watchdog = WatchdogConfig{};
     SessionEnv env;
     env.telemetry = &t->telemetry;
-    std::vector<NetPath*> paths{&t->wifi, &t->lte};
+    std::vector<NetPath*> paths;
+    for (NetPath& p : t->paths) paths.push_back(&p);
     t->session = std::make_unique<StreamingSession>(loop, paths, video,
                                                     t->config, env);
     Tenant* raw = t.get();
@@ -180,14 +136,13 @@ FleetResult run_fleet(const FleetConfig& cfg, Telemetry* telemetry) {
     tenants.push_back(std::move(t));
   }
 
-  // One fault plan against the *shared* links: attach tenant 0's facades
-  // (faults address path ids, and every facade fronts the same links), and
-  // stall/drop hooks fan out to every tenant's origin server.
+  // One fault plan against the *shared* links: attach the scenario's own
+  // views (faults address path ids, and every view fronts the same links),
+  // and stall/drop hooks fan out to every tenant's origin server.
   std::unique_ptr<FaultInjector> injector;
   if (cfg.faults != nullptr && !cfg.faults->empty()) {
     injector = std::make_unique<FaultInjector>(loop, *cfg.faults);
-    injector->attach_path(&tenants[0]->wifi);
-    injector->attach_path(&tenants[0]->lte);
+    for (NetPath* p : scenario.paths()) injector->attach_path(p);
     FaultInjector::ServerHooks hooks;
     hooks.set_stalled = [&tenants](bool on) {
       for (auto& t : tenants) t->session->dash_server().http().set_stalled(on);
@@ -234,8 +189,8 @@ FleetResult run_fleet(const FleetConfig& cfg, Telemetry* telemetry) {
     SessionResult res = t.session->collect();
     const TimePoint end = t.done ? t.finish : loop.now();
     res.session_s = to_seconds(end - t.join);
-    res.wifi_bytes = t.wifi.delivered_wire_bytes();
-    res.cell_bytes = t.lte.delivered_wire_bytes();
+    res.wifi_bytes = t.session->path_wire_bytes(kWifiPathId);
+    res.cell_bytes = t.session->path_wire_bytes(kCellularPathId);
     const Bytes total = res.wifi_bytes + res.cell_bytes;
     res.cell_fraction = total > 0 ? static_cast<double>(res.cell_bytes) /
                                         static_cast<double>(total)
@@ -289,9 +244,8 @@ FleetResult run_fleet(const FleetConfig& cfg, Telemetry* telemetry) {
       rate_sumsq > 0.0
           ? (rate_sum * rate_sum) / (static_cast<double>(n) * rate_sumsq)
           : 1.0;
-  out.wifi_bytes =
-      wifi_down->delivered_bytes() + wifi_up->delivered_bytes();
-  out.cell_bytes = lte_down->delivered_bytes() + lte_up->delivered_bytes();
+  out.wifi_bytes = scenario.wifi_bytes();
+  out.cell_bytes = scenario.cellular_bytes();
   const Bytes total = out.wifi_bytes + out.cell_bytes;
   out.cell_fraction = total > 0 ? static_cast<double>(out.cell_bytes) /
                                       static_cast<double>(total)

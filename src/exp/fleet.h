@@ -3,13 +3,14 @@
 // on a single shared WiFi AP + cellular bottleneck pair.
 //
 // Each tenant runs the full per-session stack (player, adaptation,
-// MP-DASH adapter, MPTCP connection, recovery layers) over shared-mode
-// NetPath facades: packets are stamped with the tenant's flow id and the
-// shared links arbitrate between flows with the configured queue
-// discipline (FIFO or deficit-round-robin fair queueing). Tenants join
-// staggered, stream to completion, and the fleet reports per-session
-// SessionResults plus cross-session aggregates: QoE mean/p10, Jain
-// fairness on steady-state bitrate, and cellular-byte totals.
+// MP-DASH adapter, MPTCP connection, recovery layers) over its own flow's
+// NetPath views of one Scenario's links: packets are stamped with the
+// tenant's flow id and the shared links arbitrate between flows with the
+// configured queue discipline (FIFO or deficit-round-robin fair
+// queueing). Tenants join staggered, stream to completion, and the fleet
+// reports per-session SessionResults plus cross-session aggregates: QoE
+// mean/p10, Jain fairness on steady-state bitrate, and cellular-byte
+// totals.
 //
 // Determinism contract: everything mutable derives from FleetConfig::seed
 // (per-tenant seeds via derive_stream_seed(seed, "session/<i>"), link loss

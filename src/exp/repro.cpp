@@ -139,6 +139,39 @@ bool fleet_config_from_json_value(const JsonValue& root, FleetConfig* out,
   return true;
 }
 
+// Bundles come from outside the program, and a network field out of range
+// does not fail loudly: the run simulates some other network. Each check
+// names its field the way the bundle spells it.
+bool in_range(bool ok, const char* field, const char* want,
+              std::string* error) {
+  if (!ok && error) {
+    *error = std::string("bundle: \"") + field + "\" must be " + want;
+  }
+  return ok;
+}
+
+bool valid_network(const FleetConfig& c, std::string* error) {
+  return in_range(c.wifi_mbps > 0.0, "wifi_mbps", "> 0", error) &&
+         in_range(c.lte_mbps > 0.0, "lte_mbps", "> 0", error) &&
+         in_range(c.wifi_up_mbps > 0.0, "wifi_up_mbps", "> 0", error) &&
+         in_range(c.lte_up_mbps > 0.0, "lte_up_mbps", "> 0", error) &&
+         in_range(c.wifi_rtt >= kDurationZero, "wifi_rtt_ns", ">= 0", error) &&
+         in_range(c.lte_rtt >= kDurationZero, "lte_rtt_ns", ">= 0", error) &&
+         in_range(c.queue_capacity >= 1, "queue_capacity", ">= 1", error) &&
+         in_range(c.fq_quantum >= 1, "fq_quantum", ">= 1", error) &&
+         in_range(c.join_stagger >= kDurationZero, "join_stagger_ns", ">= 0",
+                  error) &&
+         in_range(c.time_limit > kDurationZero, "time_limit_ns", "> 0", error);
+}
+
+bool valid_network(const SessionSpec& s, std::string* error) {
+  return in_range(s.scenario.wifi_mbps > 0.0, "scenario.wifi_mbps", "> 0",
+                  error) &&
+         in_range(s.scenario.lte_mbps > 0.0, "scenario.lte_mbps", "> 0",
+                  error) &&
+         in_range(s.time_limit > kDurationZero, "time_limit_ns", "> 0", error);
+}
+
 // The fields every campaign snapshot shares, whatever the run kind.
 template <typename Run>
 ReproBundle snapshot(const Run& run, const FaultPlan& plan) {
@@ -236,7 +269,8 @@ bool repro_bundle_from_json(const std::string& text, ReproBundle* out,
     if (v == nullptr) return missing("config");
     FleetConfig config;
     if (!fleet_config_from_json_value(*v, &config, error) ||
-        !valid_count(*v, "sessions") || !valid_count(*v, "chunk_count")) {
+        !valid_count(*v, "sessions") || !valid_count(*v, "chunk_count") ||
+        !valid_network(config, error)) {
       return false;
     }
     b.fleet = std::move(config);
@@ -286,6 +320,7 @@ bool repro_bundle_from_json(const std::string& text, ReproBundle* out,
     if (v == nullptr || !v->is_number()) return missing("chunk_count");
     if (!valid_count(root, "chunk_count")) return false;
     b.chunk_count = static_cast<int>(v->as_int64(0));
+    if (!valid_network(b.spec, error)) return false;
   }
   v = root.find("plan");
   if (v == nullptr) return missing("plan");

@@ -1,7 +1,8 @@
 #pragma once
 // Network scenario construction: WiFi + LTE path pair (or WiFi alone)
 // with configurable bandwidth traces, RTTs, and the optional cellular
-// throttle of Table 4.
+// throttle of Table 4. One topology serves a single session (flow 0) and
+// a fleet (one flow per tenant on the same links).
 
 #include <memory>
 #include <optional>
@@ -37,35 +38,46 @@ struct ScenarioConfig {
   std::optional<ShaperConfig> lte_throttle;  // Table 4 strawman
   PathPolicy policy = prefer_wifi_policy();
   bool wifi_only = false;  // single-path baseline (Figure 11 bottom)
+  // How every link arbitrates between the flows sharing it (fleets).
+  QueueDiscipline discipline = QueueDiscipline::kFifo;
+  Bytes fq_quantum = 1500;
 };
 
 // Convenience constructors for common setups.
 ScenarioConfig constant_scenario(DataRate wifi_mbps, DataRate lte_mbps);
 
-// Owns the event loop and the paths for one experiment run.
+// Owns the event loop, the links and the LTE shaper for one experiment
+// run. Path i has downlink id 2·i and uplink id 2·i + 1, named
+// "<path>.down" / "<path>.up".
 class Scenario {
  public:
   explicit Scenario(ScenarioConfig config);
+  Scenario(const Scenario&) = delete;  // links and shaper hold its address
+  Scenario& operator=(const Scenario&) = delete;
 
   EventLoop& loop() { return loop_; }
+  // Flow 0's views of the paths, WiFi first: a single session's paths.
+  // A fleet runs tenant i on for_flow(i) copies of them.
   std::vector<NetPath*> paths();
-  NetPath& wifi() { return *wifi_; }
-  NetPath* cellular() { return lte_ ? lte_.get() : nullptr; }
+  NetPath& wifi() { return paths_.front(); }
+  NetPath* cellular() { return paths_.size() > 1 ? &paths_[1] : nullptr; }
   const ScenarioConfig& config() const { return config_; }
 
   // Wires telemetry into the event loop and every link/shaper. nullptr
   // detaches.
   void set_telemetry(Telemetry* telemetry);
 
-  // Bytes that crossed each interface (both directions, delivered).
+  // Bytes that crossed each interface (both directions, delivered, every
+  // flow).
   Bytes wifi_bytes() const;
   Bytes cellular_bytes() const;
 
  private:
   ScenarioConfig config_;
   EventLoop loop_;
-  std::unique_ptr<NetPath> wifi_;
-  std::unique_ptr<NetPath> lte_;
+  std::vector<std::unique_ptr<Link>> links_;  // indexed by link id
+  std::unique_ptr<TokenBucketShaper> lte_shaper_;
+  std::vector<NetPath> paths_;
 };
 
 }  // namespace mpdash

@@ -139,7 +139,7 @@ struct SessionResult {
 // optional fault injector, adaptation, MP-DASH socket/adapter, player —
 // constructed over borrowed paths on a borrowed loop. Extracted from
 // run_streaming_session so a fleet can host N of these on one EventLoop
-// (each over per-session shared-link facades). Construction order is part
+// (each over its own flow's views of the shared links). Construction order is part
 // of the determinism contract: event ids derive from scheduling order, so
 // the stack always wires up in the same sequence.
 //
@@ -162,8 +162,7 @@ class StreamingSession {
   bool done() const;
   // For fleet-level fault hooks (server stall/drop toggles).
   DashServer& dash_server() { return *server_; }
-  // Per-tenant wire bytes on the given path (per-flow slices on shared
-  // links, whole-link counters on owned ones).
+  // This session's flow's wire bytes on the given path.
   Bytes path_wire_bytes(int path_id) const;
   // Everything session-local: player/transport/robustness counters and the
   // steady-state bitrate stats. Byte/energy/trace fields are the caller's.

@@ -1,10 +1,215 @@
 #include "link/link.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <deque>
+#include <map>
 #include <utility>
 
 namespace mpdash {
+
+// The queue behind a link's radio. The link keeps the buffer's byte count
+// and capacity; its queue decides the service order and, when the buffer
+// is full, what to shed. LinkConfig::discipline picks the class once, when
+// the link is built.
+class Qdisc {
+ public:
+  // Takes every queued packet the queue sheds (overflow victims, link
+  // down): the link releases its buffer bytes and counts the drop.
+  using Shed = std::function<void(const Packet&)>;
+
+  explicit Qdisc(Shed shed) : shed_(std::move(shed)) {}
+  Qdisc(const Qdisc&) = delete;
+  Qdisc& operator=(const Qdisc&) = delete;
+  virtual ~Qdisc() = default;
+
+  // Offers `p`, which would put the buffer `over` bytes past capacity
+  // (over <= 0: it fits). Returns true once `p` is queued, having shed at
+  // least `over` bytes first; false, leaving `p` untouched, when `p`
+  // itself is the drop.
+  virtual bool enqueue(Packet& p, Bytes over) = 0;
+  // Removes the next packet to serialize. Requires !empty().
+  virtual Packet dequeue() = 0;
+  virtual bool empty() const = 0;
+  // Sheds every queued packet, in the discipline's deterministic order.
+  virtual void drop_all() = 0;
+
+ protected:
+  Shed shed_;
+};
+
+namespace {
+
+// Drop-tail: one queue in arrival order; a full buffer drops the arrival.
+class FifoQueue final : public Qdisc {
+ public:
+  using Qdisc::Qdisc;
+
+  bool enqueue(Packet& p, Bytes over) override {
+    if (over > 0) return false;
+    queue_.push_back(std::move(p));
+    return true;
+  }
+
+  Packet dequeue() override {
+    Packet p = std::move(queue_.front());
+    queue_.pop_front();
+    return p;
+  }
+
+  bool empty() const override { return queue_.empty(); }
+
+  // Tail first.
+  void drop_all() override {
+    for (; !queue_.empty(); queue_.pop_back()) shed_(queue_.back());
+  }
+
+ private:
+  std::deque<Packet> queue_;
+};
+
+// Deficit round-robin over per-flow queues with longest-queue drop.
+class DrrQueue final : public Qdisc {
+ public:
+  DrrQueue(Bytes quantum, Shed shed)
+      : Qdisc(std::move(shed)), quantum_(std::max<Bytes>(quantum, 1)) {}
+
+  bool enqueue(Packet& p, Bytes over) override {
+    // Longest-queue drop: when the shared buffer is full, the flow holding
+    // the most bytes pays, so one aggressive tenant cannot squeeze the rest
+    // out of the buffer. If the arriving flow already holds the largest
+    // share (or the buffer cannot fit the packet at all), the arrival is
+    // the drop.
+    while (over > 0) {
+      const int flow = victim();
+      if (flow < 0 ||
+          queued_bytes_for_flow(flow) <= queued_bytes_for_flow(p.flow)) {
+        return false;
+      }
+      auto& q = flow_queues_[flow];
+      Packet shed = std::move(q.back());
+      q.pop_back();
+      over -= shed.wire_size;
+      flow_queued_[flow] -= shed.wire_size;
+      if (q.empty()) deactivate(flow);
+      shed_(shed);
+    }
+    flow_queued_[p.flow] += p.wire_size;
+    auto& q = flow_queues_[p.flow];
+    if (q.empty()) {
+      active_flows_.push_back(p.flow);
+      flow_deficit_[p.flow] = 0;
+    }
+    q.push_back(std::move(p));
+    return true;
+  }
+
+  Packet dequeue() override {
+    // Each time a flow reaches the head of the active ring it earns one
+    // quantum; it sends while its deficit covers the head packet, then
+    // rotates to the back keeping the remainder. The credit is per *visit*
+    // (`credited_flow_`), never re-added while the flow holds the head —
+    // otherwise a backlogged flow with packets smaller than the quantum
+    // would top up forever and drain completely before rotating,
+    // collapsing DRR into per-burst FIFO. A drained flow forfeits its
+    // deficit.
+    for (;;) {
+      assert(!active_flows_.empty());
+      const int flow = active_flows_.front();
+      auto& q = flow_queues_[flow];
+      assert(!q.empty());
+      if (credited_flow_ != flow) {
+        flow_deficit_[flow] += quantum_;
+        credited_flow_ = flow;
+      }
+      if (flow_deficit_[flow] < q.front().wire_size) {
+        // Out of credit this round; the next visit earns a fresh quantum
+        // (clearing the marker also lets a lone flow re-credit until it can
+        // afford a packet larger than one quantum).
+        active_flows_.pop_front();
+        active_flows_.push_back(flow);
+        credited_flow_ = -1;
+        continue;
+      }
+      Packet p = std::move(q.front());
+      q.pop_front();
+      flow_deficit_[flow] -= p.wire_size;
+      flow_queued_[flow] -= p.wire_size;
+      if (q.empty()) deactivate(flow);
+      return p;
+    }
+  }
+
+  bool empty() const override { return active_flows_.empty(); }
+
+  // Flows ascending, each front to back.
+  void drop_all() override {
+    for (auto& [flow, q] : flow_queues_) {
+      for (const Packet& p : q) shed_(p);
+    }
+    flow_queues_.clear();
+    flow_queued_.clear();
+    flow_deficit_.clear();
+    active_flows_.clear();
+  }
+
+ private:
+  Bytes queued_bytes_for_flow(int flow) const {
+    auto it = flow_queued_.find(flow);
+    return it == flow_queued_.end() ? 0 : it->second;
+  }
+
+  int victim() const {
+    // Flow with the most queued bytes; ties break toward the lowest id so
+    // the choice is deterministic.
+    int victim = -1;
+    Bytes most = 0;
+    for (const auto& [flow, bytes] : flow_queued_) {
+      if (bytes > most) {
+        most = bytes;
+        victim = flow;
+      }
+    }
+    return victim;
+  }
+
+  void deactivate(int flow) {
+    flow_queues_.erase(flow);
+    flow_queued_.erase(flow);
+    flow_deficit_.erase(flow);
+    if (credited_flow_ == flow) credited_flow_ = -1;
+    for (auto it = active_flows_.begin(); it != active_flows_.end(); ++it) {
+      if (*it == flow) {
+        active_flows_.erase(it);
+        break;
+      }
+    }
+  }
+
+  Bytes quantum_;
+  // Per-flow backlogs, DRR deficits, and the active ring. A flow appears
+  // in every map iff its queue is non-empty; the packet the link is
+  // serializing has left its flow's queue.
+  std::map<int, std::deque<Packet>> flow_queues_;
+  std::map<int, Bytes> flow_queued_;
+  std::map<int, Bytes> flow_deficit_;
+  std::deque<int> active_flows_;
+  int credited_flow_ = -1;  // front flow already credited this visit
+};
+
+void add_flow_bytes(std::vector<Bytes>& per_flow, int flow, Bytes bytes) {
+  const auto i = static_cast<std::size_t>(flow);
+  if (i >= per_flow.size()) per_flow.resize(i + 1, 0);
+  per_flow[i] += bytes;
+}
+
+Bytes flow_bytes(const std::vector<Bytes>& per_flow, int flow) {
+  const auto i = static_cast<std::size_t>(flow);
+  return i < per_flow.size() ? per_flow[i] : 0;
+}
+
+}  // namespace
 
 Link::Link(EventLoop& loop, LinkConfig config)
     : loop_(loop), config_(std::move(config)), rng_(config_.loss_seed) {
@@ -12,28 +217,32 @@ Link::Link(EventLoop& loop, LinkConfig config)
     config_.name = "link" + std::to_string(config_.id);
   }
   if (config_.ge_loss) ge_.emplace(*config_.ge_loss);
-  if (config_.fq_quantum < 1) config_.fq_quantum = 1;
-  track_flows_ = config_.discipline == QueueDiscipline::kFairQueue;
+  Qdisc::Shed shed = [this](const Packet& p) {
+    queued_bytes_ -= p.wire_size;
+    drop_packet(p);
+  };
+  if (config_.discipline == QueueDiscipline::kFairQueue) {
+    queue_ = std::make_unique<DrrQueue>(config_.fq_quantum, std::move(shed));
+  } else {
+    queue_ = std::make_unique<FifoQueue>(std::move(shed));
+  }
 }
 
+Link::~Link() = default;
+
 void Link::set_flow_deliver(int flow, DeliverHandler h) {
-  track_flows_ = true;
-  flow_deliver_[flow] = std::move(h);
+  assert(flow >= 0);
+  const auto i = static_cast<std::size_t>(flow);
+  if (i >= flow_deliver_.size()) flow_deliver_.resize(i + 1);
+  flow_deliver_[i] = std::move(h);
 }
 
 Bytes Link::delivered_bytes_for_flow(int flow) const {
-  auto it = flow_delivered_.find(flow);
-  return it == flow_delivered_.end() ? 0 : it->second;
+  return flow_bytes(flow_delivered_, flow);
 }
 
 Bytes Link::dropped_bytes_for_flow(int flow) const {
-  auto it = flow_dropped_.find(flow);
-  return it == flow_dropped_.end() ? 0 : it->second;
-}
-
-Bytes Link::queued_bytes_for_flow(int flow) const {
-  auto it = flow_queued_.find(flow);
-  return it == flow_queued_.end() ? 0 : it->second;
+  return flow_bytes(flow_dropped_, flow);
 }
 
 void Link::set_telemetry(Telemetry* telemetry) {
@@ -75,7 +284,7 @@ void Link::emit_packet(TraceType type, const Packet& p) const {
 void Link::drop_packet(const Packet& p) {
   dropped_bytes_ += p.wire_size;
   ++dropped_packets_;
-  if (track_flows_) flow_dropped_[p.flow] += p.wire_size;
+  add_flow_bytes(flow_dropped_, p.flow, p.wire_size);
   if (telemetry_) {
     dropped_packets_counter_.increment();
     if (telemetry_->tracing()) emit_packet(TraceType::kPacketDrop, p);
@@ -105,155 +314,27 @@ void Link::send(Packet p) {
   if (telemetry_ && telemetry_->tracing()) {
     emit_packet(TraceType::kPacketSend, p);
   }
-  if (config_.discipline == QueueDiscipline::kFairQueue) {
-    if (down_ || loss_model_drops()) {
-      drop_packet(p);
-      return;
-    }
-    fq_enqueue(std::move(p));
-    if (telemetry_) queue_gauge_.set(static_cast<double>(queued_bytes_));
-    if (!busy_ && has_backlog()) start_serializing();
-    return;
-  }
+  const Bytes wire = p.wire_size;
   if (down_ || loss_model_drops() ||
-      queued_bytes_ + p.wire_size > config_.queue_capacity) {
+      !queue_->enqueue(p, queued_bytes_ + wire - config_.queue_capacity)) {
     drop_packet(p);
-    return;
+  } else {
+    queued_bytes_ += wire;
   }
-  queued_bytes_ += p.wire_size;
+  // Either way: a refused arrival may have shed queued packets first.
   if (telemetry_) queue_gauge_.set(static_cast<double>(queued_bytes_));
-  queue_.push_back(std::move(p));
-  if (!busy_) start_serializing();
+  if (!busy_ && has_backlog()) start_serializing();
 }
 
-int Link::fq_victim() const {
-  // Flow with the most queued bytes; ties break toward the lowest id so the
-  // choice is deterministic.
-  int victim = -1;
-  Bytes most = 0;
-  for (const auto& [flow, bytes] : flow_queued_) {
-    if (bytes > most) {
-      most = bytes;
-      victim = flow;
-    }
-  }
-  return victim;
-}
-
-void Link::fq_deactivate(int flow) {
-  flow_queues_.erase(flow);
-  flow_queued_.erase(flow);
-  flow_deficit_.erase(flow);
-  if (fq_credited_flow_ == flow) fq_credited_flow_ = -1;
-  for (auto it = active_flows_.begin(); it != active_flows_.end(); ++it) {
-    if (*it == flow) {
-      active_flows_.erase(it);
-      break;
-    }
-  }
-}
-
-void Link::fq_enqueue(Packet p) {
-  // Longest-queue drop: when the shared buffer is full, the flow holding
-  // the most bytes pays, so one aggressive tenant cannot squeeze the rest
-  // out of the buffer. If the arriving flow already holds the largest share
-  // (or the buffer cannot fit the packet at all), the arrival is the drop.
-  while (queued_bytes_ + p.wire_size > config_.queue_capacity) {
-    const int victim = fq_victim();
-    if (victim < 0 || queued_bytes_for_flow(victim) <=
-                          queued_bytes_for_flow(p.flow)) {
-      drop_packet(p);
-      return;
-    }
-    auto& q = flow_queues_[victim];
-    Packet shed = std::move(q.back());
-    q.pop_back();
-    queued_bytes_ -= shed.wire_size;
-    flow_queued_[victim] -= shed.wire_size;
-    if (q.empty()) fq_deactivate(victim);
-    drop_packet(shed);
-  }
-  queued_bytes_ += p.wire_size;
-  flow_queued_[p.flow] += p.wire_size;
-  auto& q = flow_queues_[p.flow];
-  if (q.empty()) {
-    active_flows_.push_back(p.flow);
-    flow_deficit_[p.flow] = 0;
-  }
-  q.push_back(std::move(p));
-}
-
-Packet Link::fq_dequeue() {
-  // Deficit round-robin: each time a flow reaches the head of the active
-  // ring it earns one quantum; it sends while its deficit covers the head
-  // packet, then rotates to the back keeping the remainder. The credit is
-  // per *visit* (`fq_credited_flow_`), never re-added while the flow holds
-  // the head — otherwise a backlogged flow with packets smaller than the
-  // quantum would top up forever and drain completely before rotating,
-  // collapsing DRR into per-burst FIFO. A drained flow forfeits its
-  // deficit.
-  for (;;) {
-    assert(!active_flows_.empty());
-    const int flow = active_flows_.front();
-    auto& q = flow_queues_[flow];
-    assert(!q.empty());
-    if (fq_credited_flow_ != flow) {
-      flow_deficit_[flow] += config_.fq_quantum;
-      fq_credited_flow_ = flow;
-    }
-    if (flow_deficit_[flow] < q.front().wire_size) {
-      // Out of credit this round; the next visit earns a fresh quantum
-      // (clearing the marker also lets a lone flow re-credit until it can
-      // afford a packet larger than one quantum).
-      active_flows_.pop_front();
-      active_flows_.push_back(flow);
-      fq_credited_flow_ = -1;
-      continue;
-    }
-    Packet p = std::move(q.front());
-    q.pop_front();
-    flow_deficit_[flow] -= p.wire_size;
-    flow_queued_[flow] -= p.wire_size;
-    if (q.empty()) fq_deactivate(flow);
-    return p;
-  }
-}
-
-bool Link::has_backlog() const {
-  if (serializing_) return true;
-  return config_.discipline == QueueDiscipline::kFairQueue
-             ? !active_flows_.empty()
-             : !queue_.empty();
-}
+bool Link::has_backlog() const { return serializing_ || !queue_->empty(); }
 
 void Link::set_down(bool down) {
   down_ = down;
   if (!down_) return;
   // Everything still waiting behind the radio is lost with it. The packet
-  // currently serializing (queue front while busy_, or serializing_ under
-  // fair queueing) is dropped when its serialization completes; packets
-  // already propagating still arrive.
-  if (config_.discipline == QueueDiscipline::kFairQueue) {
-    // Deterministic drop order: flows ascending, each front-to-back.
-    for (auto& [flow, q] : flow_queues_) {
-      for (Packet& p : q) {
-        queued_bytes_ -= p.wire_size;
-        drop_packet(p);
-      }
-    }
-    flow_queues_.clear();
-    flow_queued_.clear();
-    flow_deficit_.clear();
-    active_flows_.clear();
-  } else {
-    const std::size_t keep = busy_ ? 1 : 0;
-    while (queue_.size() > keep) {
-      Packet p = std::move(queue_.back());
-      queue_.pop_back();
-      queued_bytes_ -= p.wire_size;
-      drop_packet(p);
-    }
-  }
+  // on the radio (serializing_) is dropped when its serialization
+  // completes; packets already propagating still arrive.
+  queue_->drop_all();
   if (telemetry_) queue_gauge_.set(static_cast<double>(queued_bytes_));
 }
 
@@ -271,16 +352,11 @@ void Link::set_ge_loss(const std::optional<GilbertElliottConfig>& ge) {
 }
 
 void Link::start_serializing() {
-  // Under fair queueing the DRR pick is committed here: the packet moves
-  // into serializing_ (it still occupies buffer bytes until it leaves the
-  // radio). Under FIFO the front of queue_ is the implicit pick.
-  if (config_.discipline == QueueDiscipline::kFairQueue && !serializing_) {
-    serializing_ = fq_dequeue();
-  }
-  assert(serializing_ || !queue_.empty());
+  // The queue's pick is committed here: the packet moves into serializing_
+  // (a zero-rate retry finds it still there).
+  if (!serializing_) serializing_ = queue_->dequeue();
   busy_ = true;
-  const Bytes wire =
-      serializing_ ? serializing_->wire_size : queue_.front().wire_size;
+  const Bytes wire = serializing_->wire_size;
   // A factor-f rate scale is equivalent to serializing wire_size/f bytes at
   // the unscaled trace rate; factor 0 behaves like a zero-rate tail.
   TimePoint done = TimePoint::max();
@@ -302,15 +378,8 @@ void Link::start_serializing() {
 }
 
 void Link::on_serialized() {
-  Packet p;
-  if (serializing_) {
-    p = std::move(*serializing_);
-    serializing_.reset();
-  } else {
-    assert(!queue_.empty());
-    p = std::move(queue_.front());
-    queue_.pop_front();
-  }
+  Packet p = std::move(*serializing_);
+  serializing_.reset();
   queued_bytes_ -= p.wire_size;
   if (telemetry_) queue_gauge_.set(static_cast<double>(queued_bytes_));
 
@@ -322,9 +391,7 @@ void Link::on_serialized() {
                       [this, p = std::move(p)]() mutable {
                         delivered_bytes_ += p.wire_size;
                         ++delivered_packets_;
-                        if (track_flows_) {
-                          flow_delivered_[p.flow] += p.wire_size;
-                        }
+                        add_flow_bytes(flow_delivered_, p.flow, p.wire_size);
                         if (telemetry_) {
                           delivered_bytes_counter_.add(
                               static_cast<double>(p.wire_size));
@@ -333,9 +400,9 @@ void Link::on_serialized() {
                             emit_packet(TraceType::kPacketDeliver, p);
                           }
                         }
-                        auto it = flow_deliver_.find(p.flow);
-                        if (it != flow_deliver_.end() && it->second) {
-                          it->second(std::move(p));
+                        const auto f = static_cast<std::size_t>(p.flow);
+                        if (f < flow_deliver_.size() && flow_deliver_[f]) {
+                          flow_deliver_[f](std::move(p));
                         } else if (deliver_) {
                           deliver_(std::move(p));
                         }

@@ -8,12 +8,11 @@
 // the hostile conditions of the paper's field study: AP blackouts, bursty
 // interference, and abrupt capacity collapse.
 
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "link/loss.h"
 #include "link/packet.h"
@@ -58,11 +57,14 @@ struct LinkConfig {
   Bytes fq_quantum = 1500;
 };
 
+class Qdisc;  // the queue behind the radio (link.cpp)
+
 class Link {
  public:
   using DeliverHandler = std::function<void(Packet)>;
 
   Link(EventLoop& loop, LinkConfig config);
+  ~Link();
 
   // Offers a packet to the link. Queue overflow (or random loss) silently
   // drops it, exactly as a real bottleneck would — senders learn via
@@ -71,8 +73,8 @@ class Link {
 
   void set_deliver_handler(DeliverHandler h) { deliver_ = std::move(h); }
   // Per-flow delivery demux for shared links: packets stamped with `flow`
-  // route to their flow's handler; unstamped flows fall back to the default
-  // handler. Registering any flow handler turns on per-flow byte accounting.
+  // route to their flow's handler; flows without one fall back to the
+  // default handler. Flow ids are small non-negative ints.
   void set_flow_deliver(int flow, DeliverHandler h);
   // Test hook: overrides the link's own loss stream with an external
   // uniform-draw source (used to script exact drop positions).
@@ -114,12 +116,9 @@ class Link {
   Bytes dropped_bytes() const { return dropped_bytes_; }
   std::size_t delivered_packets() const { return delivered_packets_; }
   std::size_t dropped_packets() const { return dropped_packets_; }
-  // Per-flow wire-byte attribution on shared links. Tracked whenever the
-  // discipline is kFairQueue or a flow handler is registered; 0 otherwise.
+  // Per-flow wire-byte attribution, by the flow stamped on each packet.
   Bytes delivered_bytes_for_flow(int flow) const;
   Bytes dropped_bytes_for_flow(int flow) const;
-  Bytes queued_bytes_for_flow(int flow) const;
-  QueueDiscipline discipline() const { return config_.discipline; }
 
  private:
   void start_serializing();
@@ -129,10 +128,6 @@ class Link {
   double draw_uniform();
   void emit_packet(TraceType type, const Packet& p) const;
   bool has_backlog() const;
-  void fq_enqueue(Packet p);
-  Packet fq_dequeue();
-  int fq_victim() const;
-  void fq_deactivate(int flow);
 
   EventLoop& loop_;
   LinkConfig config_;
@@ -141,21 +136,16 @@ class Link {
   Rng rng_;
   std::optional<GilbertElliottLoss> ge_;
 
-  std::deque<Packet> queue_;  // kFifo backlog (front = serializing when busy)
-  // kFairQueue state: per-flow backlogs, DRR deficits, and the active ring.
-  // A flow appears in every map iff its queue is non-empty; the packet being
-  // serialized is extracted into serializing_ but still counts toward
+  std::unique_ptr<Qdisc> queue_;
+  // The packet on the radio. It has left queue_ but still counts toward
   // queued_bytes_ (it occupies the buffer until it leaves the radio).
-  std::map<int, std::deque<Packet>> flow_queues_;
-  std::map<int, Bytes> flow_queued_;
-  std::map<int, Bytes> flow_deficit_;
-  std::deque<int> active_flows_;
-  int fq_credited_flow_ = -1;  // front flow already credited this visit
   std::optional<Packet> serializing_;
-  std::map<int, DeliverHandler> flow_deliver_;
-  std::map<int, Bytes> flow_delivered_;
-  std::map<int, Bytes> flow_dropped_;
-  bool track_flows_ = false;
+  // Per-flow state, indexed by flow id. The handler vector grows only in
+  // set_flow_deliver, never while delivering, so a running handler is
+  // never moved.
+  std::vector<DeliverHandler> flow_deliver_;
+  std::vector<Bytes> flow_delivered_;
+  std::vector<Bytes> flow_dropped_;
 
   Bytes queued_bytes_ = 0;
   bool busy_ = false;

@@ -36,7 +36,7 @@ struct Packet {
   PacketKind kind = PacketKind::kData;
   int path_id = -1;
   // Flow id on a shared link (fleet workloads multiplex one link across
-  // sessions). 0 for single-tenant links; stamped by the NetPath facade.
+  // sessions). 0 for single-tenant links; stamped by the NetPath view.
   int flow = 0;
   // Causal span of the chunk request this packet serves (0 = none).
   // Stamped at send time so delivery/drop records attribute to the span

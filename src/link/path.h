@@ -3,8 +3,6 @@
 // metadata MP-DASH schedules on (interface kind, unit-data cost,
 // preference order).
 
-#include <memory>
-#include <optional>
 #include <string>
 
 #include "link/link.h"
@@ -36,42 +34,24 @@ struct PathDescription {
   bool metered = false;
 };
 
-struct PathEndpointsConfig {
-  PathDescription description;
-  BandwidthTrace downlink_rate;   // server -> client (video data)
-  BandwidthTrace uplink_rate;     // client -> server (requests, ACKs)
-  Duration one_way_delay = milliseconds(25);
-  Bytes queue_capacity = 192 * 1000;
-  double random_loss = 0.0;
-  // Bursty loss on the downlink (the direction interference hurts most);
-  // uplinks keep i.i.d.-only loss.
-  std::optional<GilbertElliottConfig> downlink_ge_loss;
-  // Base seed for the path's loss streams; each link derives its own via
-  // derive_stream_seed(loss_seed, ".down"/".up").
-  std::uint64_t loss_seed = 0;
-  // Optional throttle applied to the downlink (Table 4's strawman).
-  std::optional<ShaperConfig> downlink_shaper;
-};
-
-// Realizes one path over a forward + reverse link pair. Two modes:
-//  - owning (the classic single-tenant shape): constructs and owns both
-//    links from a PathEndpointsConfig;
-//  - shared (fleet workloads): a facade over externally-owned links that
-//    multiple sessions contend on. Packets are stamped with the session's
-//    flow id and deliveries demux through Link's per-flow handlers, so the
-//    MPTCP stack above is oblivious to the sharing.
+// One flow's view of a network path: a forward + reverse link pair it
+// does not own (other flows may share them), an optional shaper in front
+// of the downlink, and the metadata MP-DASH schedules on. Packets are
+// stamped with the path id and the view's flow id, and deliveries demux
+// through Link's per-flow handlers, so the MPTCP stack above is oblivious
+// to the sharing. A single session is flow 0; a fleet tenant's flow is its
+// session index (exp/scenario.h).
 class NetPath {
  public:
-  NetPath(EventLoop& loop, PathEndpointsConfig config);
-  // Shared mode. `flow` must be unique per tenant on these links. The
-  // caller owns the links and wires their telemetry; this facade only
-  // stamps and demuxes.
-  NetPath(PathDescription desc, Link& shared_down, Link& shared_up, int flow);
+  // `flow` must be unique per tenant on these links.
+  NetPath(PathDescription desc, Link& down, Link& up, int flow,
+          TokenBucketShaper* down_shaper);
 
   const PathDescription& description() const { return desc_; }
   int id() const { return desc_.id; }
   int flow() const { return flow_; }
-  bool shared() const { return !owned_down_; }
+  // The same path for another flow on the same links.
+  NetPath for_flow(int flow) const;
 
   // Entry points: packets from the server side (data) / client side (ACKs,
   // requests).
@@ -80,28 +60,21 @@ class NetPath {
 
   void set_downlink_deliver(Link::DeliverHandler h);
   void set_uplink_deliver(Link::DeliverHandler h);
-  // Wires telemetry into both links and the optional shaper. No-op in
-  // shared mode: the link owner wires shared links exactly once.
-  void set_telemetry(Telemetry* telemetry);
 
   Link& downlink() { return *down_; }
   Link& uplink() { return *up_; }
   const Link& downlink() const { return *down_; }
   const Link& uplink() const { return *up_; }
   Duration base_rtt() const;
-  // Wire bytes this path's tenant put on / took off the links. In owning
-  // mode these are the whole-link counters; in shared mode the per-flow
-  // slices.
+  // Wire bytes this view's flow took off both links.
   Bytes delivered_wire_bytes() const;
 
  private:
   PathDescription desc_;
-  std::unique_ptr<Link> owned_down_;
-  std::unique_ptr<Link> owned_up_;
-  Link* down_ = nullptr;
-  Link* up_ = nullptr;
-  int flow_ = 0;
-  std::unique_ptr<TokenBucketShaper> down_shaper_;
+  Link* down_;
+  Link* up_;
+  int flow_;
+  TokenBucketShaper* down_shaper_;
 };
 
 }  // namespace mpdash

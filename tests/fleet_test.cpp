@@ -67,6 +67,24 @@ TEST(Fleet, DifferentSeedsDiverge) {
   EXPECT_NE(run_fleet(cfg).fingerprint(), a);
 }
 
+// --- scale ----------------------------------------------------------------
+
+TEST(Fleet, OneToSixtyFourTenantsAllFinishClean) {
+  // The default 20 + 12 Mbps bottleneck carries 64 six-chunk tenants: every
+  // size finishes ok with every tenant done (N = 16 is the golden fleet
+  // fixture's shape).
+  for (const int n : {1, 4, 64}) {
+    FleetConfig cfg;
+    cfg.sessions = n;
+    cfg.seed = 7;
+    cfg.chunk_count = 6;
+    const FleetResult r = run_fleet(cfg);
+    EXPECT_TRUE(r.ok()) << "N=" << n << ": " << to_string(r.outcome);
+    EXPECT_EQ(r.completed, n);
+    for (const std::string& v : r.violations) ADD_FAILURE() << v;
+  }
+}
+
 // --- fair queueing vs FIFO on the shared bottleneck ----------------------
 
 TEST(Fleet, FairQueueingEqualizesTenantsThatFifoSkews) {
@@ -247,6 +265,32 @@ TEST(FleetReproBundle, RejectsSchemaAndCountsOutOfRange) {
                        "{\"sessions\": 2, \"chunk_count\": 0")
                 .find("chunk_count"),
             std::string::npos);
+  // Network fields out of range would replay some other network: each
+  // one-field edit is refused, naming the field.
+  const struct {
+    const char* needle;
+    const char* replacement;
+    const char* want;
+  } cases[] = {
+      {"\"wifi_mbps\": 20", "\"wifi_mbps\": 0", "\"wifi_mbps\" must be > 0"},
+      {"\"lte_up_mbps\": 8", "\"lte_up_mbps\": -1",
+       "\"lte_up_mbps\" must be > 0"},
+      {"\"wifi_rtt_ns\": 50000000", "\"wifi_rtt_ns\": -100000000",
+       "\"wifi_rtt_ns\" must be >= 0"},
+      {"\"queue_capacity\": 384000", "\"queue_capacity\": -5",
+       "\"queue_capacity\" must be >= 1"},
+      {"\"fq_quantum\": 1500", "\"fq_quantum\": 0",
+       "\"fq_quantum\" must be >= 1"},
+      {"\"join_stagger_ns\": 1000000000",
+       "\"join_stagger_ns\": -1000000000",
+       "\"join_stagger_ns\" must be >= 0"},
+      {"\"time_limit_ns\": 1800000000000", "\"time_limit_ns\": -5",
+       "\"time_limit_ns\" must be > 0"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(parse_with(c.needle, c.replacement),
+              std::string("bundle: ") + c.want);
+  }
 }
 
 TEST(FleetReproBundle, FileRoundTripAndPath) {

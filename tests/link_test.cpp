@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
+#include "exp/scenario.h"
 #include "link/link.h"
 #include "link/path.h"
 #include "link/shaper.h"
@@ -138,6 +140,109 @@ TEST(Link, RandomLossDropsApproximately) {
   EXPECT_NEAR(static_cast<double>(link.dropped_packets()), 30.0, 5.0);
 }
 
+// Records the data_seq of every packet a link drops, in drop order.
+struct DropLog : TraceSink {
+  std::vector<std::uint64_t> seqs;
+  void on_record(const TraceRecord& r) override {
+    if (r.type == TraceType::kPacketDrop) seqs.push_back(r.data_seq);
+  }
+};
+
+Packet seq_packet(int flow, std::uint64_t seq) {
+  Packet p = data_packet(1000, seq);
+  p.flow = flow;
+  p.data_seq = seq;
+  return p;
+}
+
+// Per discipline: link down mid-run. Packet 1 is already propagating,
+// packet 2 is on the radio, the rest wait in the queue.
+struct LinkDownFixture {
+  explicit LinkDownFixture(QueueDiscipline d) {
+    LinkConfig cfg;
+    cfg.rate = BandwidthTrace::constant(DataRate::mbps(8.0));  // 1 ms/pkt
+    cfg.propagation_delay = milliseconds(10);
+    cfg.queue_capacity = 100'000;
+    cfg.discipline = d;
+    link = std::make_unique<Link>(loop, cfg);
+    telemetry.add_sink(&drops);
+    link->set_telemetry(&telemetry);
+    link->set_deliver_handler([this](Packet p) {
+      delivered.push_back(p.data_seq);
+    });
+  }
+
+  EventLoop loop;
+  Telemetry telemetry;
+  DropLog drops;
+  std::unique_ptr<Link> link;
+  std::vector<std::uint64_t> delivered;
+};
+
+TEST(Link, SetDownFifoDropsBacklogTailFirstThenThePacketOnTheRadio) {
+  LinkDownFixture f(QueueDiscipline::kFifo);
+  for (std::uint64_t s = 1; s <= 5; ++s) f.link->send(seq_packet(0, s));
+  f.loop.run_until(TimePoint(microseconds(1500)));
+  f.link->set_down(true);
+  // The backlog goes at once, tail first; packet 2 still holds its buffer
+  // bytes until its serialization ends.
+  EXPECT_EQ(f.drops.seqs, (std::vector<std::uint64_t>{5, 4, 3}));
+  EXPECT_EQ(f.link->queued_bytes(), 1000);
+  f.loop.run();
+  EXPECT_EQ(f.drops.seqs, (std::vector<std::uint64_t>{5, 4, 3, 2}));
+  EXPECT_EQ(f.delivered, std::vector<std::uint64_t>{1});  // past the radio
+  EXPECT_EQ(f.link->queued_bytes(), 0);
+  EXPECT_EQ(f.link->dropped_packets(), 4u);
+}
+
+TEST(Link, SetDownDrrDropsFlowsAscendingFrontToBack) {
+  LinkDownFixture f(QueueDiscipline::kFairQueue);
+  // Packet 1 (flow 2) goes out first, then DRR serves flow 0's packet 2.
+  f.link->send(seq_packet(2, 1));
+  f.link->send(seq_packet(0, 2));
+  f.link->send(seq_packet(2, 3));
+  f.link->send(seq_packet(1, 4));
+  f.link->send(seq_packet(0, 5));
+  f.link->send(seq_packet(2, 6));
+  f.link->send(seq_packet(1, 7));
+  f.loop.run_until(TimePoint(microseconds(1500)));
+  f.link->set_down(true);
+  EXPECT_EQ(f.drops.seqs, (std::vector<std::uint64_t>{5, 4, 7, 3, 6}));
+  EXPECT_EQ(f.link->queued_bytes(), 1000);
+  f.loop.run();
+  EXPECT_EQ(f.drops.seqs, (std::vector<std::uint64_t>{5, 4, 7, 3, 6, 2}));
+  EXPECT_EQ(f.delivered, std::vector<std::uint64_t>{1});
+  EXPECT_EQ(f.link->queued_bytes(), 0);
+  EXPECT_EQ(f.link->dropped_bytes_for_flow(0), 2000);
+  EXPECT_EQ(f.link->dropped_bytes_for_flow(1), 2000);
+  EXPECT_EQ(f.link->dropped_bytes_for_flow(2), 2000);
+}
+
+TEST(Link, ZeroRateFactorStallsUntilTheRateIsRestored) {
+  EventLoop loop;
+  LinkConfig cfg;
+  cfg.rate = BandwidthTrace::constant(DataRate::mbps(8.0));
+  cfg.propagation_delay = kDurationZero;
+  Link link(loop, cfg);
+  std::vector<double> times;
+  link.set_deliver_handler(
+      [&](Packet) { times.push_back(to_seconds(loop.now())); });
+  link.set_rate_factor(0.0);
+  link.send(data_packet(1000, 1));
+  link.send(data_packet(1000, 2));
+  loop.run_until(TimePoint(seconds(1.0)));
+  EXPECT_TRUE(times.empty());
+  EXPECT_EQ(link.queued_bytes(), 2000);
+  link.set_rate_factor(1.0);
+  loop.run();
+  // The stalled packet resumes at the next 100 ms retry.
+  ASSERT_EQ(times.size(), 2u);
+  EXPECT_GT(times[0], 1.0);
+  EXPECT_LT(times[0], 1.2);
+  EXPECT_NEAR(times[1] - times[0], 0.001, 1e-6);
+  EXPECT_EQ(link.queued_bytes(), 0);
+}
+
 TEST(Shaper, ConformsToTokenRate) {
   EventLoop loop;
   ShaperConfig cfg;
@@ -170,49 +275,47 @@ TEST(Shaper, DropsWhenQueueFull) {
 }
 
 TEST(NetPath, RoutesDirectionsAndRtt) {
-  EventLoop loop;
-  PathEndpointsConfig cfg;
-  cfg.description.id = 3;
-  cfg.downlink_rate = BandwidthTrace::constant(DataRate::mbps(10.0));
-  cfg.uplink_rate = BandwidthTrace::constant(DataRate::mbps(10.0));
-  cfg.one_way_delay = milliseconds(30);
-  NetPath path(loop, cfg);
+  ScenarioConfig cfg = constant_scenario(DataRate::mbps(10.0),
+                                         DataRate::mbps(10.0));
+  cfg.lte_rtt = milliseconds(60);
+  Scenario scenario(cfg);
+  NetPath& path = *scenario.cellular();
   EXPECT_EQ(path.base_rtt(), milliseconds(60));
-  EXPECT_EQ(path.downlink().id(), 6);  // 2 * path id
-  EXPECT_EQ(path.uplink().id(), 7);
+  EXPECT_EQ(path.downlink().id(), 2 * kCellularPathId);
+  EXPECT_EQ(path.uplink().id(), 2 * kCellularPathId + 1);
+  EXPECT_EQ(scenario.wifi().downlink().id(), 2 * kWifiPathId);
+  EXPECT_EQ(scenario.wifi().uplink().id(), 2 * kWifiPathId + 1);
 
   int down = 0, up = 0;
   path.set_downlink_deliver([&](Packet p) {
     ++down;
-    EXPECT_EQ(p.path_id, 3);  // stamped by the path
+    EXPECT_EQ(p.path_id, kCellularPathId);  // stamped by the path
   });
   path.set_uplink_deliver([&](Packet) { ++up; });
   path.send_downlink(data_packet(500, 1));
   path.send_uplink(data_packet(500, 2));
-  loop.run();
+  scenario.loop().run();
   EXPECT_EQ(down, 1);
   EXPECT_EQ(up, 1);
 }
 
 TEST(NetPath, DownlinkShaperThrottles) {
-  EventLoop loop;
-  PathEndpointsConfig cfg;
-  cfg.description.id = 0;
-  cfg.downlink_rate = BandwidthTrace::constant(DataRate::mbps(50.0));
-  cfg.uplink_rate = BandwidthTrace::constant(DataRate::mbps(10.0));
-  cfg.one_way_delay = kDurationZero;
+  ScenarioConfig cfg = constant_scenario(DataRate::mbps(10.0),
+                                         DataRate::mbps(50.0));
+  cfg.lte_rtt = kDurationZero;
   ShaperConfig shaper;
   shaper.rate = DataRate::kbps(700.0);
   shaper.burst = 1500;
   shaper.queue_capacity = 10'000'000;
-  cfg.downlink_shaper = shaper;
-  NetPath path(loop, cfg);
+  cfg.lte_throttle = shaper;
+  Scenario scenario(cfg);
+  NetPath& path = *scenario.cellular();
 
   TimePoint last = kTimeZero;
-  path.set_downlink_deliver([&](Packet) { last = loop.now(); });
+  path.set_downlink_deliver([&](Packet) { last = scenario.loop().now(); });
   // 88.5 KB at 87.5 KB/s (700 kbps) minus the burst: ~1 s.
   for (int i = 0; i < 89; ++i) path.send_downlink(data_packet(1000, i + 1));
-  loop.run();
+  scenario.loop().run();
   EXPECT_GT(to_seconds(last), 0.9);
 }
 
@@ -258,6 +361,7 @@ TEST(FairQueue, DrrInterleavesABurstWithALateArrival) {
 TEST(FairQueue, FifoOrderingIsPreservedUnderTheDefaultDiscipline) {
   // Same arrival pattern through the default FIFO queue: strict arrival
   // order, no interleaving — the single-tenant behavior is untouched.
+  // Per-flow bytes are counted without any flow handler registered.
   EventLoop loop;
   LinkConfig cfg = fq_config();
   cfg.discipline = QueueDiscipline::kFifo;
@@ -269,6 +373,7 @@ TEST(FairQueue, FifoOrderingIsPreservedUnderTheDefaultDiscipline) {
   loop.run();
   const std::vector<int> want = {0, 0, 0, 0, 1, 1, 1, 1};
   EXPECT_EQ(order, want);
+  EXPECT_EQ(link.delivered_bytes_for_flow(1), 4000);
 }
 
 TEST(FairQueue, LongestQueueDropChargesTheAggressiveFlow) {
@@ -310,8 +415,7 @@ TEST(FairQueue, LoneFlowAccumulatesQuantaForAJumboPacket) {
 
 TEST(FairQueue, FlowDeliverHandlersDemux) {
   // Per-flow handlers receive exactly their flow; unregistered flows fall
-  // back to the default handler. Registering a handler also turns on
-  // per-flow accounting even under FIFO.
+  // back to the default handler.
   EventLoop loop;
   LinkConfig cfg = fq_config();
   cfg.discipline = QueueDiscipline::kFifo;

@@ -250,16 +250,29 @@ TEST(ReproBundleJson, RejectsWrongKindAndSchema) {
 TEST(ReproBundleJson, RejectsChunkCountOutOfRange) {
   // Bundles are input from outside the program: a run needs a chunk, and
   // the count must fit an int rather than wrap into one.
-  for (const char* count : {"0", "-3", "4294967297"}) {
+  auto parse_with = [](const std::string& needle,
+                       const std::string& replacement) {
     std::string text = repro_bundle_to_json(sample_bundle());
-    const std::string needle = "\"chunk_count\": 6";
-    text.replace(text.find(needle), needle.size(),
-                 std::string("\"chunk_count\": ") + count);
+    text.replace(text.find(needle), needle.size(), replacement);
     ReproBundle parsed;
     std::string err;
-    EXPECT_FALSE(repro_bundle_from_json(text, &parsed, &err)) << count;
+    EXPECT_FALSE(repro_bundle_from_json(text, &parsed, &err)) << replacement;
+    return err;
+  };
+  for (const char* count : {"0", "-3", "4294967297"}) {
+    const std::string err = parse_with(
+        "\"chunk_count\": 6", std::string("\"chunk_count\": ") + count);
     EXPECT_NE(err.find("chunk_count"), std::string::npos) << err;
   }
+  // So must the spec's network: a rate or time limit out of range would
+  // replay some other run.
+  EXPECT_EQ(parse_with("\"wifi_mbps\": 5", "\"wifi_mbps\": -5"),
+            "bundle: \"scenario.wifi_mbps\" must be > 0");
+  EXPECT_EQ(parse_with("\"lte_mbps\": 4", "\"lte_mbps\": 0"),
+            "bundle: \"scenario.lte_mbps\" must be > 0");
+  EXPECT_EQ(parse_with("\"time_limit_ns\": 30000000000",
+                       "\"time_limit_ns\": 0"),
+            "bundle: \"time_limit_ns\" must be > 0");
 }
 
 // A hand-built plan that deterministically violates: the origin holds

@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cfloat>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -23,7 +22,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <type_traits>
 
 #include "dash/video.h"
 #include "exp/chaos.h"
@@ -118,7 +116,7 @@ const CommandSpec kCommands[] = {
      "  --wifi <mbps> | --wifi-trace <csv>   --lte <mbps> | --lte-trace "
      "<csv>\n"
      "  --location <name from `locations`>\n"
-     "  --alpha <0..1>  --scheduler minrtt|roundrobin\n"
+     "  --alpha <(0,1]>  --scheduler minrtt|roundrobin\n"
      "  --inflight <n>   player prefetch window, 1 = sequential\n"
      "  --csv <path>   write the result row as CSV\n"
      "  --metrics <path>   per-second metrics timeline "
@@ -131,18 +129,18 @@ const CommandSpec kCommands[] = {
      "  --size-mb <mb> --deadline <s> --no-mpdash\n"
      "  --wifi <mbps> | --wifi-trace <csv>   --lte <mbps> | --lte-trace "
      "<csv>\n"
-     "  --location <name>  --alpha <0..1>  --scheduler minrtt|roundrobin\n"
+     "  --location <name>  --alpha <(0,1]>  --scheduler minrtt|roundrobin\n"
      "  --metrics <path>  --trace <path>  --trace-types a,b,c\n",
      cmd_download},
     {"sweep", "baseline-vs-MP-DASH field-study campaign over all locations",
      "  --scheme mpdash-rate|mpdash-duration   --algo <name>\n"
-     "  --video <name>  --chunk <seconds>  --alpha <0..1>\n"
+     "  --video <name>  --chunk <seconds>  --alpha <(0,1]>\n"
      "  --jobs <n>   campaign workers (default: hardware cores)\n"
      "  --csv <path>   per-location results\n",
      cmd_sweep},
     {"chaos", "seeded random-fault campaign with per-run invariant audits",
      "  --seed-count <n> (default 50)  --seed <base>  --jobs <n>\n"
-     "  --scheme <name>  --algo <name>  --scheduler <name>  --alpha <0..1>\n"
+     "  --scheme <name>  --algo <name>  --scheduler <name>  --alpha <(0,1]>\n"
      "  --inflight <n>  --chunks <n>  --no-recovery\n"
      "  --csv <path>   per-seed results\n"
      "  --series <path>  per-run QoE/byte-share time series CSV\n"
@@ -213,19 +211,18 @@ void print_command_usage(const CommandSpec& c, std::FILE* out) {
   std::exit(2);
 }
 
-// Numeric flag values must be whole, finite tokens of at least `min`:
-// "abc", "3x" and "" are rejected, never read as a prefix or as zero.
-template <typename T>
-T parse_number(const std::string& flag, const std::string& text, T min) {
+// Numeric flag values must be whole, finite tokens in the flag's range
+// (`want` names it): "abc", "3x" and "" are rejected, never read as a
+// prefix or as zero, and so is an out-of-range value.
+template <typename T, typename InRange>
+T parse_number(const std::string& flag, const std::string& text,
+               const std::string& want, InRange in_range) {
   T v{};
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-  if (ec != std::errc() || ptr != end || v < min ||
-      !std::isfinite(static_cast<double>(v))) {
-    usage("bad " + flag + " value '" + text + "' (want " +
-          (std::is_integral_v<T> ? "an integer >= " + std::to_string(min)
-                                 : std::string("a finite number")) +
-          ")");
+  if (ec != std::errc() || ptr != end ||
+      !std::isfinite(static_cast<double>(v)) || !in_range(v)) {
+    usage("bad " + flag + " value '" + text + "' (want " + want + ")");
   }
   return v;
 }
@@ -246,8 +243,15 @@ Args parse(int argc, char** argv) {
       if (i + 1 >= argc) usage("missing value for " + flag);
       return argv[++i];
     };
-    auto number = [&] { return parse_number(flag, value(), -DBL_MAX); };
-    auto count = [&](int min) { return parse_number(flag, value(), min); };
+    auto count = [&](int min) {
+      return parse_number<int>(flag, value(),
+                               "an integer >= " + std::to_string(min),
+                               [min](int v) { return v >= min; });
+    };
+    auto positive = [&] {
+      return parse_number<double>(flag, value(), "a number > 0",
+                                  [](double v) { return v > 0.0; });
+    };
     if (flag == "-h" || flag == "--help") {
       print_command_usage(*spec, stdout);
       std::exit(0);
@@ -256,19 +260,24 @@ Args parse(int argc, char** argv) {
     else if (flag == "--algo") a.algo = value();
     else if (flag == "--video") a.video = value();
     else if (flag == "--location") a.location = value();
-    else if (flag == "--wifi") a.wifi_mbps = number();
-    else if (flag == "--lte") a.lte_mbps = number();
+    else if (flag == "--wifi") a.wifi_mbps = positive();
+    else if (flag == "--lte") a.lte_mbps = positive();
     else if (flag == "--wifi-trace") a.wifi_trace_path = value();
     else if (flag == "--lte-trace") a.lte_trace_path = value();
-    else if (flag == "--chunk") a.chunk_s = number();
-    else if (flag == "--alpha") a.alpha = number();
+    else if (flag == "--chunk") a.chunk_s = positive();
+    else if (flag == "--alpha")
+      a.alpha = parse_number<double>(
+          flag, value(), "a number in (0, 1]",
+          [](double v) { return v > 0.0 && v <= 1.0; });
     else if (flag == "--scheduler") a.mptcp_scheduler = value();
-    else if (flag == "--size-mb") a.size_mb = number();
-    else if (flag == "--deadline") a.deadline_s = number();
+    else if (flag == "--size-mb") a.size_mb = positive();
+    else if (flag == "--deadline") a.deadline_s = positive();
     else if (flag == "--no-mpdash") a.use_mpdash = false;
     else if (flag == "--jobs") a.jobs = count(0);
     else if (flag == "--seed-count") a.seed_count = count(1);
-    else if (flag == "--seed") a.seed = parse_number(flag, value(), 0ull);
+    else if (flag == "--seed")
+      a.seed = parse_number<unsigned long long>(
+          flag, value(), "an integer >= 0", [](auto) { return true; });
     else if (flag == "--no-recovery") a.recovery = false;
     else if (flag == "--inflight") a.inflight = count(1);
     else if (flag == "--chunks") a.chunks = count(1);
@@ -278,14 +287,16 @@ Args parse(int argc, char** argv) {
     else if (flag == "--trace") a.trace_path = value();
     else if (flag == "--trace-types") a.trace_types = value();
     else if (flag == "--series") a.series_path = value();
-    else if (flag == "--series-interval") a.series_interval_s = number();
+    else if (flag == "--series-interval") a.series_interval_s = positive();
     else if (flag == "--attrib") a.attrib_path = value();
     else if (flag == "--bundle-dir") a.bundle_dir = value();
     else if (flag == "--keep-going") a.keep_going = true;
     else if (flag == "--strict") a.strict = true;
     else if (flag == "--out") a.out_path = value();
     else if (flag == "--sessions") a.sessions = count(1);
-    else if (flag == "--stagger") a.stagger_s = number();
+    else if (flag == "--stagger")
+      a.stagger_s = parse_number<double>(flag, value(), "a number >= 0",
+                                         [](double v) { return v >= 0.0; });
     else if (flag == "--discipline") a.discipline = value();
     else if (flag == "--mix") a.mix = value();
     else if (flag == "--chaos") a.chaos = true;
