@@ -3,31 +3,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <iterator>
-#include <memory>
 #include <utility>
 
-#include "dash/server.h"
 #include "exp/repro.h"
 #include "fault/injector.h"
 
 namespace mpdash {
 
 namespace {
-
-// One tenant: its flow's views of the shared paths (flow = session index)
-// plus the full per-session stack and a private telemetry context for the
-// counter audit.
-struct Tenant {
-  std::uint64_t seed = 0;
-  SessionSpec spec;
-  SessionConfig config;
-  Telemetry telemetry;
-  std::vector<NetPath> paths;
-  std::unique_ptr<StreamingSession> session;
-  TimePoint join{};
-  bool done = false;
-  TimePoint finish{};
-};
 
 Video fleet_video(int chunk_count) {
   // Same fixed-content video for every tenant (chaos convention): only the
@@ -99,71 +82,34 @@ FleetResult run_fleet(const FleetConfig& cfg, Telemetry* telemetry) {
   net.fq_quantum = cfg.fq_quantum;
   net.seed = derive_stream_seed(cfg.seed, "links");
   Scenario scenario(std::move(net));
-  EventLoop& loop = scenario.loop();
-  if (telemetry) scenario.set_telemetry(telemetry);
 
   const Video video = fleet_video(cfg.chunk_count);
 
-  // Tenants construct in session order — part of the determinism contract
-  // (event ids derive from scheduling order).
-  std::vector<std::unique_ptr<Tenant>> tenants;
+  // Tenant i runs the mix entry it cycles to, seeded from "session/<i>",
+  // joins at i × join_stagger and instruments a private context for its
+  // counter audit. The fleet's plan, watchdog and time limit govern the
+  // whole loop.
+  std::vector<FleetSessionResult> rows(static_cast<std::size_t>(n));
+  std::vector<Telemetry> audit(static_cast<std::size_t>(n));
+  std::vector<RunTenant> tenants;
   tenants.reserve(static_cast<std::size_t>(n));
-  int done_count = 0;
   for (int i = 0; i < n; ++i) {
-    auto t = std::make_unique<Tenant>();
-    for (NetPath* p : scenario.paths()) t->paths.push_back(p->for_flow(i));
-    t->seed = derive_stream_seed(cfg.seed, "session/" + std::to_string(i));
-    t->spec = cfg.mix.empty()
-                  ? SessionSpec{}
-                  : cfg.mix[static_cast<std::size_t>(i) % cfg.mix.size()];
-    t->config = resolve_session_config(t->spec, t->seed);
-    // The fleet watchdog and time limit govern; per-tenant budgets are
-    // meaningless on a shared loop.
-    t->config.watchdog = WatchdogConfig{};
-    SessionEnv env;
-    env.telemetry = &t->telemetry;
-    std::vector<NetPath*> paths;
-    for (NetPath& p : t->paths) paths.push_back(&p);
-    t->session = std::make_unique<StreamingSession>(loop, paths, video,
-                                                    t->config, env);
-    Tenant* raw = t.get();
-    t->session->set_done_callback([raw, &loop, &done_count] {
-      raw->done = true;
-      raw->finish = loop.now();
-      ++done_count;
-    });
-    t->join = TimePoint(cfg.join_stagger * i);
-    tenants.push_back(std::move(t));
+    FleetSessionResult& row = rows[static_cast<std::size_t>(i)];
+    row.session = i;
+    row.seed = derive_stream_seed(cfg.seed, "session/" + std::to_string(i));
+    const SessionSpec spec =
+        cfg.mix.empty() ? SessionSpec{}
+                        : cfg.mix[static_cast<std::size_t>(i) % cfg.mix.size()];
+    row.scheme = spec.scheme;
+    row.adaptation = spec.adaptation;
+    const TimePoint join(cfg.join_stagger * i);
+    row.join_s = to_seconds(join);
+    tenants.push_back({resolve_session_config(spec, row.seed), join,
+                       &audit[static_cast<std::size_t>(i)]});
   }
-
-  // One fault plan against the *shared* links: attach the scenario's own
-  // views (faults address path ids, and every view fronts the same links),
-  // and stall/drop hooks fan out to every tenant's origin server.
-  std::unique_ptr<FaultInjector> injector;
-  if (cfg.faults != nullptr && !cfg.faults->empty()) {
-    injector = std::make_unique<FaultInjector>(loop, *cfg.faults);
-    for (NetPath* p : scenario.paths()) injector->attach_path(p);
-    FaultInjector::ServerHooks hooks;
-    hooks.set_stalled = [&tenants](bool on) {
-      for (auto& t : tenants) t->session->dash_server().http().set_stalled(on);
-    };
-    hooks.set_dropping = [&tenants](bool on) {
-      for (auto& t : tenants) t->session->dash_server().http().set_dropping(on);
-    };
-    injector->set_server_hooks(std::move(hooks));
-    if (telemetry) injector->set_telemetry(telemetry);
-    injector->arm();
-  }
-
-  // Staggered joins, scheduled after construction in session order.
-  for (auto& t : tenants) {
-    StreamingSession* s = t->session.get();
-    loop.schedule_at(t->join, [s] { s->start(); });
-  }
-
+  StreamingRun run(scenario, video, tenants, cfg.faults, telemetry);
   try {
-    RunWatchdog watchdog(loop, cfg.watchdog);
-    loop.run_until(TimePoint(cfg.time_limit));
+    run.run(cfg.time_limit, cfg.watchdog);
   } catch (const WatchdogTripped& e) {
     // Quarantine, chaos-style: the fleet was killed mid-sim, so there are
     // no per-tenant results to audit.
@@ -176,35 +122,16 @@ FleetResult run_fleet(const FleetConfig& cfg, Telemetry* telemetry) {
   double qoe_sum = 0.0;
   std::vector<double> qoes;
   double rate_sum = 0.0, rate_sumsq = 0.0;
-  TimePoint last_finish{};
   for (int i = 0; i < n; ++i) {
-    Tenant& t = *tenants[static_cast<std::size_t>(i)];
-    FleetSessionResult sr;
-    sr.session = i;
-    sr.seed = t.seed;
-    sr.scheme = t.spec.scheme;
-    sr.adaptation = t.spec.adaptation;
-    sr.join_s = to_seconds(t.join);
-
-    SessionResult res = t.session->collect();
-    const TimePoint end = t.done ? t.finish : loop.now();
-    res.session_s = to_seconds(end - t.join);
-    res.wifi_bytes = t.session->path_wire_bytes(kWifiPathId);
-    res.cell_bytes = t.session->path_wire_bytes(kCellularPathId);
-    const Bytes total = res.wifi_bytes + res.cell_bytes;
-    res.cell_fraction = total > 0 ? static_cast<double>(res.cell_bytes) /
-                                        static_cast<double>(total)
-                                  : 0.0;
-    if (t.done) {
-      ++out.completed;
-      last_finish = std::max(last_finish, t.finish);
-    }
+    FleetSessionResult& sr = rows[static_cast<std::size_t>(i)];
+    SessionResult res = run.collect(i);
+    if (res.completed) ++out.completed;
 
     sr.qoe = res.steady_avg_bitrate_mbps - kFleetStallPenalty * res.stall_s;
     sr.violations = check_chaos_invariants(res, cfg.chunk_count);
     {
-      std::vector<std::string> cv =
-          check_counter_invariants(t.telemetry.metrics(), res);
+      std::vector<std::string> cv = check_counter_invariants(
+          audit[static_cast<std::size_t>(i)].metrics(), res);
       sr.violations.insert(sr.violations.end(),
                            std::make_move_iterator(cv.begin()),
                            std::make_move_iterator(cv.end()));
@@ -219,11 +146,11 @@ FleetResult run_fleet(const FleetConfig& cfg, Telemetry* telemetry) {
     rate_sumsq +=
         res.steady_avg_bitrate_mbps * res.steady_avg_bitrate_mbps;
     sr.result = std::move(res);
-    out.sessions.push_back(std::move(sr));
   }
+  out.sessions = std::move(rows);
 
   // --- fleet-level audit and aggregates --------------------------------
-  if (injector) {
+  if (const FaultInjector* injector = run.faults()) {
     out.faults_started = injector->faults_started();
     out.faults_skipped = injector->faults_skipped();
     if (!injector->quiescent()) {
@@ -235,8 +162,6 @@ FleetResult run_fleet(const FleetConfig& cfg, Telemetry* telemetry) {
     }
   }
 
-  out.fleet_s = out.completed == n ? to_seconds(last_finish)
-                                   : to_seconds(cfg.time_limit);
   out.qoe_mean = qoe_sum / static_cast<double>(n);
   std::sort(qoes.begin(), qoes.end());
   out.qoe_p10 = qoes[static_cast<std::size_t>((n + 9) / 10 - 1)];

@@ -2,15 +2,15 @@
 // Fleet workload: N concurrent DASH sessions on one event loop contending
 // on a single shared WiFi AP + cellular bottleneck pair.
 //
-// Each tenant runs the full per-session stack (player, adaptation,
-// MP-DASH adapter, MPTCP connection, recovery layers) over its own flow's
-// NetPath views of one Scenario's links: packets are stamped with the
-// tenant's flow id and the shared links arbitrate between flows with the
-// configured queue discipline (FIFO or deficit-round-robin fair
-// queueing). Tenants join staggered, stream to completion, and the fleet
-// reports per-session SessionResults plus cross-session aggregates: QoE
-// mean/p10, Jain fairness on steady-state bitrate, and cellular-byte
-// totals.
+// The fleet is an N-tenant StreamingRun (exp/session.h): each tenant runs
+// the full per-session stack (player, adaptation, MP-DASH adapter, MPTCP
+// connection, recovery layers) over its own flow's NetPath views of one
+// Scenario's links: packets are stamped with the tenant's flow id and the
+// shared links arbitrate between flows with the configured queue
+// discipline (FIFO or deficit-round-robin fair queueing). Tenants join
+// staggered, stream to completion, and the fleet reports per-session
+// SessionResults plus cross-session aggregates: QoE mean/p10, Jain
+// fairness on steady-state bitrate, and cellular-byte totals.
 //
 // Determinism contract: everything mutable derives from FleetConfig::seed
 // (per-tenant seeds via derive_stream_seed(seed, "session/<i>"), link loss
@@ -95,7 +95,6 @@ struct FleetResult {
   std::uint64_t seed = 0;
   RunOutcome outcome = RunOutcome::kOk;
   std::string hung_reason;  // kHung only (fleet watchdog tripped)
-  double fleet_s = 0.0;     // sim time when the last tenant finished
   std::vector<FleetSessionResult> sessions;
   // Fleet-level violations: per-tenant audits (prefixed) + shared fault
   // quiescence.
@@ -122,8 +121,8 @@ struct FleetResult {
 };
 
 // Runs one fleet. `telemetry` (optional, borrowed) is wired to the event
-// loop and the shared links; each tenant additionally instruments into its
-// own private registry for the per-tenant counter audit.
+// loop, the shared links and the fault injector; each tenant instruments
+// into its own private registry for the per-tenant counter audit.
 FleetResult run_fleet(const FleetConfig& cfg, Telemetry* telemetry = nullptr);
 
 // Column header for fleet_sessions_csv rows (includes trailing newline).

@@ -46,6 +46,26 @@ std::unique_ptr<RateAdaptation> make_adaptation(const std::string& name) {
 
 namespace {
 
+// The paper reports bitrate statistics over the last 80 % of chunks
+// (steady state): the first 20 % are skipped.
+constexpr double kSteadySkipFraction = 0.2;
+
+// Scopes run_streaming_session's telemetry wiring to the call, on every
+// exit path including the WatchdogTripped unwind: the trace collector
+// leaves the context it joined, and a scenario wired to the internal
+// context is unhooked (the scenario and its event loop outlive the run).
+struct WiringGuard {
+  Scenario& scenario;
+  Telemetry* telemetry;
+  TraceSink* collector;  // null when not recording
+  bool internal;
+
+  ~WiringGuard() {
+    if (collector != nullptr) telemetry->remove_sink(collector);
+    if (internal) scenario.set_telemetry(nullptr);
+  }
+};
+
 // Samples per-interface delivered bytes every 100 ms for the energy model;
 // stops itself once `done` flips.
 class EnergyProbe {
@@ -107,93 +127,148 @@ class EnergyProbe {
 
 }  // namespace
 
-StreamingSession::StreamingSession(EventLoop& loop,
-                                   std::vector<NetPath*> paths,
-                                   const Video& video,
-                                   const SessionConfig& config,
-                                   const SessionEnv& env)
-    : loop_(loop), config_(config), fault_paths_(paths) {
-  if (config_.scheme == Scheme::kWifiOnly && paths.size() > 1) {
-    paths.resize(1);  // single-path TCP over WiFi
+struct StreamingRun::Tenant {
+  TimePoint join{};
+  // This tenant's flow's views of every scenario path.
+  std::vector<NetPath> paths;
+  std::unique_ptr<MptcpConnection> conn;
+  std::unique_ptr<DashServer> server;
+  std::unique_ptr<HttpClient> client;
+  std::unique_ptr<RateAdaptation> adaptation;
+  std::unique_ptr<MpDashSocket> socket;
+  std::unique_ptr<MpDashAdapter> adapter;
+  std::unique_ptr<DashPlayer> player;
+  TimePoint finish{};
+
+  Bytes wire_bytes(int path_id) const {
+    for (const NetPath& p : paths) {
+      if (p.id() == path_id) return p.delivered_wire_bytes();
+    }
+    return 0;
   }
-  conn_ = std::make_unique<MptcpConnection>(loop, paths);
-  conn_->server().set_scheduler(make_scheduler(config_.mptcp_scheduler));
-  Telemetry* telemetry = env.telemetry;
-  if (telemetry) conn_->set_telemetry(telemetry);
+};
 
-  if (config_.mptcp_recovery.max_consecutive_rtos > 0) {
-    conn_->server().set_failure_policy(config_.mptcp_recovery);
-    conn_->client().set_failure_policy(config_.mptcp_recovery);
+StreamingRun::StreamingRun(Scenario& scenario, const Video& video,
+                           const std::vector<RunTenant>& tenants,
+                           const FaultPlan* faults, Telemetry* telemetry)
+    : scenario_(scenario) {
+  EventLoop& loop = scenario.loop();
+  if (telemetry) scenario.set_telemetry(telemetry);
+
+  // Tenants build in order; flow i is tenant i.
+  tenants_.reserve(tenants.size());
+  for (const RunTenant& spec : tenants) {
+    const SessionConfig& config = spec.config;
+    Telemetry* tel = spec.telemetry;
+    auto t = std::make_unique<Tenant>();
+    t->join = spec.join;
+    const int flow = static_cast<int>(tenants_.size());
+    for (NetPath* p : scenario.paths()) t->paths.push_back(p->for_flow(flow));
+    std::vector<NetPath*> paths;
+    for (NetPath& p : t->paths) paths.push_back(&p);
+    if (config.scheme == Scheme::kWifiOnly) {
+      paths.resize(1);  // single-path TCP over WiFi
+    }
+    t->conn = std::make_unique<MptcpConnection>(loop, paths);
+    t->conn->server().set_scheduler(make_scheduler(config.mptcp_scheduler));
+    if (tel) t->conn->set_telemetry(tel);
+
+    if (config.mptcp_recovery.max_consecutive_rtos > 0) {
+      t->conn->server().set_failure_policy(config.mptcp_recovery);
+      t->conn->client().set_failure_policy(config.mptcp_recovery);
+    }
+
+    t->server = std::make_unique<DashServer>(t->conn->server(), video);
+    HttpClientConfig hcfg = config.http_recovery;
+    // A prefetching player needs the transport to pipeline as deep as the
+    // player's in-flight window; never shrink an explicit wider setting.
+    hcfg.max_pipeline =
+        std::max(hcfg.max_pipeline, config.player.max_inflight_chunks);
+    t->client = std::make_unique<HttpClient>(loop, t->conn->client(), hcfg);
+    if (tel) t->client->set_telemetry(tel);
+
+    t->adaptation = make_adaptation(config.adaptation);
+
+    if (scheme_uses_mpdash(config.scheme)) {
+      MpDashSocketConfig scfg;
+      scfg.scheduler.alpha = config.alpha;
+      scfg.scheduler.enable_debounce_ticks = config.debounce_ticks;
+      t->socket = std::make_unique<MpDashSocket>(loop, *t->conn, scfg);
+      if (tel) t->socket->set_telemetry(tel);
+      AdapterConfig acfg;
+      acfg.policy = config.scheme == Scheme::kMpDashDuration
+                        ? DeadlinePolicy::kDurationBased
+                        : DeadlinePolicy::kRateBased;
+      t->adapter =
+          std::make_unique<MpDashAdapter>(*t->socket, *t->adaptation, acfg);
+    }
+
+    t->player = std::make_unique<DashPlayer>(loop, *t->client, *t->adaptation,
+                                             config.player, t->adapter.get());
+    if (tel) t->player->set_telemetry(tel);
+    Tenant* raw = t.get();
+    t->player->set_done_callback([this, raw, &loop] {
+      raw->finish = loop.now();
+      finished_ = ++done_ == tenants_.size();
+    });
+    tenants_.push_back(std::move(t));
   }
 
-  server_ = std::make_unique<DashServer>(conn_->server(), video);
-  HttpClientConfig hcfg = config_.http_recovery;
-  // A prefetching player needs the transport to pipeline as deep as the
-  // player's in-flight window; never shrink an explicit wider setting.
-  hcfg.max_pipeline = std::max(hcfg.max_pipeline,
-                               config_.player.max_inflight_chunks);
-  client_ = std::make_unique<HttpClient>(loop, conn_->client(), hcfg);
-  if (telemetry) client_->set_telemetry(telemetry);
-
-  if (env.faults && !env.faults->empty()) {
-    injector_ = std::make_unique<FaultInjector>(loop, *env.faults);
-    // Faults attach to every path of the scenario — including the one a
-    // wifi-only connection leaves unused (the plan may still target it).
-    for (NetPath* p : fault_paths_) injector_->attach_path(p);
-    HttpServer& hs = server_->http();
+  if (faults != nullptr && !faults->empty()) {
+    injector_ = std::make_unique<FaultInjector>(loop, *faults);
+    // Faults address path ids, and the scenario's own views front the
+    // same links every tenant's views do.
+    for (NetPath* p : scenario.paths()) injector_->attach_path(p);
     FaultInjector::ServerHooks hooks;
-    hooks.set_stalled = [&hs](bool on) { hs.set_stalled(on); };
-    hooks.set_dropping = [&hs](bool on) { hs.set_dropping(on); };
+    hooks.set_stalled = [this](bool on) {
+      for (auto& t : tenants_) t->server->http().set_stalled(on);
+    };
+    hooks.set_dropping = [this](bool on) {
+      for (auto& t : tenants_) t->server->http().set_dropping(on);
+    };
     injector_->set_server_hooks(std::move(hooks));
     if (telemetry) injector_->set_telemetry(telemetry);
     injector_->arm();
   }
+}
 
-  adaptation_ = make_adaptation(config_.adaptation);
+StreamingRun::~StreamingRun() = default;
 
-  if (scheme_uses_mpdash(config_.scheme)) {
-    MpDashSocketConfig scfg;
-    scfg.scheduler.alpha = config_.alpha;
-    scfg.scheduler.enable_debounce_ticks = config_.debounce_ticks;
-    socket_ = std::make_unique<MpDashSocket>(loop, *conn_, scfg);
-    if (telemetry) socket_->set_telemetry(telemetry);
-    AdapterConfig acfg;
-    acfg.policy = config_.scheme == Scheme::kMpDashDuration
-                      ? DeadlinePolicy::kDurationBased
-                      : DeadlinePolicy::kRateBased;
-    adapter_ = std::make_unique<MpDashAdapter>(*socket_, *adaptation_, acfg);
+void StreamingRun::run(Duration time_limit, const WatchdogConfig& watchdog) {
+  EventLoop& loop = scenario_.loop();
+  // A tenant due now starts directly, with no join event. The later joins
+  // are scheduled first, so every event a start schedules orders after
+  // them, the order join events would give.
+  for (auto& t : tenants_) {
+    if (t->join > loop.now()) {
+      DashPlayer* player = t->player.get();
+      loop.schedule_at(t->join, [player] { player->start(); });
+    }
   }
-
-  player_ = std::make_unique<DashPlayer>(loop, *client_, *adaptation_,
-                                         config_.player, adapter_.get());
-  if (telemetry) player_->set_telemetry(telemetry);
-}
-
-StreamingSession::~StreamingSession() = default;
-
-void StreamingSession::start() { player_->start(); }
-
-void StreamingSession::set_done_callback(std::function<void()> cb) {
-  player_->set_done_callback(std::move(cb));
-}
-
-bool StreamingSession::done() const { return player_->done(); }
-
-Bytes StreamingSession::path_wire_bytes(int path_id) const {
-  for (const NetPath* p : fault_paths_) {
-    if (p->id() == path_id) return p->delivered_wire_bytes();
+  // Armed last so budget accounting starts at the run boundary; the RAII
+  // guard clears the loop's hook on every exit path, including the
+  // WatchdogTripped unwind itself.
+  RunWatchdog guard(loop, watchdog);
+  for (auto& t : tenants_) {
+    if (t->join <= loop.now()) t->player->start();
   }
-  return 0;
+  loop.run_until(TimePoint(time_limit));
 }
 
-SessionResult StreamingSession::collect() const {
-  const DashPlayer& player = *player_;
+SessionResult StreamingRun::collect(int tenant) const {
+  const Tenant& t = *tenants_[static_cast<std::size_t>(tenant)];
+  const DashPlayer& player = *t.player;
   SessionResult res;
   res.completed = player.done();
-  res.session_s = to_seconds(loop_.now());
-  if (player.done() && !player.events().empty()) {
-    res.session_s = to_seconds(player.events().back().at);
-  }
+  res.session_s =
+      to_seconds((res.completed ? t.finish : scenario_.loop().now()) - t.join);
+
+  res.wifi_bytes = t.wire_bytes(kWifiPathId);
+  res.cell_bytes = t.wire_bytes(kCellularPathId);
+  const Bytes total = res.wifi_bytes + res.cell_bytes;
+  res.cell_fraction = total > 0 ? static_cast<double>(res.cell_bytes) /
+                                      static_cast<double>(total)
+                                : 0.0;
 
   res.stalls = player.stall_count();
   res.stall_s = to_seconds(player.total_stall_time());
@@ -201,53 +276,45 @@ SessionResult StreamingSession::collect() const {
   res.chunk_log = player.chunks();
   res.events = player.events();
   res.chunks = static_cast<int>(res.chunk_log.size());
-  if (socket_) res.deadline_misses = socket_->deadline_misses();
-  if (adapter_) res.chunks_engaged = adapter_->chunks_engaged();
+  if (t.socket) res.deadline_misses = t.socket->deadline_misses();
+  if (t.adapter) res.chunks_engaged = t.adapter->chunks_engaged();
 
-  res.subflow_failures = static_cast<int>(conn_->server().subflow_failures() +
-                                          conn_->client().subflow_failures());
-  res.subflow_revivals = static_cast<int>(conn_->server().subflow_revivals() +
-                                          conn_->client().subflow_revivals());
+  MptcpConnection& conn = *t.conn;
+  res.subflow_failures = static_cast<int>(conn.server().subflow_failures() +
+                                          conn.client().subflow_failures());
+  res.subflow_revivals = static_cast<int>(conn.server().subflow_revivals() +
+                                          conn.client().subflow_revivals());
   res.reinjected_packets =
-      static_cast<int>(conn_->server().reinjected_packets() +
-                       conn_->client().reinjected_packets());
+      static_cast<int>(conn.server().reinjected_packets() +
+                       conn.client().reinjected_packets());
   res.reinject_backlog =
-      conn_->server().reinject_backlog() + conn_->client().reinject_backlog();
-  res.http_timeouts = static_cast<int>(client_->timeouts());
-  res.http_retries = static_cast<int>(client_->retries_sent());
+      conn.server().reinject_backlog() + conn.client().reinject_backlog();
+  res.http_timeouts = static_cast<int>(t.client->timeouts());
+  res.http_retries = static_cast<int>(t.client->retries_sent());
   res.chunk_retries = player.chunk_retries();
   res.chunks_abandoned = player.chunks_abandoned();
   res.manifest_failed = player.manifest_failed();
-  if (injector_) {
-    res.faults_started = injector_->faults_started();
-    res.faults_ended = injector_->faults_ended();
-    res.faults_skipped = injector_->faults_skipped();
-    res.faults_quiescent = injector_->quiescent();
-  }
-  res.server_data_seq_high = conn_->server().data_seq_high();
-  res.client_bytes_in_order = conn_->client().bytes_received_in_order();
-  res.client_data_seq_high = conn_->client().data_seq_high();
-  res.server_bytes_in_order = conn_->server().bytes_received_in_order();
+  res.server_data_seq_high = conn.server().data_seq_high();
+  res.client_bytes_in_order = conn.client().bytes_received_in_order();
+  res.client_data_seq_high = conn.client().data_seq_high();
+  res.server_bytes_in_order = conn.server().bytes_received_in_order();
 
   if (!res.chunk_log.empty() && player.video()) {
     const Video& v = *player.video();
-    double sum_all = 0.0, sum_steady = 0.0, sum_level = 0.0;
+    double sum_all = 0.0, sum_steady = 0.0;
     const std::size_t skip = static_cast<std::size_t>(
-        config_.steady_skip_fraction *
-        static_cast<double>(res.chunk_log.size()));
+        kSteadySkipFraction * static_cast<double>(res.chunk_log.size()));
     std::size_t steady_n = 0;
     for (std::size_t i = 0; i < res.chunk_log.size(); ++i) {
       const double mbps =
           v.level(res.chunk_log[i].level).avg_bitrate.as_mbps();
       sum_all += mbps;
-      sum_level += res.chunk_log[i].level;
       if (i >= skip) {
         sum_steady += mbps;
         ++steady_n;
       }
     }
     res.avg_bitrate_mbps = sum_all / static_cast<double>(res.chunk_log.size());
-    res.avg_level = sum_level / static_cast<double>(res.chunk_log.size());
     res.steady_avg_bitrate_mbps =
         steady_n > 0 ? sum_steady / static_cast<double>(steady_n) : 0.0;
   }
@@ -257,56 +324,39 @@ SessionResult StreamingSession::collect() const {
 SessionResult run_streaming_session(Scenario& scenario, const Video& video,
                                     const SessionConfig& config,
                                     const SessionEnv& env) {
-  EventLoop& loop = scenario.loop();
   Telemetry local_telemetry;
-  SessionEnv e = env;
-  if (!e.telemetry && (config.record_trace || e.metrics)) {
-    e.telemetry = &local_telemetry;
+  Telemetry* telemetry = env.telemetry;
+  if (!telemetry && (config.record_trace || env.metrics)) {
+    telemetry = &local_telemetry;
   }
   TraceCollector collector;
-  if (e.telemetry) {
-    if (config.record_trace) {
-      // The analyzer reconstructs HTTP framing from delivered payload.
-      e.telemetry->set_capture_payload(true);
-      e.telemetry->add_sink(&collector);
-    }
-    scenario.set_telemetry(e.telemetry);
+  const bool recording = telemetry != nullptr && config.record_trace;
+  if (recording) {
+    // The analyzer reconstructs HTTP framing from delivered payload.
+    telemetry->set_capture_payload(true);
+    telemetry->add_sink(&collector);
   }
+  const WiringGuard guard{scenario, telemetry, recording ? &collector : nullptr,
+                          telemetry == &local_telemetry};
 
-  StreamingSession session(loop, scenario.paths(), video, config, e);
-
-  bool done = false;
-  session.set_done_callback([&done] { done = true; });
-  EnergyProbe probe(scenario, done);
+  StreamingRun run(scenario, video, {RunTenant{config, kTimeZero, telemetry}},
+                   env.faults, telemetry);
+  EnergyProbe probe(scenario, run.finished());
   std::unique_ptr<MetricsSnapshotter> snapshotter;
-  if (e.telemetry && e.metrics) {
+  if (telemetry && env.metrics) {
     snapshotter = std::make_unique<MetricsSnapshotter>(
-        loop, *e.telemetry, *e.metrics, config.metrics_interval, done);
+        scenario.loop(), *telemetry, *env.metrics, config.metrics_interval,
+        run.finished());
   }
+  run.run(config.time_limit, config.watchdog);
 
-  // Armed last so budget accounting starts at the run boundary; the RAII
-  // guard clears the loop's hook on every exit path, including the
-  // WatchdogTripped unwind itself.
-  RunWatchdog watchdog(loop, config.watchdog);
-
-  session.start();
-  loop.run_until(TimePoint(config.time_limit));
-
-  SessionResult res = session.collect();
-  res.wifi_bytes = scenario.wifi_bytes();
-  res.cell_bytes = scenario.cellular_bytes();
-  const Bytes total = res.wifi_bytes + res.cell_bytes;
-  res.cell_fraction =
-      total > 0 ? static_cast<double>(res.cell_bytes) /
-                      static_cast<double>(total)
-                : 0.0;
-  if (config.record_trace && e.telemetry) {
-    e.telemetry->remove_sink(&collector);
-    res.trace = collector.take();
+  SessionResult res = run.collect(0);
+  if (const FaultInjector* injector = run.faults()) {
+    res.faults_started = injector->faults_started();
+    res.faults_skipped = injector->faults_skipped();
+    res.faults_quiescent = injector->quiescent();
   }
-  // The scenario (and its event loop) outlives this run; never leave it
-  // pointing at the internal context.
-  if (e.telemetry == &local_telemetry) scenario.set_telemetry(nullptr);
+  if (recording) res.trace = collector.take();
 
   const Duration horizon = seconds(res.session_s);
   const SessionEnergy energy = price_session(

@@ -1,10 +1,9 @@
 #pragma once
-// End-to-end experiment runners: a full DASH streaming session (the §7.3
-// evaluations) and a single deadline-aware file download (the §7.2
-// scheduler-only evaluations), each returning the metrics the paper
-// reports.
+// End-to-end experiment runners: StreamingRun, the run engine behind single
+// sessions and fleets; a full DASH streaming session (the §7.3 evaluations);
+// and a single deadline-aware file download (the §7.2 scheduler-only
+// evaluations), each returning the metrics the paper reports.
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,12 +18,7 @@
 namespace mpdash {
 
 struct FaultPlan;
-class MptcpConnection;
-class DashServer;
-class HttpClient;
 class FaultInjector;
-class MpDashSocket;
-class MpDashAdapter;
 
 enum class Scheme : std::uint8_t {
   kWifiOnly,         // single path (no MPTCP)
@@ -55,9 +49,6 @@ struct SessionConfig {
   // Snapshot cadence when SessionEnv::metrics is set.
   Duration metrics_interval = seconds(1.0);
   DeviceEnergyProfile device = galaxy_note();
-  // The paper reports statistics over the last 80% of chunks (steady
-  // state).
-  double steady_skip_fraction = 0.2;
 
   // --- robustness (all default off: seed-identical behavior) -----------
   // Transport recovery: subflow-failure detection + reinjection on both
@@ -101,7 +92,6 @@ struct SessionResult {
   int chunks = 0;
   double avg_bitrate_mbps = 0.0;         // all chunks
   double steady_avg_bitrate_mbps = 0.0;  // last 80 %
-  double avg_level = 0.0;
   int deadline_misses = 0;
   int chunks_engaged = 0;   // MP-DASH activated for these
 
@@ -124,7 +114,6 @@ struct SessionResult {
   int chunks_abandoned = 0;
   bool manifest_failed = false;
   int faults_started = 0;
-  int faults_ended = 0;
   int faults_skipped = 0;
   bool faults_quiescent = true;  // every fault window opened and closed
   // Byte accounting per direction: one past the highest connection-level
@@ -135,51 +124,65 @@ struct SessionResult {
   std::uint64_t server_bytes_in_order = 0;
 };
 
-// One session's full stack — MPTCP connection, DASH server, HTTP client,
-// optional fault injector, adaptation, MP-DASH socket/adapter, player —
-// constructed over borrowed paths on a borrowed loop. Extracted from
-// run_streaming_session so a fleet can host N of these on one EventLoop
-// (each over its own flow's views of the shared links). Construction order is part
-// of the determinism contract: event ids derive from scheduling order, so
-// the stack always wires up in the same sequence.
+// One tenant of a StreamingRun: the session its stack is built from, the
+// time its manifest fetch starts, and the context the stack instruments
+// into (borrowed; null = none). The time limit and watchdog are the run's
+// (StreamingRun::run), not the tenant's.
+struct RunTenant {
+  SessionConfig config;
+  TimePoint join = kTimeZero;
+  Telemetry* telemetry = nullptr;
+};
+
+// The one run engine: N >= 1 streaming tenants on one Scenario's event
+// loop. Tenant i runs the full session stack — MPTCP connection, DASH
+// server, HTTP client, adaptation, MP-DASH socket/adapter, player — over
+// its flow's for_flow(i) views of the scenario's paths. What is wired once
+// per run lives here: the fault plan, the joins, one watchdog, and the
+// collection of each tenant's counters. A single session is a one-tenant
+// run (run_streaming_session); a fleet is N tenants (exp/fleet.h).
 //
-// Scenario-level concerns (link telemetry, energy probe, metrics
-// snapshotter, watchdog, byte/energy accounting) stay with the caller.
-class StreamingSession {
+// Construction order is part of the determinism contract, since event ids
+// derive from scheduling order: the stacks build in tenant order and
+// schedule nothing, the plan arms next, observers a caller adds (energy
+// probe, metrics snapshotter) are built after the engine, and run() starts
+// the tenants.
+class StreamingRun {
  public:
-  StreamingSession(EventLoop& loop, std::vector<NetPath*> paths,
-                   const Video& video, const SessionConfig& config,
-                   const SessionEnv& env);
-  ~StreamingSession();
+  // `telemetry` (borrowed, optional) is the run's own context: the
+  // scenario's loop and links and the fault injector instrument into it.
+  // The plan (copied; null or empty = no faults) attaches to every path
+  // of the scenario, including one a wifi-only tenant leaves unused, and
+  // its server faults reach every tenant's origin.
+  StreamingRun(Scenario& scenario, const Video& video,
+               const std::vector<RunTenant>& tenants,
+               const FaultPlan* faults, Telemetry* telemetry);
+  ~StreamingRun();
 
-  StreamingSession(const StreamingSession&) = delete;
-  StreamingSession& operator=(const StreamingSession&) = delete;
+  StreamingRun(const StreamingRun&) = delete;
+  StreamingRun& operator=(const StreamingRun&) = delete;
 
-  // Kicks off the manifest fetch; callable immediately or from a scheduled
-  // join event (fleet staggering).
-  void start();
-  void set_done_callback(std::function<void()> cb);
-  bool done() const;
-  // For fleet-level fault hooks (server stall/drop toggles).
-  DashServer& dash_server() { return *server_; }
-  // This session's flow's wire bytes on the given path.
-  Bytes path_wire_bytes(int path_id) const;
-  // Everything session-local: player/transport/robustness counters and the
-  // steady-state bitrate stats. Byte/energy/trace fields are the caller's.
-  SessionResult collect() const;
+  // Flips true when the last tenant finishes playback.
+  const bool& finished() const { return finished_; }
+  // Starts the tenants due now, schedules the later joins, and runs the
+  // loop until `time_limit` under one watchdog: a tripped budget throws
+  // WatchdogTripped out of here.
+  void run(Duration time_limit, const WatchdogConfig& watchdog);
+  // The tenant's player, transport and robustness counters and its
+  // steady-state bitrate stats; session_s runs from its join, and the wire
+  // bytes are its own flow's. Fault counts are the run's (faults()).
+  SessionResult collect(int tenant) const;
+  // The run's fault injector; null without a plan.
+  const FaultInjector* faults() const { return injector_.get(); }
 
  private:
-  EventLoop& loop_;
-  SessionConfig config_;
-  std::vector<NetPath*> fault_paths_;
-  std::unique_ptr<MptcpConnection> conn_;
-  std::unique_ptr<DashServer> server_;
-  std::unique_ptr<HttpClient> client_;
+  struct Tenant;
+
+  Scenario& scenario_;
+  std::vector<std::unique_ptr<Tenant>> tenants_;
   std::unique_ptr<FaultInjector> injector_;
-  std::unique_ptr<RateAdaptation> adaptation_;
-  std::unique_ptr<MpDashSocket> socket_;
-  std::unique_ptr<MpDashAdapter> adapter_;
-  std::unique_ptr<DashPlayer> player_;
+  std::size_t done_ = 0;
+  bool finished_ = false;
 };
 
 SessionResult run_streaming_session(Scenario& scenario, const Video& video,

@@ -3,6 +3,7 @@
 #include "dash/video.h"
 #include "exp/scenario.h"
 #include "exp/session.h"
+#include "fault/fault.h"
 #include "trace/locations.h"
 
 namespace mpdash {
@@ -138,6 +139,68 @@ TEST(Session, LocationScenarioStreamsEndToEnd) {
   // 17.8 Mbps WiFi: beyond the vanilla startup phase, cellular stays
   // untouched; a 10-chunk clip is mostly startup, so allow that much.
   EXPECT_LT(res.cell_bytes, megabytes(2));
+}
+
+// --- the run contract ------------------------------------------------------
+
+TEST(Session, FaultPlanCoversPathsTheSessionLeavesUnused) {
+  // A wifi-only connection never touches LTE, but the plan attaches to
+  // every path of the scenario: the LTE blackout opens and closes instead
+  // of being skipped as untargetable.
+  Scenario sc(constant_scenario(DataRate::mbps(8.0), DataRate::mbps(6.0)));
+  FaultEvent e;
+  e.kind = FaultKind::kBlackout;
+  e.at = kTimeZero + seconds(5.0);
+  e.duration = seconds(2.0);
+  e.path_id = kCellularPathId;
+  FaultPlan plan;
+  plan.events.push_back(e);
+  SessionConfig cfg;
+  cfg.scheme = Scheme::kWifiOnly;
+  cfg.adaptation = "gpac";
+  SessionEnv env;
+  env.faults = &plan;
+  const SessionResult res = run_streaming_session(sc, tiny_video(), cfg, env);
+  ASSERT_TRUE(res.completed);
+  EXPECT_EQ(res.faults_started, 1);
+  EXPECT_EQ(res.faults_skipped, 0);
+  EXPECT_TRUE(res.faults_quiescent);
+  EXPECT_EQ(res.cell_bytes, 0);
+}
+
+TEST(StreamingRun, BuildingTheStacksSchedulesNothing) {
+  // The engine arms the fault plan after every tenant's stack, which keeps
+  // the plan's events first in scheduling order only because no stack
+  // constructor schedules an event. Pin that for every scheme.
+  for (const Scheme scheme : {Scheme::kWifiOnly, Scheme::kBaseline,
+                              Scheme::kMpDashDuration, Scheme::kMpDashRate}) {
+    Scenario sc(constant_scenario(DataRate::mbps(8.0), DataRate::mbps(6.0)));
+    RunTenant tenant;
+    tenant.config.scheme = scheme;
+    const StreamingRun run(sc, tiny_video(), {tenant, tenant}, nullptr,
+                           nullptr);
+    EXPECT_FALSE(sc.loop().has_pending()) << to_string(scheme);
+  }
+}
+
+TEST(Session, WatchdogTripDetachesTheTraceCollector) {
+  // record_trace adds a collector to the caller's context for the run.
+  // A watchdog trip unwinds the run; the collector must not stay behind
+  // as a dangling sink for the caller's next emit.
+  Scenario sc(constant_scenario(DataRate::mbps(8.0), DataRate::mbps(6.0)));
+  SessionConfig cfg;
+  cfg.adaptation = "gpac";
+  cfg.record_trace = true;
+  cfg.watchdog.max_sim_events = 5000;
+  cfg.watchdog.poll_interval = 1;
+  Telemetry telemetry;
+  SessionEnv env;
+  env.telemetry = &telemetry;
+  EXPECT_THROW(run_streaming_session(sc, tiny_video(), cfg, env),
+               WatchdogTripped);
+  EXPECT_FALSE(telemetry.tracing());
+  TraceRecord r;
+  telemetry.emit(r);  // reaches no sink, destroyed or otherwise
 }
 
 class SchedulerNames : public ::testing::TestWithParam<const char*> {};

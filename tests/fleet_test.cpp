@@ -186,6 +186,30 @@ TEST(Fleet, SharedFaultPlanPerturbsTheWholeFleet) {
   EXPECT_EQ(a.faults_skipped, 0);
 }
 
+TEST(Fleet, ServerFaultsReachEveryTenantsOrigin) {
+  // One origin stall from 8 s to 18 s: the plan's server hooks fan out to
+  // every tenant's origin, so every tenant stalls, where the same fleet
+  // without faults plays clean.
+  FaultEvent e;
+  e.kind = FaultKind::kServerStall;
+  e.at = kTimeZero + seconds(8.0);
+  e.duration = seconds(10.0);
+  FaultPlan plan;
+  plan.events.push_back(e);
+
+  FleetConfig cfg = small_fleet(3, 10);
+  const FleetResult calm = run_fleet(cfg);
+  cfg.faults = &plan;
+  const FleetResult stalled = run_fleet(cfg);
+  ASSERT_EQ(calm.sessions.size(), 3u);
+  ASSERT_EQ(stalled.sessions.size(), 3u);
+  EXPECT_EQ(stalled.faults_started, 1);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(calm.sessions[i].result.stall_s, 0.0) << "tenant " << i;
+    EXPECT_GT(stalled.sessions[i].result.stall_s, 0.0) << "tenant " << i;
+  }
+}
+
 TEST(Fleet, ChaosCampaignIsJobsInvariant) {
   FleetCampaignConfig cfg;
   cfg.fleet = small_fleet(3, 6);

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -104,10 +105,6 @@ int cmd_repro(const Args& a);
 int cmd_shrink(const Args& a);
 int cmd_locations(const Args& a);
 
-constexpr const char kNetworkUsage[] =
-    "  --wifi <mbps> | --wifi-trace <csv>   --lte <mbps> | --lte-trace <csv>\n"
-    "  --location <name from `locations`>\n";
-
 const CommandSpec kCommands[] = {
     {"stream", "one DASH streaming session, every knob on the command line",
      "  --scheme wifi-only|baseline|mpdash-rate|mpdash-duration\n"
@@ -135,6 +132,7 @@ const CommandSpec kCommands[] = {
     {"sweep", "baseline-vs-MP-DASH field-study campaign over all locations",
      "  --scheme mpdash-rate|mpdash-duration   --algo <name>\n"
      "  --video <name>  --chunk <seconds>  --alpha <(0,1]>\n"
+     "  --scheduler minrtt|roundrobin\n"
      "  --jobs <n>   campaign workers (default: hardware cores)\n"
      "  --csv <path>   per-location results\n",
      cmd_sweep},
@@ -155,7 +153,8 @@ const CommandSpec kCommands[] = {
      "  --sessions <n> (default 16)   --seed <base>   --seed-count <n> "
      "(default 1)\n"
      "  --jobs <n>   campaign workers (seeds run in parallel)\n"
-     "  --scheme <name>  --algo <name>   every tenant's session spec\n"
+     "  --scheme <name>  --algo <name>  --scheduler <name>  --alpha <(0,1]>\n"
+     "               every tenant's session spec\n"
      "  --mix scheme[:algo],scheme[:algo],...   cycled per tenant "
      "(overrides --scheme/--algo)\n"
      "  --discipline fifo|fq   shared-link arbitration (default fq)\n"
@@ -211,6 +210,21 @@ void print_command_usage(const CommandSpec& c, std::FILE* out) {
   std::exit(2);
 }
 
+// Whether the command's usage text lists `flag` as a whole token
+// (`--seed-count` does not list `--seed`), so that text stays the one
+// list of the flags each command takes.
+bool usage_lists(const CommandSpec& c, const std::string& flag) {
+  const std::string text = c.usage;
+  for (std::size_t at = text.find(flag); at != std::string::npos;
+       at = text.find(flag, at + 1)) {
+    const char next = text[at + flag.size()];  // '\0' past the end
+    if (!std::isalnum(static_cast<unsigned char>(next)) && next != '-') {
+      return true;
+    }
+  }
+  return false;
+}
+
 // Numeric flag values must be whole, finite tokens in the flag's range
 // (`want` names it): "abc", "3x" and "" are rejected, never read as a
 // prefix or as zero, and so is an out-of-range value.
@@ -256,6 +270,9 @@ Args parse(int argc, char** argv) {
       print_command_usage(*spec, stdout);
       std::exit(0);
     }
+    else if (flag.rfind("--", 0) == 0 && !usage_lists(*spec, flag))
+      usage(a.command + " takes no " + flag + " (see `mpdash_sim " +
+            a.command + " --help`)");
     else if (flag == "--scheme") a.scheme = value();
     else if (flag == "--algo") a.algo = value();
     else if (flag == "--video") a.video = value();
