@@ -62,55 +62,6 @@ void ablate_buffer(const Video& video) {
               "headroom, so savings drop but stalls stay at zero.\n\n");
 }
 
-// Algorithm 1 with swappable estimators, trace-driven (mirrors
-// simulate_online_two_path, but parameterized on the estimator).
-struct EstimatorRun {
-  double cell_fraction = 0.0;
-  bool missed = false;
-};
-
-EstimatorRun run_with_estimator(ThroughputEstimator& est,
-                                const BandwidthTrace& wifi,
-                                const BandwidthTrace& cell, Bytes target,
-                                Duration deadline) {
-  const Duration slot = milliseconds(50);
-  Bytes sent = 0, cell_bytes = 0;
-  bool enabled = false;
-  int streak = 0;
-  TimePoint t = kTimeZero;
-  const TimePoint due = TimePoint(deadline);
-  while (sent < target && t < due + TimePoint(seconds(600.0))) {
-    const TimePoint next = t + slot;
-    const bool late = t >= due;
-    const Bytes w = wifi.bytes_between(t, next);
-    sent += w;
-    if (enabled || late) {
-      const Bytes c = cell.bytes_between(t, next);
-      sent += c;
-      cell_bytes += c;
-    }
-    est.add_sample(rate_of(w, slot));
-    t = next;
-    if (sent >= target || late) continue;
-    const double budget = to_seconds(deadline) - to_seconds(t);
-    const double deliver = est.predict().bps() / 8.0 * budget;
-    const double remain = static_cast<double>(target - sent);
-    if (enabled && deliver > remain * 1.05) {
-      enabled = false;
-      streak = 0;
-    } else if (!enabled && deliver < remain * 0.95) {
-      if (++streak >= 2) {
-        enabled = true;
-        streak = 0;
-      }
-    } else {
-      streak = 0;
-    }
-  }
-  return {static_cast<double>(cell_bytes) / static_cast<double>(target),
-          t > due};
-}
-
 void ablate_estimator() {
   std::printf("--- ablation 3: throughput estimator inside Algorithm 1 ---\n");
   TextTable table({"profile", "Holt-Winters", "EWMA", "harmonic-20"});
@@ -119,15 +70,15 @@ void ablate_estimator() {
     const Duration horizon = deadline + seconds(120.0);
     const auto wifi = p.wifi_trace(horizon);
     const auto cell = p.cell_trace(horizon);
-    HoltWinters hw;
-    Ewma ewma(0.25);
-    HarmonicMean harm(20);
-    auto cellpct = [&](ThroughputEstimator& e) {
-      const EstimatorRun r =
-          run_with_estimator(e, wifi, cell, p.file_size, deadline);
-      return TextTable::pct(r.cell_fraction, 1) + (r.missed ? " MISS" : "");
+    auto cellpct = [&](std::unique_ptr<ThroughputEstimator> e) {
+      const OnlineSimResult r = simulate_online_two_path(
+          wifi, cell, p.file_size, deadline, {}, std::move(e));
+      return TextTable::pct(r.costly_fraction, 1) +
+             (r.deadline_missed ? " MISS" : "");
     };
-    table.add_row({p.name, cellpct(hw), cellpct(ewma), cellpct(harm)});
+    table.add_row({p.name, cellpct(std::make_unique<HoltWinters>()),
+                   cellpct(std::make_unique<Ewma>(0.25)),
+                   cellpct(std::make_unique<HarmonicMean>(20))});
   }
   std::printf("%s\n", table.render().c_str());
   std::printf("expected: HW (level+trend) tracks non-stationary WiFi "

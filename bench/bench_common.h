@@ -17,6 +17,7 @@
 #include "runner/campaign.h"
 #include "telemetry/trace_sink.h"
 #include "trace/locations.h"
+#include "util/json.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -114,9 +115,9 @@ inline std::string bench_snapshot_line(Telemetry& telemetry, Scheme scheme,
       current_bench_id().empty() ? "bench" : current_bench_id();
   const MetricsSnapshot snap =
       telemetry.metrics().snapshot(TimePoint(seconds(session_s)));
-  std::string out = "{\"bench\":\"" + json_escape(id) + "\",\"scheme\":\"" +
-                    to_string(scheme) + "\",\"adaptation\":\"" +
-                    json_escape(algo) + "\",\"snapshot\":" + snap.to_json();
+  std::string out = "{\"bench\":" + json_quote(id) + ",\"scheme\":\"" +
+                    to_string(scheme) + "\",\"adaptation\":" +
+                    json_quote(algo) + ",\"snapshot\":" + snap.to_json();
   if (series != nullptr) {
     out += ",\"series\":[";
     bool first = true;
@@ -153,10 +154,10 @@ inline void append_campaign_summary(const CampaignStats& stats) {
       current_bench_id().empty() ? "bench" : current_bench_id();
   char buf[256];
   std::snprintf(buf, sizeof buf,
-                "{\"bench\":\"%s\",\"campaign\":{\"runs\":%d,\"jobs\":%d,"
+                "{\"bench\":%s,\"campaign\":{\"runs\":%d,\"jobs\":%d,"
                 "\"failures\":%d,\"wall_s\":%.3f,\"serial_est_s\":%.3f,"
                 "\"speedup\":%.2f}}\n",
-                json_escape(id).c_str(), stats.runs, stats.jobs,
+                json_quote(id).c_str(), stats.runs, stats.jobs,
                 stats.failures, stats.wall_s, stats.run_wall_sum_s,
                 stats.speedup());
   append_bench_lines(buf);

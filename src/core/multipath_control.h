@@ -3,7 +3,8 @@
 //
 // Keeping Algorithm 1 behind this narrow interface means it can run
 // against the real MPTCP client endpoint (src/core/mpdash_socket.h), the
-// trace-driven simulator (bench_tab2), or test mocks, unchanged.
+// trace-driven simulator (src/core/online_simulator.h, which bench_tab2
+// and bench_ablation run), or test mocks, unchanged.
 
 #include <vector>
 

@@ -1,76 +1,72 @@
 #include "core/online_simulator.h"
 
-#include <stdexcept>
-
 namespace mpdash {
 
-OnlineSimResult simulate_online_two_path(const BandwidthTrace& preferred,
-                                         const BandwidthTrace& costly,
-                                         Bytes target, Duration deadline,
-                                         const OnlineSimConfig& config) {
-  if (target <= 0 || deadline <= kDurationZero) {
-    throw std::invalid_argument("target and deadline must be positive");
+namespace {
+
+// The two traces as Algorithm 1 sees them: path 0 is preferred (cost 0)
+// and always on, path 1 is costly (cost 1) and carries a slot's bytes
+// exactly when enabled; progress is what the slots have delivered, and
+// the preferred path's throughput is the estimator's prediction.
+struct TwoTraceControl final : MultipathControl {
+  explicit TwoTraceControl(const ThroughputEstimator& e) : estimator(e) {}
+
+  std::vector<ControlledPath> paths() const override {
+    return {{0, 0.0}, {1, 1.0}};
   }
-  OnlineSimResult res;
-  HoltWinters predictor(config.hw);
+  void set_path_enabled(int path_id, bool enabled) override {
+    if (path_id == 1) costly_enabled = enabled;
+  }
+  bool path_enabled(int path_id) const override {
+    return path_id == 0 || costly_enabled;
+  }
+  Bytes transferred_bytes() const override { return sent; }
+  // The costly path's rate would only size a third, costlier path.
+  DataRate path_throughput(int path_id) const override {
+    return path_id == 0 ? estimator.predict() : DataRate();
+  }
 
+  const ThroughputEstimator& estimator;
+  bool costly_enabled = false;
   Bytes sent = 0;
-  bool costly_enabled = false;  // Algorithm 1 line 3
-  int enable_streak = 0;
-  const TimePoint due = TimePoint(deadline);
+};
+
+}  // namespace
+
+OnlineSimResult simulate_online_two_path(
+    const BandwidthTrace& preferred, const BandwidthTrace& costly,
+    Bytes target, Duration deadline, const OnlineSimConfig& config,
+    std::unique_ptr<ThroughputEstimator> estimator) {
+  TwoTraceControl control(*estimator);
+  DeadlineScheduler scheduler(control, config.scheduler);
+  scheduler.begin(kTimeZero, target, deadline);  // Algorithm 1 line 3
+
+  OnlineSimResult res;
   TimePoint t = kTimeZero;
-  const double alpha_D = config.alpha * to_seconds(deadline);
-
   // Hard stop far past any sane deadline (zero-rate tails).
-  const TimePoint hard_stop = due + TimePoint(seconds(3600.0));
+  const TimePoint hard_stop = TimePoint(deadline) + seconds(3600.0);
 
-  while (sent < target && t < hard_stop) {
+  while (control.sent < target && t < hard_stop) {
     const TimePoint next = t + config.slot;
-    const bool past_deadline = t >= due;
+    const bool costly_enabled = control.costly_enabled;
 
     // Deliver this slot's bytes on the enabled paths.
     const Bytes pref_b = preferred.bytes_between(t, next);
-    sent += pref_b;
+    const Bytes cost_b = costly_enabled ? costly.bytes_between(t, next) : 0;
+    control.sent += pref_b + cost_b;
     res.preferred_bytes += pref_b;
-    Bytes cost_b = 0;
-    if (costly_enabled || past_deadline) {
-      cost_b = costly.bytes_between(t, next);
-      sent += cost_b;
-      res.costly_bytes += cost_b;
-    }
+    res.costly_bytes += cost_b;
 
     // Observe the preferred path's throughput (line 15).
-    predictor.add_sample(rate_of(pref_b, config.slot));
-    const DataRate r_pref = predictor.predict();
-
+    estimator->add_sample(rate_of(pref_b, config.slot));
     res.timeline.push_back(
-        {t, costly_enabled || past_deadline, pref_b, cost_b, r_pref});
+        {t, costly_enabled, pref_b, cost_b, estimator->predict()});
 
+    // Lines 16-21 at the slot boundary. Once the transfer is done or the
+    // deadline has passed the scheduler deactivates, leaving both paths
+    // on until the transfer drains.
     t = next;
-    if (sent >= target) break;
-
-    if (past_deadline) {
-      // Deactivated: both interfaces run until the transfer drains.
-      costly_enabled = true;
-      continue;
-    }
-    // Lines 16-21: compare deliverable preferred bytes against remainder,
-    // with the kernel scheduler's hysteresis + enable debounce.
-    const double budget_s = alpha_D - to_seconds(t);
-    const double deliverable = r_pref.bps() / 8.0 * std::max(budget_s, 0.0);
-    const double remaining = static_cast<double>(target - sent);
-    const double h = config.hysteresis;
-    if (costly_enabled && deliverable > remaining * (1.0 + h)) {
-      costly_enabled = false;  // line 17
-      enable_streak = 0;
-    } else if (!costly_enabled && deliverable < remaining * (1.0 - h)) {
-      if (++enable_streak >= config.enable_debounce_ticks) {
-        costly_enabled = true;  // line 20
-        enable_streak = 0;
-      }
-    } else {
-      enable_streak = 0;
-    }
+    scheduler.update(t);
   }
 
   res.finish_time = Duration(t);

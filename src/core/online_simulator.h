@@ -5,25 +5,24 @@
 // Unlike the packet-level stack, this simulator advances in fixed slots
 // (one RTT each), delivers exactly the trace's bytes on every enabled
 // path, and lets us compare the online algorithm against the
-// perfect-knowledge optimum on identical inputs.
+// perfect-knowledge optimum on identical inputs. Its enable/disable
+// decisions are the shipped DeadlineScheduler's, driven over the two
+// traces, so the packet-level runs and this study run one Algorithm 1.
 
+#include <memory>
 #include <vector>
 
+#include "core/deadline_scheduler.h"
 #include "predict/holt_winters.h"
 #include "trace/bandwidth_trace.h"
 
 namespace mpdash {
 
 struct OnlineSimConfig {
-  double alpha = 1.0;
+  // Alpha, hysteresis and enable debounce, with the packet-level
+  // defaults. Set hysteresis/debounce to 0/1 for the literal Algorithm 1.
+  DeadlineSchedulerConfig scheduler;
   Duration slot = milliseconds(50);  // paper: slot length = RTT
-  HoltWintersParams hw;
-  // Same damping the kernel scheduler applies (see
-  // DeadlineSchedulerConfig): relative hysteresis margin on the
-  // enable/disable inequality and consecutive-shortfall debounce before
-  // enabling the costly path. Set to 0/1 for the literal Algorithm 1.
-  double hysteresis = 0.05;
-  int enable_debounce_ticks = 2;
 };
 
 struct OnlineSimSlot {
@@ -47,9 +46,13 @@ struct OnlineSimResult {
 // Runs Algorithm 1 for an S-byte transfer due at `deadline` over two
 // paths. The costly path starts disabled; after a missed deadline both
 // paths run until completion (matching the paper's deactivation rule).
-OnlineSimResult simulate_online_two_path(const BandwidthTrace& preferred,
-                                         const BandwidthTrace& costly,
-                                         Bytes target, Duration deadline,
-                                         const OnlineSimConfig& config = {});
+// `estimator` predicts the preferred path's throughput from each slot's
+// delivery. Throws std::invalid_argument on a non-positive target or
+// deadline and on a config DeadlineScheduler rejects.
+OnlineSimResult simulate_online_two_path(
+    const BandwidthTrace& preferred, const BandwidthTrace& costly,
+    Bytes target, Duration deadline, const OnlineSimConfig& config = {},
+    std::unique_ptr<ThroughputEstimator> estimator =
+        std::make_unique<HoltWinters>());
 
 }  // namespace mpdash

@@ -50,12 +50,6 @@ class Telemetry {
         std::find(span_stack_.rbegin(), span_stack_.rend(), id);
     if (it != span_stack_.rend()) span_stack_.erase(std::next(it).base());
   }
-  // Legacy single-span interface: replaces the whole stack (0 clears it).
-  // Sequential call sites keep their exact pre-stack behavior.
-  void set_active_span(SpanId id) {
-    span_stack_.clear();
-    push_span(id);
-  }
   SpanId active_span() const {
     return span_stack_.empty() ? 0 : span_stack_.back();
   }

@@ -1,8 +1,9 @@
 #include "telemetry/trace_sink.h"
 
-#include <charconv>
 #include <cstdio>
 #include <cstring>
+
+#include "util/json.h"
 
 namespace mpdash {
 
@@ -76,53 +77,17 @@ void RingBufferSink::clear() {
   total_ = 0;
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-namespace {
-
-// Shortest decimal string that parses back to exactly `v`, so the JSONL
-// loader (src/analysis/trace_load) round-trips every double bit-for-bit.
-std::string fmt_double(double v) {
-  char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, res.ptr);
-}
-
-}  // namespace
-
+// Doubles go through json_double, whose shortest round-trip form lets the
+// JSONL loader (src/analysis/trace_load) recover every value bit-for-bit.
 std::string trace_record_to_json(const TraceRecord& r) {
-  std::string out = "{\"t\":" + fmt_double(to_seconds(r.at)) + ",\"type\":\"";
+  std::string out = "{\"t\":" + json_double(to_seconds(r.at)) + ",\"type\":\"";
   out += to_string(r.type);
   out += '"';
   auto num = [&out](const char* key, double v) {
     out += ",\"";
     out += key;
     out += "\":";
-    out += fmt_double(v);
+    out += json_double(v);
   };
   auto integer = [&out](const char* key, std::int64_t v) {
     out += ",\"";
@@ -156,7 +121,7 @@ std::string trace_record_to_json(const TraceRecord& r) {
       break;
     case TraceType::kSchedDecision:
       if (r.label) {
-        out += ",\"decision\":\"" + json_escape(r.label) + '"';
+        out += ",\"decision\":" + json_quote(r.label);
       }
       out += ",\"enabled\":";
       out += r.enabled ? "true" : "false";
@@ -169,7 +134,7 @@ std::string trace_record_to_json(const TraceRecord& r) {
       break;
     case TraceType::kPlayer:
       if (r.label) {
-        out += ",\"event\":\"" + json_escape(r.label) + '"';
+        out += ",\"event\":" + json_quote(r.label);
       }
       if (r.level >= 0) integer("level", r.level);
       if (r.chunk >= 0) integer("chunk", r.chunk);
@@ -178,7 +143,7 @@ std::string trace_record_to_json(const TraceRecord& r) {
       break;
     case TraceType::kFault:
       if (r.label) {
-        out += ",\"fault\":\"" + json_escape(r.label) + '"';
+        out += ",\"fault\":" + json_quote(r.label);
       }
       out += ",\"phase\":\"";
       out += r.enabled ? "start" : "end";
@@ -187,14 +152,14 @@ std::string trace_record_to_json(const TraceRecord& r) {
       break;
     case TraceType::kHttp:
       if (r.label) {
-        out += ",\"event\":\"" + json_escape(r.label) + '"';
+        out += ",\"event\":" + json_quote(r.label);
       }
       if (r.level >= 0) integer("attempt", r.level);
       num("value", r.value);
       break;
     case TraceType::kSpanStart:
       if (r.label) {
-        out += ",\"name\":\"" + json_escape(r.label) + '"';
+        out += ",\"name\":" + json_quote(r.label);
       }
       if (r.level >= 0) integer("level", r.level);
       if (r.chunk >= 0) integer("chunk", r.chunk);
@@ -203,7 +168,7 @@ std::string trace_record_to_json(const TraceRecord& r) {
       break;
     case TraceType::kSpanEnd:
       if (r.label) {
-        out += ",\"status\":\"" + json_escape(r.label) + '"';
+        out += ",\"status\":" + json_quote(r.label);
       }
       if (r.level >= 0) integer("level", r.level);
       if (r.chunk >= 0) integer("chunk", r.chunk);

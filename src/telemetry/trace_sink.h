@@ -191,7 +191,4 @@ class TypeFilterSink final : public TraceSink {
 // Renders one record as a single-line JSON object (no trailing newline).
 std::string trace_record_to_json(const TraceRecord& r);
 
-// JSON string escaping per RFC 8259 (quotes, backslash, control chars).
-std::string json_escape(std::string_view s);
-
 }  // namespace mpdash

@@ -72,7 +72,7 @@ TEST_P(AlphaMonotonicity, SmallerAlphaMoreCellular) {
   double prev_cell = -1.0;
   for (double alpha : {0.7, 0.85, 1.0}) {
     OnlineSimConfig cfg;
-    cfg.alpha = alpha;
+    cfg.scheduler.alpha = alpha;
     const auto res = simulate_online_two_path(wifi, cell, megabytes(5),
                                               seconds(10.0), cfg);
     if (prev_cell >= 0.0) {
@@ -91,6 +91,25 @@ TEST(OnlineSim, ValidatesInputs) {
                std::invalid_argument);
   EXPECT_THROW(simulate_online_two_path(t, t, 100, kDurationZero),
                std::invalid_argument);
+}
+
+// The simulator runs the shipped DeadlineScheduler, so it rejects the
+// configs the scheduler rejects instead of running them silently.
+TEST(OnlineSim, RejectsInvalidSchedulerConfig) {
+  const auto t = BandwidthTrace::constant(DataRate::mbps(1.0));
+  for (double alpha : {0.0, 1.5, -1.0}) {
+    OnlineSimConfig cfg;
+    cfg.scheduler.alpha = alpha;
+    EXPECT_THROW(simulate_online_two_path(t, t, megabytes(1), seconds(10.0),
+                                          cfg),
+                 std::invalid_argument)
+        << "alpha " << alpha;
+  }
+  OnlineSimConfig cfg;
+  cfg.scheduler.hysteresis = -0.5;
+  EXPECT_THROW(
+      simulate_online_two_path(t, t, megabytes(1), seconds(10.0), cfg),
+      std::invalid_argument);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "telemetry/prometheus.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace_sink.h"
+#include "util/json.h"
 
 namespace mpdash {
 namespace {
@@ -154,11 +155,11 @@ TEST(TraceSink, RingBufferBelowCapacityReturnsAll) {
 }
 
 TEST(TraceSink, JsonEscaping) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
-  EXPECT_EQ(json_escape(std::string("nul\x01") ), "nul\\u0001");
+  EXPECT_EQ(json_quote("plain"), "\"plain\"");
+  EXPECT_EQ(json_quote("a\"b"), "\"a\\\"b\"");
+  EXPECT_EQ(json_quote("a\\b"), "\"a\\\\b\"");
+  EXPECT_EQ(json_quote("line\nbreak\ttab"), "\"line\\nbreak\\ttab\"");
+  EXPECT_EQ(json_quote(std::string("nul\x01")), "\"nul\\u0001\"");
 }
 
 TEST(TraceSink, RecordToJsonCarriesTypedFields) {

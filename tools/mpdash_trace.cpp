@@ -22,9 +22,11 @@
 //   mpdash_trace rollup chaos.jsonl.* --csv roll.csv
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -61,9 +63,12 @@ void print_usage(std::FILE* out) {
                "  --csv <path>         analyze: one CSV row per span; "
                "rollup: per-seed\n"
                "                       per-cause miss rates\n"
-               "  --preferred-path <n> Algorithm 1's always-on path "
-               "(default 0 = WiFi)\n"
-               "  --width <cols>       waterfall/flame width (default 72)\n"
+               "  --preferred-path <n> Algorithm 1's always-on path, an "
+               "integer >= 0\n"
+               "                       (default 0 = WiFi)\n"
+               "  --width <cols>       waterfall/flame width, an integer in "
+               "[20, 1000]\n"
+               "                       (default 72)\n"
                "  -h, --help           this text (exit 0)\n");
 }
 
@@ -71,6 +76,19 @@ void print_usage(std::FILE* out) {
   std::fprintf(stderr, "error: %s\n\n", msg.c_str());
   print_usage(stderr);
   std::exit(2);
+}
+
+// Integer flag values must be whole tokens in [lo, hi]: "x", "3x", "" and
+// out-of-range values exit 2 instead of being read as a prefix or as 0.
+int parse_int(const std::string& flag, const std::string& text, int lo,
+              int hi) {
+  int v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < lo || v > hi) {
+    usage_error("bad " + flag + " value '" + text + "'");
+  }
+  return v;
 }
 
 Args parse(int argc, char** argv) {
@@ -88,9 +106,10 @@ Args parse(int argc, char** argv) {
     } else if (arg == "--csv") {
       a.csv_path = next();
     } else if (arg == "--preferred-path") {
-      a.preferred_path = std::atoi(next().c_str());
+      a.preferred_path =
+          parse_int(arg, next(), 0, std::numeric_limits<int>::max());
     } else if (arg == "--width") {
-      a.width = std::max(10, std::atoi(next().c_str()));
+      a.width = parse_int(arg, next(), 20, 1000);
     } else if (arg == "--help" || arg == "-h") {
       // Explicit help is a success, not a usage error.
       print_usage(stdout);
