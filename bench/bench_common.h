@@ -60,16 +60,6 @@ inline Video bench_video(Video (*preset)(Duration) = big_buck_bunny,
                42);
 }
 
-inline ScenarioConfig location_scenario(const LocationProfile& loc,
-                                        Duration horizon) {
-  ScenarioConfig cfg;
-  cfg.wifi_down = loc.wifi_trace(horizon);
-  cfg.lte_down = loc.lte_trace(horizon);
-  cfg.wifi_rtt = loc.wifi_rtt;
-  cfg.lte_rtt = loc.lte_rtt;
-  return cfg;
-}
-
 // Bench id registered by print_header(); names the BENCH_<id>.json file.
 inline std::string& current_bench_id() {
   static std::string id;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "util/csv.h"
 
 namespace mpdash::bench {
 
@@ -115,12 +116,9 @@ inline std::vector<LocationOutcome> run_field_study(
     // artifact is bitwise identical for any job count.
     std::string rows(kAttribSeriesHeader);
     for (const Cell& cell : res.results) rows += cell.attrib;
-    std::FILE* f = std::fopen(attrib_path, "w");
-    if (f != nullptr) {
-      std::fwrite(rows.data(), 1, rows.size(), f);
-      std::fclose(f);
-      // stderr, like the progress lines: stdout must stay bitwise
-      // identical across runs that write to differently named files.
+    // stderr, like the progress lines: stdout must stay bitwise identical
+    // across runs that write to differently named files.
+    if (write_file(attrib_path, rows)) {
       std::fprintf(stderr, "attribution series written to %s\n", attrib_path);
     } else {
       std::fprintf(stderr, "cannot write %s\n", attrib_path);

@@ -7,13 +7,13 @@
 // Usage: analyze_trace [scheme: baseline|rate|duration] [events.csv]
 
 #include <cstdio>
-#include <fstream>
 
 #include "analysis/analyzer.h"
 #include "analysis/render.h"
 #include "dash/video.h"
 #include "exp/scenario.h"
 #include "exp/session.h"
+#include "util/csv.h"
 
 using namespace mpdash;
 
@@ -62,8 +62,10 @@ int main(int argc, char** argv) {
               report.energy.lte.total_j());
 
   if (argc > 2) {
-    std::ofstream out(argv[2]);
-    out << event_log_to_csv(res.events);
+    if (!write_file(argv[2], event_log_to_csv(res.events))) {
+      std::fprintf(stderr, "cannot write %s\n", argv[2]);
+      return 1;
+    }
     std::printf("event log written to %s\n", argv[2]);
   }
   return 0;

@@ -53,12 +53,7 @@ int main(int argc, char** argv) {
   for (const auto& loc : locations) {
     campaign.add(loc.name + "/" + algo, [&loc, &video, &algo,
                                          horizon](RunContext&) {
-      ScenarioConfig net;
-      net.wifi_down = loc.wifi_trace(horizon);
-      net.lte_down = loc.lte_trace(horizon);
-      net.wifi_rtt = loc.wifi_rtt;
-      net.lte_rtt = loc.lte_rtt;
-
+      const ScenarioConfig net = location_scenario(loc, horizon);
       SessionConfig cfg;
       cfg.adaptation = algo;
       Pair pair;

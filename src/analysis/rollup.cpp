@@ -1,23 +1,18 @@
 #include "analysis/rollup.h"
 
-#include <charconv>
+#include <cstdlib>
 #include <map>
 
 #include "util/csv.h"
+#include "util/json.h"
 
 namespace mpdash {
-
-std::string shortest_double(double v) {
-  char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, res.ptr);
-}
 
 namespace {
 
 std::string cell(const std::string& s) { return CsvWriter::escape(s); }
 
-std::string num(double v) { return shortest_double(v); }
+std::string num(double v) { return json_double(v); }
 
 std::string num(long long v) { return std::to_string(v); }
 
@@ -79,6 +74,18 @@ std::string rollup_source_key(const std::string& path) {
   return base;
 }
 
+bool rollup_key_less(const std::string& a, const std::string& b) {
+  const bool na = a.find_first_not_of("0123456789") == std::string::npos;
+  const bool nb = b.find_first_not_of("0123456789") == std::string::npos;
+  if (na != nb) return na;  // numeric seeds first
+  if (na) {
+    const unsigned long long va = std::strtoull(a.c_str(), nullptr, 10);
+    const unsigned long long vb = std::strtoull(b.c_str(), nullptr, 10);
+    if (va != vb) return va < vb;
+  }
+  return a < b;
+}
+
 RollupRow rollup_span_model(const SpanModel& model, std::string key) {
   RollupRow row;
   row.key = std::move(key);
@@ -93,6 +100,22 @@ const char kRollupCsvHeader[] =
     "scheduler_late,bandwidth_shortfall,unknown,fault_blackout_rate,"
     "retry_backoff_rate,scheduler_late_rate,bandwidth_shortfall_rate,"
     "unknown_rate\n";
+
+RollupRow rollup_total(const std::vector<RollupRow>& rows) {
+  RollupRow total;
+  total.key = "total";
+  for (const MissCause c : kMissCausePrecedence) total.counts.emplace_back(c, 0);
+  for (const RollupRow& row : rows) {
+    total.spans += row.spans;
+    total.misses += row.misses;
+    for (auto& [cause, count] : total.counts) {
+      count += count_for(row.counts, cause);
+    }
+  }
+  return total;
+}
+
+namespace {
 
 std::string rollup_row_csv(const RollupRow& row) {
   std::string out = cell(row.key);
@@ -113,20 +136,12 @@ std::string rollup_row_csv(const RollupRow& row) {
   return out;
 }
 
+}  // namespace
+
 std::string rollup_to_csv(const std::vector<RollupRow>& rows) {
   std::string out = kRollupCsvHeader;
-  RollupRow total;
-  total.key = "total";
-  for (const MissCause c : kMissCausePrecedence) total.counts.emplace_back(c, 0);
-  for (const RollupRow& row : rows) {
-    out += rollup_row_csv(row);
-    total.spans += row.spans;
-    total.misses += row.misses;
-    for (auto& [cause, count] : total.counts) {
-      count += count_for(row.counts, cause);
-    }
-  }
-  out += rollup_row_csv(total);
+  for (const RollupRow& row : rows) out += rollup_row_csv(row);
+  out += rollup_row_csv(rollup_total(rows));
   return out;
 }
 

@@ -6,10 +6,10 @@
 // RFC-4180 per-span CSV export shared by `mpdash_trace --csv`, and of the
 // time-bucketed attribution series the field benches emit per location.
 //
-// Every formatter here renders doubles with the shortest round-trip
-// representation (same contract as the JSONL writer), so CSV artifacts
-// never lose precision against the trace they came from, and walks causes
-// in kMissCausePrecedence order so row/column ordering is deterministic.
+// Every formatter here renders doubles with json_double, the JSONL
+// writer's shortest round-trip form, so CSV artifacts never lose precision
+// against the trace they came from, and walks causes in
+// kMissCausePrecedence order so row/column ordering is deterministic.
 
 #include <cstdint>
 #include <string>
@@ -18,10 +18,6 @@
 #include "analysis/spans.h"
 
 namespace mpdash {
-
-// Shortest decimal string that parses back to exactly `v` — the CSV
-// counterpart of the JSONL writer's number formatting.
-std::string shortest_double(double v);
 
 // One CSV row per span (RFC-4180 quoting: labels carrying commas/quotes
 // survive round-trips through parse_csv). Includes the overlap-aware
@@ -49,14 +45,22 @@ struct RollupRow {
 // compare bitwise. Anything else keys by basename.
 std::string rollup_source_key(const std::string& path);
 
+// The one roll-up row order: numeric keys (seeds) first, in numeric
+// order, then the rest in byte order. `mpdash_trace rollup` sorts its
+// inputs by it and `mpdash_sim chaos --attrib` its rows, so the two routes
+// to a campaign's roll-up give the same bytes.
+bool rollup_key_less(const std::string& a, const std::string& b);
+
 // Collapses one attributed span model into its roll-up row.
 RollupRow rollup_span_model(const SpanModel& model, std::string key);
 
-// Renders rows in input order plus a trailing "total" row. Columns:
-// key, span/miss counts, overall miss rate, then per-cause counts and
-// per-cause miss rates in precedence order.
+// The "total" row: every row's spans, misses and per-cause counts summed.
+RollupRow rollup_total(const std::vector<RollupRow>& rows);
+
+// Renders rows in input order plus the trailing rollup_total row.
+// Columns: key, span/miss counts, overall miss rate, then per-cause counts
+// and per-cause miss rates in precedence order.
 extern const char kRollupCsvHeader[];  // includes the trailing newline
-std::string rollup_row_csv(const RollupRow& row);
 std::string rollup_to_csv(const std::vector<RollupRow>& rows);
 
 // Time-bucketed attribution series: for every `bucket_s` slice of the

@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iterator>
-#include <memory>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -259,18 +259,13 @@ ChaosRunResult run_chaos_single(const ChaosConfig& cfg, const Video& video,
 
   // Per-run trace capture: sinks attach to the run-private telemetry, so
   // any --jobs interleaving writes each file from exactly one thread.
-  std::unique_ptr<JsonlSink> jsonl;
-  std::unique_ptr<TypeFilterSink> filter;
+  std::string trace_path;
+  std::optional<JsonlSink> jsonl;
   if (!cfg.trace_path.empty()) {
-    std::string path = cfg.trace_path;
-    if (cfg.seed_count > 1) path += "." + std::to_string(seed);
-    jsonl = std::make_unique<JsonlSink>(path);
-    if (cfg.trace_types != ~0u) {
-      filter = std::make_unique<TypeFilterSink>(jsonl.get(), cfg.trace_types);
-      telemetry.add_sink(filter.get());
-    } else {
-      telemetry.add_sink(jsonl.get());
-    }
+    trace_path = cfg.trace_path;
+    if (cfg.seed_count > 1) trace_path += "." + std::to_string(seed);
+    jsonl.emplace(trace_path, cfg.trace_types);
+    telemetry.add_sink(&*jsonl);
   }
 
   if (cfg.pre_session_hook) cfg.pre_session_hook(scenario.loop(), seed);
@@ -291,10 +286,15 @@ ChaosRunResult run_chaos_single(const ChaosConfig& cfg, const Video& video,
   }
 
   telemetry.remove_sink(&pipeline_filter);
-  if (filter) {
-    telemetry.remove_sink(filter.get());
-  } else if (jsonl) {
-    telemetry.remove_sink(jsonl.get());
+  if (jsonl) {
+    telemetry.remove_sink(&*jsonl);
+    // A trace is an artifact, not an invariant: report it the way
+    // emit_repro_bundle reports a bundle, and keep the run's outcome.
+    if (!jsonl->close()) {
+      std::fprintf(stderr, "chaos: trace for seed %llu not written: "
+                   "cannot write %s\n",
+                   static_cast<unsigned long long>(seed), trace_path.c_str());
+    }
   }
 
   if (hung) return out;

@@ -73,7 +73,8 @@ struct ChaosConfig {
   Duration series_interval = kDurationZero;
   // Per-run JSONL trace capture; empty disables. With more than one seed
   // each run writes `<trace_path>.<seed>`. `trace_types` filters the
-  // stream (parse_trace_types mask; default = everything).
+  // stream (parse_trace_types mask; default = everything). A trace that
+  // fails to write is reported on stderr; the run's outcome stands.
   std::string trace_path;
   std::uint32_t trace_types = ~0u;
   // Per-run deadline-miss attribution: widens the in-process capture to

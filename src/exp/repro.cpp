@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "fault/fault_json.h"
+#include "util/csv.h"
 #include "util/json.h"
 
 namespace mpdash {
@@ -353,32 +354,20 @@ bool write_repro_bundle(const ReproBundle& b, const std::string& path,
   if (p.has_parent_path()) {
     std::error_code ec;
     std::filesystem::create_directories(p.parent_path(), ec);
-    // A pre-existing directory is fine; a real failure surfaces at fopen.
+    // A pre-existing directory is fine; a real failure surfaces at open.
   }
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    if (error) *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  const std::string text = repro_bundle_to_json(b);
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  std::fclose(f);
-  if (!ok && error) *error = "short write to " + path;
-  return ok;
+  if (write_file(path, repro_bundle_to_json(b))) return true;
+  if (error) *error = "cannot write " + path;
+  return false;
 }
 
 bool load_repro_bundle(const std::string& path, ReproBundle* out,
                        std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+  std::string text;
+  if (!read_file(path, &text)) {
     if (error) *error = "cannot open " + path;
     return false;
   }
-  std::string text;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
   return repro_bundle_from_json(text, out, error);
 }
 

@@ -58,7 +58,8 @@ std::string repro_bundle_to_json(const ReproBundle& b);
 bool repro_bundle_from_json(const std::string& text, ReproBundle* out,
                             std::string* error);
 
-// File I/O. write_ creates the parent directory on demand.
+// File I/O through util's write_file/read_file. write_ creates the parent
+// directory on demand.
 bool write_repro_bundle(const ReproBundle& b, const std::string& path,
                         std::string* error);
 bool load_repro_bundle(const std::string& path, ReproBundle* out,

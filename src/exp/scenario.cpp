@@ -1,11 +1,23 @@
 #include "exp/scenario.h"
 
+#include "trace/locations.h"
+
 namespace mpdash {
 
 ScenarioConfig constant_scenario(DataRate wifi_mbps, DataRate lte_mbps) {
   ScenarioConfig cfg;
   cfg.wifi_down = BandwidthTrace::constant(wifi_mbps);
   cfg.lte_down = BandwidthTrace::constant(lte_mbps);
+  return cfg;
+}
+
+ScenarioConfig location_scenario(const LocationProfile& loc,
+                                 Duration horizon) {
+  ScenarioConfig cfg;
+  cfg.wifi_down = loc.wifi_trace(horizon);
+  cfg.lte_down = loc.lte_trace(horizon);
+  cfg.wifi_rtt = loc.wifi_rtt;
+  cfg.lte_rtt = loc.lte_rtt;
   return cfg;
 }
 

@@ -14,6 +14,8 @@
 
 namespace mpdash {
 
+struct LocationProfile;
+
 inline constexpr int kWifiPathId = 0;
 inline constexpr int kCellularPathId = 1;
 
@@ -45,6 +47,9 @@ struct ScenarioConfig {
 
 // Convenience constructors for common setups.
 ScenarioConfig constant_scenario(DataRate wifi_mbps, DataRate lte_mbps);
+// A field-study location's WiFi and LTE traces over `horizon`, and RTTs.
+ScenarioConfig location_scenario(const LocationProfile& loc,
+                                 Duration horizon);
 
 // Owns the event loop, the links and the LTE shaper for one experiment
 // run. Path i has downlink id 2·i and uplink id 2·i + 1, named

@@ -1,8 +1,12 @@
 #include "telemetry/trace_sink.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <mutex>
+#include <unordered_set>
 
+#include "util/csv.h"
 #include "util/json.h"
 
 namespace mpdash {
@@ -24,6 +28,21 @@ const char* to_string(TraceType t) {
   return "unknown";
 }
 
+namespace {
+
+// Inverse of to_string(TraceType); false on an unknown name.
+bool trace_type_from_string(std::string_view name, TraceType* out) {
+  for (int i = 0; i < kTraceTypeCount; ++i) {
+    if (name == to_string(static_cast<TraceType>(i))) {
+      *out = static_cast<TraceType>(i);
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
 bool parse_trace_types(std::string_view spec, std::uint32_t* mask) {
   std::uint32_t out = 0;
   while (!spec.empty()) {
@@ -34,15 +53,9 @@ bool parse_trace_types(std::string_view spec, std::uint32_t* mask) {
     while (!name.empty() && name.front() == ' ') name.remove_prefix(1);
     while (!name.empty() && name.back() == ' ') name.remove_suffix(1);
     if (name.empty()) continue;
-    bool found = false;
-    for (int i = 0; i < kTraceTypeCount; ++i) {
-      if (name == to_string(static_cast<TraceType>(i))) {
-        out |= 1u << static_cast<unsigned>(i);
-        found = true;
-        break;
-      }
-    }
-    if (!found) return false;
+    TraceType type;
+    if (!trace_type_from_string(name, &type)) return false;
+    out |= 1u << static_cast<unsigned>(type);
   }
   *mask = out;
   return true;
@@ -77,8 +90,8 @@ void RingBufferSink::clear() {
   total_ = 0;
 }
 
-// Doubles go through json_double, whose shortest round-trip form lets the
-// JSONL loader (src/analysis/trace_load) recover every value bit-for-bit.
+// Doubles go through json_double, whose shortest round-trip form lets
+// load_trace_jsonl recover every value bit-for-bit.
 std::string trace_record_to_json(const TraceRecord& r) {
   std::string out = "{\"t\":" + json_double(to_seconds(r.at)) + ",\"type\":\"";
   out += to_string(r.type);
@@ -180,19 +193,193 @@ std::string trace_record_to_json(const TraceRecord& r) {
   return out;
 }
 
-JsonlSink::JsonlSink(const std::string& path)
-    : file_(std::fopen(path.c_str(), "w")) {}
+JsonlSink::JsonlSink(const std::string& path, std::uint32_t types)
+    : file_(std::fopen(path.c_str(), "w")), types_(types) {}
 
-JsonlSink::~JsonlSink() {
-  if (file_) std::fclose(file_);
-}
+JsonlSink::~JsonlSink() { close(); }
 
 void JsonlSink::on_record(const TraceRecord& r) {
-  if (!file_) return;
-  const std::string line = trace_record_to_json(r);
-  std::fwrite(line.data(), 1, line.size(), file_);
-  std::fputc('\n', file_);
-  ++written_;
+  if (file_ == nullptr || failed_ ||
+      (types_ & (1u << static_cast<unsigned>(r.type))) == 0) {
+    return;
+  }
+  std::string line = trace_record_to_json(r);
+  line += '\n';
+  failed_ = std::fwrite(line.data(), 1, line.size(), file_) != line.size();
+  if (!failed_) ++written_;
+}
+
+bool JsonlSink::close() {
+  if (file_ == nullptr) return false;
+  const bool closed = std::fclose(file_) == 0;
+  file_ = nullptr;
+  return closed && !failed_;
+}
+
+const char* intern_trace_label(std::string_view label) {
+  // A leaked pool: unordered_set never moves its nodes, so every c_str
+  // stays valid for the process lifetime.
+  static std::mutex mu;
+  static auto* pool = new std::unordered_set<std::string>();
+  std::lock_guard<std::mutex> lock(mu);
+  return pool->emplace(label).first->c_str();
+}
+
+namespace {
+
+// An integer field takes a whole literal the field's type can hold: a
+// fraction, an exponent, a sign it cannot carry or an overflow is
+// malformed input, never a cast.
+template <typename T>
+bool read_integer(const JsonValue& v, T* out) {
+  const char* end = v.number.data() + v.number.size();
+  const auto res = std::from_chars(v.number.data(), end, *out);
+  return res.ec == std::errc() && res.ptr == end;
+}
+
+bool record_from_json(const JsonValue& doc, TraceRecord* out,
+                      std::string* err) {
+  auto fail = [err](const std::string& msg) {
+    if (err) *err = msg;
+    return false;
+  };
+  if (!doc.is_object()) return fail("record is not a JSON object");
+  TraceRecord r;
+  const std::string* type_name = nullptr;
+  const std::string* kind = nullptr;
+  const std::string* phase = nullptr;
+  const std::string* label = nullptr;
+  bool retx = false;
+  for (const auto& [key, v] : doc.members) {
+    if (v.is_string()) {
+      if (key == "type") {
+        type_name = &v.str;
+      } else if (key == "kind") {
+        kind = &v.str;
+      } else if (key == "phase") {
+        phase = &v.str;
+      } else if (key == "decision" || key == "event" || key == "fault" ||
+                 key == "name" || key == "status") {
+        label = &v.str;
+      } else if (key != "dir") {  // dir is derived from the link id
+        return fail("unknown string key '" + key + "'");
+      }
+      continue;
+    }
+    if (v.is_bool()) {
+      if (key == "retx") {
+        retx = v.boolean;
+      } else if (key == "enabled") {
+        r.enabled = v.boolean;
+      } else {
+        return fail("unknown boolean key '" + key + "'");
+      }
+      continue;
+    }
+    if (!v.is_number()) {
+      return fail("key '" + key + "' holds no string, number or boolean");
+    }
+    bool ok = true;
+    if (key == "t") {
+      // to_seconds() divides the integer nanosecond count by 1e9; with
+      // shortest-round-trip doubles the rescale is exact for any
+      // session-scale time, so llround restores the count bit-for-bit.
+      const double ns = v.as_double() * 1e9;
+      ok = std::fabs(ns) < 9e18;
+      if (ok) r.at = TimePoint(Duration(std::llround(ns)));
+    } else if (key == "span") {
+      ok = read_integer(v, &r.span);
+    } else if (key == "path") {
+      ok = read_integer(v, &r.path_id);
+    } else if (key == "link") {
+      ok = read_integer(v, &r.link_id);
+    } else if (key == "wire") {
+      ok = read_integer(v, &r.wire_size);
+    } else if (key == "payload") {
+      ok = read_integer(v, &r.payload_len);
+    } else if (key == "seq") {
+      ok = read_integer(v, &r.data_seq);
+    } else if (key == "mask") {
+      ok = read_integer(v, &r.mask);
+    } else if (key == "level" || key == "attempt") {
+      ok = read_integer(v, &r.level);
+    } else if (key == "chunk") {
+      ok = read_integer(v, &r.chunk);
+    } else if (key == "bytes") {
+      ok = read_integer(v, &r.bytes);
+    } else if (key == "cwnd") {
+      r.cwnd = v.as_double();
+    } else if (key == "ssthresh") {
+      r.ssthresh = v.as_double();
+    } else if (key == "srtt_ms") {
+      r.srtt_ms = v.as_double();
+    } else if (key == "budget_s") {
+      r.budget_s = v.as_double();
+    } else if (key == "deliverable") {
+      r.deliverable_bytes = v.as_double();
+    } else if (key == "remaining") {
+      r.remaining_bytes = v.as_double();
+    } else if (key == "value" || key == "deadline_s" || key == "elapsed_s") {
+      r.value = v.as_double();
+    } else {
+      return fail("unknown numeric key '" + key + "'");
+    }
+    if (!ok) return fail("bad '" + key + "' value " + v.number);
+  }
+
+  if (type_name == nullptr) return fail("record has no type");
+  if (!trace_type_from_string(*type_name, &r.type)) {
+    return fail("unknown record type '" + *type_name + "'");
+  }
+  if (r.is_packet()) {
+    r.kind = kind != nullptr && *kind == "ack" ? PacketKind::kAck
+                                               : PacketKind::kData;
+    r.retransmit = retx;
+  }
+  if (r.type == TraceType::kFault && phase != nullptr) {
+    r.enabled = *phase == "start";
+  }
+  if (label != nullptr && !label->empty()) {
+    r.label = intern_trace_label(*label);
+  }
+  *out = std::move(r);
+  return true;
+}
+
+}  // namespace
+
+bool trace_record_from_json(std::string_view line, TraceRecord* out,
+                            std::string* err) {
+  JsonValue doc;
+  return json_parse(line, &doc, err) && record_from_json(doc, out, err);
+}
+
+bool load_trace_jsonl(const std::string& path, std::vector<TraceRecord>* out,
+                      std::string* err) {
+  std::string text;
+  if (!read_file(path, &text)) {
+    if (err) *err = "cannot open " + path;
+    return false;
+  }
+  JsonValue doc;  // one value for the whole file, reset in place per line
+  std::size_t line_no = 0;
+  for (std::size_t pos = 0; pos < text.size();) {
+    std::size_t nl = text.find('\n', pos);
+    if (nl == std::string::npos) nl = text.size();
+    const std::string_view line(text.data() + pos, nl - pos);
+    pos = nl + 1;
+    ++line_no;
+    if (line.empty()) continue;
+    TraceRecord r;
+    std::string line_err;
+    if (!json_parse(line, &doc, &line_err) ||
+        !record_from_json(doc, &r, &line_err)) {
+      if (err) *err = path + ":" + std::to_string(line_no) + ": " + line_err;
+      return false;
+    }
+    out->push_back(std::move(r));
+  }
+  return true;
 }
 
 }  // namespace mpdash

@@ -14,6 +14,8 @@
 //   * JsonlSink — streams one JSON object per line to a file (the
 //     `mpdash_sim --trace out.jsonl` backend).
 // TraceCollector (unbounded) backs full-session capture for analysis.
+// The JSONL reader (load_trace_jsonl, what mpdash_trace loads) sits beside
+// the writer and parses each line with util's json_parse.
 
 #include <cstdint>
 #include <cstdio>
@@ -146,30 +148,38 @@ class TraceCollector final : public TraceSink {
   std::vector<TraceRecord> records_;
 };
 
-// Streams records as JSON Lines. Payload segments are summarized by
+// Streams the records whose type is set in `types` (bit = 1u << type, the
+// `--trace-types` mask) as JSON Lines. Payload segments are summarized by
 // length, never serialized.
 class JsonlSink final : public TraceSink {
  public:
   // Opens `path` for writing; ok() reports failure.
-  explicit JsonlSink(const std::string& path);
-  ~JsonlSink() override;
+  explicit JsonlSink(const std::string& path, std::uint32_t types = ~0u);
+  ~JsonlSink() override;  // close()s, dropping its verdict
 
   JsonlSink(const JsonlSink&) = delete;
   JsonlSink& operator=(const JsonlSink&) = delete;
 
   void on_record(const TraceRecord& r) override;
 
+  // Flushes and closes the file. False when it never opened or a write
+  // failed, the final flush included (a full disk); records after a
+  // failed write are dropped.
+  bool close();
+
   bool ok() const { return file_ != nullptr; }
   std::uint64_t records_written() const { return written_; }
 
  private:
   std::FILE* file_ = nullptr;
+  std::uint32_t types_;
+  bool failed_ = false;
   std::uint64_t written_ = 0;
 };
 
 // Forwards only records whose type is set in `mask` (bit = 1u << type) to
-// the wrapped sink. Backs `mpdash_sim --trace-types a,b,c` so long chaos
-// runs can drop packet-level records from the JSONL capture.
+// the wrapped sink, so an in-memory capture keeps only what one analysis
+// pass reads (the span model, the flame view).
 class TypeFilterSink final : public TraceSink {
  public:
   TypeFilterSink(TraceSink* inner, std::uint32_t mask)
@@ -190,5 +200,28 @@ class TypeFilterSink final : public TraceSink {
 
 // Renders one record as a single-line JSON object (no trailing newline).
 std::string trace_record_to_json(const TraceRecord& r);
+
+// --- JSONL reader: the inverse of trace_record_to_json -------------------
+// Every field the writer emits parses back to an identical TraceRecord
+// (pinned by trace_roundtrip_test). One asymmetry by design: payload
+// `segments` never serialize, so loaded records have none.
+
+// Maps a label string to process-lifetime storage, one pointer per
+// distinct string, so TraceRecord::label stays a borrowed pointer for
+// loaded records too.
+const char* intern_trace_label(std::string_view label);
+
+// Parses one JSON object (a line of a trace file) into *out. Returns false
+// and describes the problem in *err (when non-null) on malformed input:
+// anything json_parse rejects, an unknown key or record type, a value of
+// the wrong kind, or an integer field holding a fraction, an exponent or a
+// value outside the field's type.
+bool trace_record_from_json(std::string_view line, TraceRecord* out,
+                            std::string* err = nullptr);
+
+// Loads a whole JSONL trace file, skipping blank lines. On failure returns
+// false with *err naming the offending `path:line`.
+bool load_trace_jsonl(const std::string& path, std::vector<TraceRecord>* out,
+                      std::string* err = nullptr);
 
 }  // namespace mpdash

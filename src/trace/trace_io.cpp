@@ -1,7 +1,7 @@
 #include "trace/trace_io.h"
 
 #include <cstdio>
-#include <fstream>
+#include <cstdlib>
 #include <stdexcept>
 
 #include "util/csv.h"
@@ -40,17 +40,11 @@ BandwidthTrace trace_from_csv(const std::string& csv) {
   return BandwidthTrace(std::move(pts));
 }
 
-bool save_trace(const BandwidthTrace& trace, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  out << trace_to_csv(trace);
-  return static_cast<bool>(out);
-}
-
 BandwidthTrace load_trace(const std::string& path) {
-  bool ok = false;
-  const std::string text = read_file(path, ok);
-  if (!ok) throw std::runtime_error("cannot read trace file: " + path);
+  std::string text;
+  if (!read_file(path, &text)) {
+    throw std::runtime_error("cannot read trace file: " + path);
+  }
   return trace_from_csv(text);
 }
 

@@ -15,7 +15,6 @@ std::string trace_to_csv(const BandwidthTrace& trace);
 // Throws std::invalid_argument on malformed input.
 BandwidthTrace trace_from_csv(const std::string& csv);
 
-bool save_trace(const BandwidthTrace& trace, const std::string& path);
 // Throws on unreadable file or malformed content.
 BandwidthTrace load_trace(const std::string& path);
 

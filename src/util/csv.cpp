@@ -1,7 +1,6 @@
 #include "util/csv.h"
 
-#include <fstream>
-#include <sstream>
+#include <cstdio>
 
 namespace mpdash {
 
@@ -30,10 +29,7 @@ void CsvWriter::add_row(const std::vector<std::string>& cells) {
 std::string CsvWriter::str() const { return data_; }
 
 bool CsvWriter::write_file(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  out << data_;
-  return static_cast<bool>(out);
+  return mpdash::write_file(path, data_);
 }
 
 std::string CsvWriter::escape(const std::string& cell) {
@@ -102,16 +98,24 @@ std::vector<std::vector<std::string>> parse_csv(const std::string& text) {
   return rows;
 }
 
-std::string read_file(const std::string& path, bool& ok) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    ok = false;
-    return {};
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  ok = true;
-  return ss.str();
+bool read_file(const std::string& path, std::string* out) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return false;
+  out->clear();
+  char buf[1 << 16];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out->append(buf, n);
+  const bool ok = std::ferror(f) == 0;
+  std::fclose(f);
+  return ok;
+}
+
+bool write_file(const std::string& path, std::string_view text) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return false;
+  const bool wrote =
+      std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  return std::fclose(f) == 0 && wrote;
 }
 
 }  // namespace mpdash

@@ -276,7 +276,15 @@ struct Parser {
 
 bool json_parse(std::string_view text, JsonValue* out, std::string* error) {
   Parser p{text, 0, {}};
-  *out = JsonValue{};
+  // Reset in place rather than reassign: a caller parsing one document
+  // per line into the same value (the JSONL trace loader) keeps the
+  // member vector's capacity from line to line.
+  out->type = JsonValue::Type::kNull;
+  out->boolean = false;
+  out->number.clear();
+  out->str.clear();
+  out->items.clear();
+  out->members.clear();
   if (!p.parse_value(out, 0)) {
     if (error) *error = p.error;
     return false;

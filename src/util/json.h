@@ -1,10 +1,11 @@
 #pragma once
-// Minimal JSON document parser for the triage formats (fault plans, repro
-// bundles). The simulator already *writes* JSON in several places (trace
-// JSONL, fault-plan and bundle serializers) with hand-rolled emitters;
-// this is the matching reader: a small value tree that keeps number
-// literals as raw text so integer nanosecond counts and shortest-round-
-// trip doubles survive a parse → re-serialize cycle bitwise.
+// Minimal JSON document parser: the one reader for every JSON artifact the
+// simulator writes — fault plans, repro bundles, and the JSONL traces
+// (one document per line, see load_trace_jsonl). The emitters are
+// hand-rolled (trace JSONL, fault-plan and bundle serializers); this is
+// the matching reader: a small value tree that keeps number literals as
+// raw text so integer nanosecond counts and shortest-round-trip doubles
+// survive a parse → re-serialize cycle bitwise.
 //
 // Deliberately not a general-purpose library: no streaming, no SAX, no
 // allocator hooks — parse a whole document, walk the tree, done.
@@ -54,8 +55,9 @@ struct JsonValue {
 };
 
 // Parses exactly one JSON document (trailing whitespace allowed, trailing
-// garbage is an error). On failure returns false and fills *error with
-// "json: <what> at offset <n>".
+// garbage is an error). *out is reset in place first, so reusing one value
+// across many documents keeps its storage. On failure returns false and
+// fills *error with "json: <what> at offset <n>".
 bool json_parse(std::string_view text, JsonValue* out, std::string* error);
 
 // Quotes and escapes `s` as a JSON string literal (for the emitters).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "dash/video.h"
 #include "exp/scenario.h"
@@ -201,6 +202,39 @@ TEST(TraceSink, JsonlSinkWritesOneLinePerRecord) {
   std::remove(path.c_str());
   EXPECT_EQ(std::count(contents.begin(), contents.end(), '\n'), 2);
   EXPECT_NE(contents.find("\"type\":\"player\""), std::string::npos);
+}
+
+TEST(TraceSink, JsonlSinkWritesOnlyMaskedTypesAndLoadsBack) {
+  const std::string path =
+      ::testing::TempDir() + "mpdash_telemetry_test_masked.jsonl";
+  TraceRecord packet;
+  packet.type = TraceType::kPacketDeliver;
+  packet.link_id = 0;
+  JsonlSink sink(path, 1u << static_cast<unsigned>(TraceType::kPlayer));
+  sink.on_record(player_record(1.0, 0));
+  sink.on_record(packet);
+  sink.on_record(player_record(2.0, 1));
+  EXPECT_EQ(sink.records_written(), 2u);
+  ASSERT_TRUE(sink.close());
+  std::vector<TraceRecord> loaded;
+  std::string err;
+  ASSERT_TRUE(load_trace_jsonl(path, &loaded, &err)) << err;
+  std::remove(path.c_str());
+  ASSERT_EQ(loaded.size(), 2u);
+  EXPECT_EQ(loaded[0].type, TraceType::kPlayer);
+  EXPECT_EQ(loaded[1].chunk, 1);
+}
+
+TEST(TraceSink, JsonlSinkCloseReportsAFailedWrite) {
+  // /dev/full accepts the open and fails every write with ENOSPC: a full
+  // disk, caught at the latest by the final flush in close().
+  JsonlSink sink("/dev/full");
+  if (!sink.ok()) GTEST_SKIP() << "no /dev/full on this system";
+  sink.on_record(player_record(1.0, 0));
+  EXPECT_FALSE(sink.close());
+  JsonlSink unopened(::testing::TempDir() + "no_such_dir/trace.jsonl");
+  EXPECT_FALSE(unopened.ok());
+  EXPECT_FALSE(unopened.close());
 }
 
 TEST(Telemetry, EmitFansOutAndSinkListDedupes) {

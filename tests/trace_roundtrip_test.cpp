@@ -1,10 +1,10 @@
 // JSONL trace round-trip: every field trace_record_to_json emits must
-// parse back to an identical TraceRecord (src/analysis/trace_load is the
-// inverse of the writer), both for hand-built records of every type and
-// for a full streaming-session trace written through JsonlSink. Also
-// pins the span-propagation contract (every record between a chunk's
-// kSpanStart and kSpanEnd carries its id) and that attaching the
-// metrics snapshotter does not perturb the trace.
+// parse back to an identical TraceRecord (load_trace_jsonl, beside the
+// writer in src/telemetry/trace_sink, is its inverse), both for hand-built
+// records of every type and for a full streaming-session trace written
+// through JsonlSink. Also pins the span-propagation contract (every record
+// between a chunk's kSpanStart and kSpanEnd carries its id) and that
+// attaching the metrics snapshotter does not perturb the trace.
 
 #include <gtest/gtest.h>
 
@@ -14,10 +14,10 @@
 #include <vector>
 
 #include "analysis/spans.h"
-#include "analysis/trace_load.h"
 #include "exp/scenario.h"
 #include "exp/session.h"
 #include "telemetry/telemetry.h"
+#include "telemetry/trace_sink.h"
 
 namespace mpdash {
 namespace {
@@ -308,6 +308,34 @@ TEST(TraceRoundTrip, LoaderRejectsGarbage) {
   EXPECT_FALSE(trace_record_from_json("{\"t\":1.0}", &out, &err));
   EXPECT_FALSE(
       trace_record_from_json("{\"t\":1.0,\"type\":\"martian\"}", &out, &err));
+  // Each is one valid record plus one defect: text after the object, a
+  // raw control character in a string, a non-JSON number, and integer
+  // fields given a negative, an overflowing or a fractional value.
+  const std::string head = "{\"t\":1.0,\"type\":\"packet_deliver\"";
+  for (const std::string& bad : {
+           head + "} trailing",
+           head + ",\"kind\":\"da\tta\"}",
+           std::string("{\"t\":1.0,\"type\":\"player\",\"value\":inf}"),
+           head + ",\"span\":-1}",
+           head + ",\"path\":1e300}",
+           head + ",\"seq\":1.5}",
+       }) {
+    err.clear();
+    EXPECT_FALSE(trace_record_from_json(bad, &out, &err)) << bad;
+    EXPECT_FALSE(err.empty()) << bad;
+  }
+  ASSERT_TRUE(trace_record_from_json(head + "}", &out, &err)) << err;
+}
+
+TEST(TraceRoundTrip, LoaderDecodesUnicodeEscapesAsUtf8) {
+  TraceRecord out;
+  std::string err;
+  ASSERT_TRUE(trace_record_from_json(
+      "{\"t\":1.0,\"type\":\"span_end\",\"span\":1,"
+      "\"status\":\"caf\\u00e9\",\"elapsed_s\":1.0}",
+      &out, &err))
+      << err;
+  EXPECT_STREQ(out.label, "caf\xC3\xA9");  // "café" in UTF-8
 }
 
 TEST(TraceRoundTrip, KnownLabelsInternToStaticStorage) {

@@ -19,12 +19,13 @@
 #include "analysis/render.h"
 #include "analysis/rollup.h"
 #include "analysis/spans.h"
-#include "analysis/trace_load.h"
 #include "exp/chaos.h"
 #include "exp/scenario.h"
 #include "exp/session.h"
 #include "fault/fault.h"
+#include "telemetry/trace_sink.h"
 #include "util/csv.h"
+#include "util/json.h"
 
 namespace mpdash {
 namespace {
@@ -127,7 +128,7 @@ TEST(SpanCsv, Rfc4180RoundTripsCraftedSpans) {
 TEST(SpanCsv, ShortestDoubleIsLossless) {
   for (const double v : {0.1, 1.0 / 3.0, 0.1 + 0.2, 123456.789012345,
                          1e-9, 0.0, 2.5}) {
-    const std::string s = shortest_double(v);
+    const std::string s = json_double(v);
     EXPECT_EQ(std::strtod(s.c_str(), nullptr), v) << s;
     EXPECT_EQ(s.find(','), std::string::npos);
   }
@@ -340,10 +341,10 @@ TEST(Flame, GoldenPipelinedSnapshot) {
     GTEST_SKIP() << "fixture updated: " << golden
                  << " — review and commit the diff";
   }
-  bool ok = false;
-  const std::string want = read_file(golden, ok);
-  ASSERT_TRUE(ok) << "missing fixture " << golden
-                  << "; run with MPDASH_UPDATE_GOLDEN=1 to create it";
+  std::string want;
+  ASSERT_TRUE(read_file(golden, &want))
+      << "missing fixture " << golden
+      << "; run with MPDASH_UPDATE_GOLDEN=1 to create it";
   EXPECT_EQ(got, want)
       << "flame rendering diverged from the committed snapshot. If the "
       << "change is intentional, regenerate with MPDASH_UPDATE_GOLDEN=1 "

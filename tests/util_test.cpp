@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "util/csv.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -152,6 +155,23 @@ TEST(Csv, ParsesCrlfAndMissingTrailingNewline) {
   const auto rows = parse_csv("x,y\r\n1,2");
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[1], (std::vector<std::string>{"1", "2"}));
+}
+
+TEST(FileIo, WriteThenReadRoundTripsAndFailuresReport) {
+  const std::string path = ::testing::TempDir() + "mpdash_util_test.txt";
+  const std::string text("a,b\n\0binary\n", 12);
+  ASSERT_TRUE(write_file(path, text));
+  std::string back;
+  ASSERT_TRUE(read_file(path, &back));
+  EXPECT_EQ(back, text);
+  std::remove(path.c_str());
+  EXPECT_FALSE(read_file(path, &back));
+  EXPECT_FALSE(write_file(::testing::TempDir() + "no_such_dir/x.txt", text));
+  // /dev/full opens fine and fails the flush at close: a full disk.
+  if (std::FILE* f = std::fopen("/dev/full", "wb")) {
+    std::fclose(f);
+    EXPECT_FALSE(write_file("/dev/full", text));
+  }
 }
 
 TEST(Table, RendersAlignedCells) {

@@ -348,14 +348,7 @@ Video pick_video(const Args& a) {
 ScenarioConfig build_network(const Args& a, Duration horizon) {
   if (!a.location.empty()) {
     for (const auto& loc : field_study_locations()) {
-      if (loc.name == a.location) {
-        ScenarioConfig cfg;
-        cfg.wifi_down = loc.wifi_trace(horizon);
-        cfg.lte_down = loc.lte_trace(horizon);
-        cfg.wifi_rtt = loc.wifi_rtt;
-        cfg.lte_rtt = loc.lte_rtt;
-        return cfg;
-      }
+      if (loc.name == a.location) return location_scenario(loc, horizon);
     }
     usage("unknown location " + a.location);
   }
@@ -382,14 +375,6 @@ int cmd_locations(const Args&) {
   return 0;
 }
 
-bool write_text_file(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  std::fclose(f);
-  return ok;
-}
-
 // Resolves --trace-types into a sink mask (everything when unset).
 std::uint32_t trace_type_mask(const Args& a) {
   if (a.trace_types.empty()) return ~0u;
@@ -399,6 +384,27 @@ std::uint32_t trace_type_mask(const Args& a) {
           "' (names as in trace JSON \"type\", comma-separated)");
   }
   return mask;
+}
+
+// The --trace sink of a single run; nullptr (reported) when the file
+// cannot be opened.
+std::unique_ptr<JsonlSink> open_trace(const Args& a) {
+  auto jsonl = std::make_unique<JsonlSink>(a.trace_path, trace_type_mask(a));
+  if (jsonl->ok()) return jsonl;
+  std::fprintf(stderr, "cannot write %s\n", a.trace_path.c_str());
+  return nullptr;
+}
+
+// Closes a detached --trace sink; false (reported) when a write failed.
+bool close_trace(const Args& a, JsonlSink& jsonl) {
+  if (!jsonl.close()) {
+    std::fprintf(stderr, "cannot write %s\n", a.trace_path.c_str());
+    return false;
+  }
+  std::printf("trace (%llu records) written to %s\n",
+              static_cast<unsigned long long>(jsonl.records_written()),
+              a.trace_path.c_str());
+  return true;
 }
 
 int cmd_stream(const Args& a) {
@@ -415,31 +421,21 @@ int cmd_stream(const Args& a) {
   MetricsTimeline timeline;
   SessionEnv env;
   std::unique_ptr<JsonlSink> jsonl;
-  std::unique_ptr<TypeFilterSink> filter;
   if (!a.metrics_path.empty() || !a.metrics_prom_path.empty() ||
       !a.trace_path.empty()) {
     env.telemetry = &telemetry;
     if (!a.metrics_path.empty()) env.metrics = &timeline;
     if (!a.trace_path.empty()) {
-      jsonl = std::make_unique<JsonlSink>(a.trace_path);
-      if (!jsonl->ok()) {
-        std::fprintf(stderr, "cannot write %s\n", a.trace_path.c_str());
-        return 1;
-      }
-      const std::uint32_t mask = trace_type_mask(a);
-      if (mask != ~0u) {
-        filter = std::make_unique<TypeFilterSink>(jsonl.get(), mask);
-        telemetry.add_sink(filter.get());
-      } else {
-        telemetry.add_sink(jsonl.get());
-      }
+      jsonl = open_trace(a);
+      if (!jsonl) return 1;
+      telemetry.add_sink(jsonl.get());
     }
   }
 
   const SessionResult res = run_streaming_session(scenario, video, cfg, env);
 
   if (!a.metrics_path.empty()) {
-    if (!write_text_file(a.metrics_path, timeline.to_csv())) {
+    if (!write_file(a.metrics_path, timeline.to_csv())) {
       std::fprintf(stderr, "cannot write %s\n", a.metrics_path.c_str());
       return 1;
     }
@@ -453,7 +449,7 @@ int cmd_stream(const Args& a) {
                    {"scheme", a.scheme}};
     const MetricsSnapshot snap =
         telemetry.metrics().snapshot(TimePoint(seconds(res.session_s)));
-    if (!write_text_file(a.metrics_prom_path, to_prometheus(snap, prom))) {
+    if (!write_file(a.metrics_prom_path, to_prometheus(snap, prom))) {
       std::fprintf(stderr, "cannot write %s\n", a.metrics_prom_path.c_str());
       return 1;
     }
@@ -461,11 +457,8 @@ int cmd_stream(const Args& a) {
                 snap.values.size(), a.metrics_prom_path.c_str());
   }
   if (jsonl) {
-    std::printf("trace (%llu records) written to %s\n",
-                static_cast<unsigned long long>(jsonl->records_written()),
-                a.trace_path.c_str());
-    telemetry.remove_sink(filter ? static_cast<TraceSink*>(filter.get())
-                                 : jsonl.get());
+    telemetry.remove_sink(jsonl.get());
+    if (!close_trace(a, *jsonl)) return 1;
   }
 
   std::printf("session: %s / %s / %s\n", video.name().c_str(),
@@ -521,22 +514,12 @@ int cmd_download(const Args& a) {
 
   Telemetry telemetry;
   std::unique_ptr<JsonlSink> jsonl;
-  std::unique_ptr<TypeFilterSink> filter;
   if (!a.metrics_path.empty() || !a.trace_path.empty()) {
     cfg.telemetry = &telemetry;
     if (!a.trace_path.empty()) {
-      jsonl = std::make_unique<JsonlSink>(a.trace_path);
-      if (!jsonl->ok()) {
-        std::fprintf(stderr, "cannot write %s\n", a.trace_path.c_str());
-        return 1;
-      }
-      const std::uint32_t mask = trace_type_mask(a);
-      if (mask != ~0u) {
-        filter = std::make_unique<TypeFilterSink>(jsonl.get(), mask);
-        telemetry.add_sink(filter.get());
-      } else {
-        telemetry.add_sink(jsonl.get());
-      }
+      jsonl = open_trace(a);
+      if (!jsonl) return 1;
+      telemetry.add_sink(jsonl.get());
     }
   }
 
@@ -547,18 +530,15 @@ int cmd_download(const Args& a) {
     // at the transfer finish (the loop itself drains to the trace horizon).
     MetricsTimeline timeline;
     timeline.record(telemetry.metrics().snapshot(res.finish_time));
-    if (!write_text_file(a.metrics_path, timeline.to_csv())) {
+    if (!write_file(a.metrics_path, timeline.to_csv())) {
       std::fprintf(stderr, "cannot write %s\n", a.metrics_path.c_str());
       return 1;
     }
     std::printf("metrics written to %s\n", a.metrics_path.c_str());
   }
   if (jsonl) {
-    std::printf("trace (%llu records) written to %s\n",
-                static_cast<unsigned long long>(jsonl->records_written()),
-                a.trace_path.c_str());
-    telemetry.remove_sink(filter ? static_cast<TraceSink*>(filter.get())
-                                 : jsonl.get());
+    telemetry.remove_sink(jsonl.get());
+    if (!close_trace(a, *jsonl)) return 1;
   }
   std::printf("%.1f MB with %.1f s deadline (%s):\n", a.size_mb,
               a.deadline_s, a.use_mpdash ? "MP-DASH" : "vanilla MPTCP");
@@ -592,12 +572,7 @@ int cmd_sweep(const Args& a) {
   for (const auto& loc : locations) {
     campaign.add(loc.name + "/" + a.algo + "/" + a.scheme,
                  [&loc, &video, &a, scheme, horizon](RunContext&) {
-                   ScenarioConfig net;
-                   net.wifi_down = loc.wifi_trace(horizon);
-                   net.lte_down = loc.lte_trace(horizon);
-                   net.wifi_rtt = loc.wifi_rtt;
-                   net.lte_rtt = loc.lte_rtt;
-
+                   const ScenarioConfig net = location_scenario(loc, horizon);
                    SessionConfig cfg;
                    cfg.adaptation = a.algo;
                    cfg.alpha = a.alpha;
@@ -759,14 +734,14 @@ int cmd_chaos(const Args& a) {
     // bitwise stable for any worker count.
     std::string series(kChaosSeriesHeader);
     for (const ChaosRunResult& r : res.runs) series += r.series_csv;
-    if (!write_text_file(a.series_path, series)) {
+    if (!write_file(a.series_path, series)) {
       std::fprintf(stderr, "cannot write %s\n", a.series_path.c_str());
       return 1;
     }
     std::printf("series written to %s\n", a.series_path.c_str());
   }
   if (!a.attrib_path.empty()) {
-    // Rows sort by numeric seed — the same order `mpdash_trace rollup`
+    // Rows sort by rollup_key_less — the order `mpdash_trace rollup`
     // gives the campaign's --trace files — so the CSV is bitwise
     // identical for any --jobs value AND to the offline tool's roll-up
     // (the in-process capture feeds the same span model).
@@ -777,14 +752,9 @@ int cmd_chaos(const Args& a) {
     }
     std::sort(rows.begin(), rows.end(),
               [](const RollupRow& x, const RollupRow& y) {
-                const unsigned long long vx =
-                    std::strtoull(x.key.c_str(), nullptr, 10);
-                const unsigned long long vy =
-                    std::strtoull(y.key.c_str(), nullptr, 10);
-                if (vx != vy) return vx < vy;
-                return x.key < y.key;
+                return rollup_key_less(x.key, y.key);
               });
-    if (!write_text_file(a.attrib_path, rollup_to_csv(rows))) {
+    if (!write_file(a.attrib_path, rollup_to_csv(rows))) {
       std::fprintf(stderr, "cannot write %s\n", a.attrib_path.c_str());
       return 1;
     }
@@ -883,7 +853,7 @@ int cmd_fleet(const Args& a) {
   std::printf("outcomes: %d ok, %d violation, %d hung, %d crashed\n", oc.ok,
               oc.violation, oc.hung, oc.crashed);
   if (!a.csv_path.empty()) {
-    if (!write_text_file(a.csv_path, res.sessions_csv())) {
+    if (!write_file(a.csv_path, res.sessions_csv())) {
       std::fprintf(stderr, "cannot write %s\n", a.csv_path.c_str());
       return 1;
     }
@@ -968,11 +938,10 @@ int cmd_shrink(const Args& a) {
       a.out_path.empty() ? a.input + ".min.json" : a.out_path;
   std::string err;
   if (!write_repro_bundle(res.minimized, out_path, &err)) {
-    std::fprintf(stderr, "cannot write %s: %s\n", out_path.c_str(),
-                 err.c_str());
+    std::fprintf(stderr, "%s\n", err.c_str());
     return 1;
   }
-  if (!write_text_file(out_path + ".log", res.log)) {
+  if (!write_file(out_path + ".log", res.log)) {
     std::fprintf(stderr, "cannot write %s.log\n", out_path.c_str());
     return 1;
   }

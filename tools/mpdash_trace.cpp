@@ -34,7 +34,8 @@
 #include "analysis/render.h"
 #include "analysis/rollup.h"
 #include "analysis/spans.h"
-#include "analysis/trace_load.h"
+#include "telemetry/trace_sink.h"
+#include "util/csv.h"
 #include "util/table.h"
 
 using namespace mpdash;
@@ -256,14 +257,6 @@ void print_waterfall(const SpanModel& model, int width) {
   }
 }
 
-bool write_text_file(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const bool ok =
-      std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  return std::fclose(f) == 0 && ok;
-}
-
 int run_analyze(const Args& args) {
   std::vector<TraceRecord> trace;
   std::string err;
@@ -283,7 +276,7 @@ int run_analyze(const Args& args) {
     std::printf("\n%s", render_flame(model, flame, args.width).c_str());
   }
   if (!args.csv_path.empty()) {
-    if (!write_text_file(args.csv_path, spans_to_csv(model))) {
+    if (!write_file(args.csv_path, spans_to_csv(model))) {
       std::fprintf(stderr, "error: cannot write %s\n",
                    args.csv_path.c_str());
       return 1;
@@ -296,10 +289,10 @@ int run_analyze(const Args& args) {
 
 // Expands rollup operands: directories contribute every contained
 // ".jsonl"-named file. The combined list is ordered by roll-up key
-// (numeric seeds first, in numeric order), so the CSV is identical no
-// matter how the shell or the filesystem ordered the inputs — and
-// identical across jobs-1 vs jobs-8 artifact sets whose base names
-// differ but whose seed suffixes match.
+// (rollup_key_less), so the CSV is identical no matter how the shell or
+// the filesystem ordered the inputs — and identical across jobs-1 vs
+// jobs-8 artifact sets whose base names differ but whose seed suffixes
+// match.
 std::vector<std::string> expand_rollup_inputs(
     const std::vector<std::string>& inputs, std::string* err) {
   namespace fs = std::filesystem;
@@ -329,20 +322,7 @@ std::vector<std::string> expand_rollup_inputs(
             [](const std::string& a, const std::string& b) {
               const std::string ka = rollup_source_key(a);
               const std::string kb = rollup_source_key(b);
-              const bool na =
-                  ka.find_first_not_of("0123456789") == std::string::npos;
-              const bool nb =
-                  kb.find_first_not_of("0123456789") == std::string::npos;
-              if (na != nb) return na;  // numeric seeds first
-              if (na && nb) {
-                const unsigned long long va = std::strtoull(
-                    ka.c_str(), nullptr, 10);
-                const unsigned long long vb = std::strtoull(
-                    kb.c_str(), nullptr, 10);
-                if (va != vb) return va < vb;
-              }
-              if (ka != kb) return ka < kb;
-              return a < b;
+              return ka != kb ? rollup_key_less(ka, kb) : a < b;
             });
   return files;
 }
@@ -378,12 +358,7 @@ int run_rollup(const Args& args) {
     header.push_back(to_string(c));
   }
   TextTable table(header);
-  RollupRow total;
-  total.key = "total";
-  for (const MissCause c : kMissCausePrecedence) {
-    total.counts.emplace_back(c, 0);
-  }
-  for (const RollupRow& row : rows) {
+  auto add_row = [&table](const RollupRow& row) {
     std::vector<std::string> cells = {row.key, std::to_string(row.spans),
                                       std::to_string(row.misses),
                                       TextTable::pct(row.miss_rate(), 1)};
@@ -391,24 +366,14 @@ int run_rollup(const Args& args) {
       cells.push_back(std::to_string(count));
     }
     table.add_row(cells);
-    total.spans += row.spans;
-    total.misses += row.misses;
-    for (auto& [cause, count] : total.counts) {
-      count += count_for(row.counts, cause);
-    }
-  }
-  std::vector<std::string> tcells = {total.key, std::to_string(total.spans),
-                                     std::to_string(total.misses),
-                                     TextTable::pct(total.miss_rate(), 1)};
-  for (const auto& [cause, count] : total.counts) {
-    tcells.push_back(std::to_string(count));
-  }
-  table.add_row(tcells);
+  };
+  for (const RollupRow& row : rows) add_row(row);
+  add_row(rollup_total(rows));
   std::printf("rollup: %zu trace(s)\n%s", files.size(),
               table.render().c_str());
 
   if (!args.csv_path.empty()) {
-    if (!write_text_file(args.csv_path, rollup_to_csv(rows))) {
+    if (!write_file(args.csv_path, rollup_to_csv(rows))) {
       std::fprintf(stderr, "error: cannot write %s\n",
                    args.csv_path.c_str());
       return 1;
