@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/rollup.h"
@@ -23,17 +24,20 @@
 
 namespace mpdash::bench {
 
-// Shared `--jobs N` flag for the campaign-based benches (0 = auto:
-// MPDASH_JOBS env, then hardware concurrency — see resolve_jobs()).
+// Shared `--jobs N` / `--jobs=N` flag for the campaign-based benches: a
+// whole integer >= 0 (0 = auto: MPDASH_JOBS env, then hardware concurrency
+// — see resolve_jobs()). Anything else exits 2 with the usage line.
 inline int parse_jobs(int argc, char** argv) {
   int jobs = 0;
   for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
+    const std::string_view flag = argv[i];
+    const char* value = nullptr;
     if (flag == "--jobs" && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
-    } else if (flag.rfind("--jobs=", 0) == 0) {
-      jobs = std::atoi(flag.c_str() + 7);
-    } else {
+      value = argv[++i];
+    } else if (flag.starts_with("--jobs=")) {
+      value = argv[i] + 7;
+    }
+    if (value == nullptr || !parse_jobs_value(value, &jobs)) {
       std::fprintf(stderr, "usage: %s [--jobs N]\n", argv[0]);
       std::exit(2);
     }
@@ -73,15 +77,6 @@ inline bool bench_json_enabled() {
   return env != nullptr && env[0] == '1';
 }
 
-// MPDASH_BENCH_SERIES=1 (with MPDASH_BENCH_JSON=1) additionally samples
-// the registry on a 1 s sim-time cadence and embeds the whole series in
-// each run's JSON line, so campaign benches emit per-run QoE/byte-share
-// time series, not just the end-of-run totals.
-inline bool bench_series_enabled() {
-  const char* env = std::getenv("MPDASH_BENCH_SERIES");
-  return env != nullptr && env[0] == '1';
-}
-
 // MPDASH_BENCH_ATTRIB=<path> makes the field-study benches capture the
 // span-model record set per cell and write per-location deadline-miss
 // attribution time series (kAttribSeriesHeader rows) to <path>. Rows are
@@ -98,28 +93,14 @@ inline constexpr double kBenchAttribBucketS = 10.0;
 
 inline std::string bench_snapshot_line(Telemetry& telemetry, Scheme scheme,
                                        const std::string& algo,
-                                       double session_s,
-                                       const MetricsTimeline* series =
-                                           nullptr) {
+                                       double session_s) {
   const std::string id =
       current_bench_id().empty() ? "bench" : current_bench_id();
   const MetricsSnapshot snap =
       telemetry.metrics().snapshot(TimePoint(seconds(session_s)));
-  std::string out = "{\"bench\":" + json_quote(id) + ",\"scheme\":\"" +
-                    to_string(scheme) + "\",\"adaptation\":" +
-                    json_quote(algo) + ",\"snapshot\":" + snap.to_json();
-  if (series != nullptr) {
-    out += ",\"series\":[";
-    bool first = true;
-    for (const MetricsSnapshot& s : series->snapshots()) {
-      if (!first) out += ',';
-      first = false;
-      out += s.to_json();
-    }
-    out += ']';
-  }
-  out += "}\n";
-  return out;
+  return "{\"bench\":" + json_quote(id) + ",\"scheme\":\"" +
+         to_string(scheme) + "\",\"adaptation\":" + json_quote(algo) +
+         ",\"snapshot\":" + snap.to_json() + "}\n";
 }
 
 // Appends pre-rendered JSON lines to BENCH_<id>.json. Campaign benches
@@ -172,11 +153,8 @@ inline SessionResult run_scheme(const ScenarioConfig& net, const Video& video,
   cfg.adaptation = algo;
   cfg.record_trace = record;
   Telemetry telemetry;
-  MetricsTimeline timeline;
   SessionEnv env;
-  const bool series = bench_json_enabled() && bench_series_enabled();
   if (bench_json_enabled()) env.telemetry = &telemetry;
-  if (series) env.metrics = &timeline;
   TraceCollector attrib_capture;
   TypeFilterSink attrib_filter(&attrib_capture, span_model_trace_mask());
   if (attrib_out != nullptr) {
@@ -192,8 +170,8 @@ inline SessionResult run_scheme(const ScenarioConfig& net, const Video& video,
         attribution_series_csv(model, kBenchAttribBucketS, attrib_key);
   }
   if (bench_json_enabled()) {
-    const std::string line = bench_snapshot_line(
-        telemetry, scheme, algo, res.session_s, series ? &timeline : nullptr);
+    const std::string line =
+        bench_snapshot_line(telemetry, scheme, algo, res.session_s);
     if (json_out != nullptr) {
       *json_out = line;
     } else {

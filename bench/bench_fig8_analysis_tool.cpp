@@ -30,7 +30,7 @@ int main() {
         run_scheme(net, video, c.scheme, "festive", /*record=*/true);
     AnalyzerConfig acfg;
     acfg.device = galaxy_note();
-    const AnalysisReport report = analyze(res.trace, res.events, acfg);
+    const AnalysisReport report = analyze(res.trace, acfg);
 
     double cell_frac_sum = 0.0;
     for (const auto& ch : report.chunks) {

@@ -1,10 +1,11 @@
 // Cross-layer analysis tool demo (paper §6): records a streaming session's
-// packet trace + player event log, then reconstructs chunks from the wire
-// (MPTCP data sequencing -> HTTP framing -> DASH chunks), prints per-path
-// usage, per-chunk cellular attribution, stalls, and the Figure 8-style
-// ASCII timeline. Optionally dumps the event log as CSV.
+// trace (packets and the player's kPlayer events), then reconstructs chunks
+// from the wire (MPTCP data sequencing -> HTTP framing -> DASH chunks),
+// prints per-path usage, per-chunk cellular attribution, stalls, and the
+// Figure 8-style ASCII timeline. Optionally dumps the player's events as
+// JSONL, the trace format `mpdash_trace` reads.
 //
-// Usage: analyze_trace [scheme: baseline|rate|duration] [events.csv]
+// Usage: analyze_trace [scheme: baseline|rate|duration] [events.jsonl]
 
 #include <cstdio>
 
@@ -39,7 +40,7 @@ int main(int argc, char** argv) {
 
   AnalyzerConfig acfg;
   acfg.device = galaxy_note();
-  const AnalysisReport report = analyze(res.trace, res.events, acfg);
+  const AnalysisReport report = analyze(res.trace, acfg);
 
   std::printf("scheme: %s — %zu packets recorded, %zu chunks reconstructed\n\n",
               to_string(scheme), res.trace.size(), report.chunks.size());
@@ -62,11 +63,15 @@ int main(int argc, char** argv) {
               report.energy.lte.total_j());
 
   if (argc > 2) {
-    if (!write_file(argv[2], event_log_to_csv(res.events))) {
+    std::string jsonl;
+    for (const TraceRecord& r : res.trace) {
+      if (r.type == TraceType::kPlayer) jsonl += trace_record_to_json(r) + '\n';
+    }
+    if (!write_file(argv[2], jsonl)) {
       std::fprintf(stderr, "cannot write %s\n", argv[2]);
       return 1;
     }
-    std::printf("event log written to %s\n", argv[2]);
+    std::printf("player events written to %s\n", argv[2]);
   }
   return 0;
 }

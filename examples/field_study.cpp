@@ -10,7 +10,6 @@
 // Usage: field_study [algorithm] [--jobs N]   (default: festive, N = cores)
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -29,10 +28,11 @@ int main(int argc, char** argv) {
   std::string algo = "festive";
   int jobs = 0;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
-    } else {
+    if (std::strcmp(argv[i], "--jobs") != 0) {
       algo = argv[i];
+    } else if (i + 1 == argc || !parse_jobs_value(argv[++i], &jobs)) {
+      std::fprintf(stderr, "usage: %s [algorithm] [--jobs N]\n", argv[0]);
+      return 2;
     }
   }
   // A quarter-length video keeps the 66-session sweep snappy for an

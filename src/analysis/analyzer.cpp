@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 
+#include "dash/events.h"
+
 namespace mpdash {
 
 const PathUsage* AnalysisReport::path(int id) const {
@@ -46,24 +48,20 @@ void accumulate_path_usage(const std::vector<TraceRecord>& trace,
 
 // Reconstructs HTTP responses from the delivered downlink data stream.
 void reconstruct_chunks(const std::vector<TraceRecord>& trace,
-                        const std::vector<PlayerEvent>& events,
                         AnalysisReport& report) {
-  // Unique delivered downlink data packets in data-sequence order.
+  // Unique delivered downlink data packets in data-sequence order, and the
+  // requested (level, chunk) pairs in the order the player issued them.
   std::map<std::uint64_t, const TraceRecord*> stream;
+  std::vector<std::pair<int, int>> requested;
   for (const auto& r : trace) {
+    if (is_player_event(r, PlayerEventType::kChunkRequest)) {
+      requested.emplace_back(r.level, r.chunk);
+    }
     if (r.type != TraceType::kPacketDeliver || !r.is_downlink() ||
         r.kind != PacketKind::kData || r.payload_len == 0) {
       continue;
     }
     stream.emplace(r.data_seq, &r);  // first delivery wins (dup = retx)
-  }
-
-  // Requested (level, chunk) pairs in order, from the player's log.
-  std::vector<std::pair<int, int>> requested;
-  for (const auto& ev : events) {
-    if (ev.type == PlayerEventType::kChunkRequest) {
-      requested.emplace_back(ev.level, ev.chunk);
-    }
   }
   std::size_t next_request = 0;
 
@@ -117,29 +115,21 @@ void reconstruct_chunks(const std::vector<TraceRecord>& trace,
   feeding = nullptr;
 }
 
-void collect_player_stats(const std::vector<PlayerEvent>& events,
+void collect_player_stats(const std::vector<TraceRecord>& trace,
                           AnalysisReport& report) {
   StallInterval open{};
   bool in_stall = false;
-  for (const auto& ev : events) {
-    report.session_length = std::max(report.session_length, Duration(ev.at));
-    switch (ev.type) {
-      case PlayerEventType::kStallStart:
-        open.start = ev.at;
-        in_stall = true;
-        break;
-      case PlayerEventType::kStallEnd:
-        if (in_stall) {
-          open.end = ev.at;
-          report.stalls.push_back(open);
-          in_stall = false;
-        }
-        break;
-      case PlayerEventType::kQualitySwitch:
-        ++report.quality_switches;
-        break;
-      default:
-        break;
+  for (const auto& r : trace) {
+    report.session_length = std::max(report.session_length, Duration(r.at));
+    if (is_player_event(r, PlayerEventType::kStallStart)) {
+      open.start = r.at;
+      in_stall = true;
+    } else if (in_stall && is_player_event(r, PlayerEventType::kStallEnd)) {
+      open.end = r.at;
+      report.stalls.push_back(open);
+      in_stall = false;
+    } else if (is_player_event(r, PlayerEventType::kQualitySwitch)) {
+      ++report.quality_switches;
     }
   }
 }
@@ -147,15 +137,11 @@ void collect_player_stats(const std::vector<PlayerEvent>& events,
 }  // namespace
 
 AnalysisReport analyze(const std::vector<TraceRecord>& trace,
-                       const std::vector<PlayerEvent>& events,
                        const AnalyzerConfig& config) {
   AnalysisReport report;
   accumulate_path_usage(trace, report);
-  reconstruct_chunks(trace, events, report);
-  collect_player_stats(events, report);
-  for (const auto& r : trace) {
-    report.session_length = std::max(report.session_length, Duration(r.at));
-  }
+  reconstruct_chunks(trace, report);
+  collect_player_stats(trace, report);
 
   // Radio energy from the packet trace (delivered wire bytes, as seen at
   // the client's radios).

@@ -1,13 +1,12 @@
 #pragma once
-// The Multipath Video Analysis Tool (paper §6): correlates a packet trace
-// with a player event log across protocol layers (MPTCP data sequencing,
-// HTTP framing, DASH chunk structure) to produce per-chunk delivery
-// breakdowns, path utilization, rebuffering and switch statistics, and
-// radio energy estimates.
+// The Multipath Video Analysis Tool (paper §6): correlates the packet
+// records of a trace with the player's kPlayer records in the same trace
+// across protocol layers (MPTCP data sequencing, HTTP framing, DASH chunk
+// structure) to produce per-chunk delivery breakdowns, path utilization,
+// rebuffering and switch statistics, and radio energy estimates.
 
 #include <vector>
 
-#include "dash/events.h"
 #include "energy/accounting.h"
 #include "http/parser.h"
 #include "telemetry/trace_sink.h"
@@ -18,7 +17,7 @@ namespace mpdash {
 struct ChunkDelivery {
   int index = 0;           // order on the wire
   int chunk = -1;          // DASH chunk number (-1: manifest/unknown)
-  int level = -1;          // bitrate level from the event log
+  int level = -1;          // bitrate level the player requested
   Bytes total_bytes = 0;   // response body bytes
   Bytes bytes_per_path[8] = {};  // payload attribution by path id
   TimePoint start = kTimeZero;   // first payload byte delivered
@@ -66,11 +65,12 @@ struct AnalyzerConfig {
   DeviceEnergyProfile device;
 };
 
-// Runs the full cross-layer analysis on a telemetry trace (packet records
-// drive the network half; non-packet records are ignored, so a full mixed
-// trace from TraceCollector/RingBufferSink can be passed as-is).
+// Runs the full cross-layer analysis on a telemetry trace: packet records
+// drive the network half, kPlayer records give the requested (level,
+// chunk) order, the stalls and the switches, and every other record type
+// is ignored, so a full mixed trace (SessionConfig::record_trace) can be
+// passed as-is.
 AnalysisReport analyze(const std::vector<TraceRecord>& trace,
-                       const std::vector<PlayerEvent>& events,
                        const AnalyzerConfig& config);
 
 // Per-interval path throughput series (for Figure 1/6/11-style plots):

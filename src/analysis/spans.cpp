@@ -4,6 +4,8 @@
 #include <cstring>
 #include <iterator>
 
+#include "dash/events.h"
+
 namespace mpdash {
 
 const char* to_string(MissCause c) {
@@ -301,9 +303,9 @@ SpanModel build_span_model(const std::vector<TraceRecord>& trace) {
         }
         break;
       case TraceType::kPlayer:
-        if (label_is(r, "chunk_retry")) {
+        if (is_player_event(r, PlayerEventType::kChunkRetry)) {
           ++t.chunk_retries;
-        } else if (label_is(r, "stall_start")) {
+        } else if (is_player_event(r, PlayerEventType::kStallStart)) {
           ++t.stalls_started;
         }
         break;

@@ -1,11 +1,6 @@
 #include "dash/events.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <stdexcept>
-
-#include "util/csv.h"
 
 namespace mpdash {
 
@@ -25,44 +20,9 @@ const char* to_string(PlayerEventType t) {
   return "unknown";
 }
 
-namespace {
-
-PlayerEventType type_from_string(const std::string& s) {
-  for (int t = 0; t <= static_cast<int>(PlayerEventType::kChunkAbandoned); ++t) {
-    const auto type = static_cast<PlayerEventType>(t);
-    if (s == to_string(type)) return type;
-  }
-  throw std::invalid_argument("unknown event type: " + s);
-}
-
-}  // namespace
-
-std::string event_log_to_csv(const std::vector<PlayerEvent>& log) {
-  CsvWriter csv({"time_s", "event", "level", "chunk", "bytes", "extra"});
-  char t[32], e[32];
-  for (const auto& ev : log) {
-    std::snprintf(t, sizeof(t), "%.6f", to_seconds(ev.at));
-    std::snprintf(e, sizeof(e), "%.6f", ev.extra);
-    csv.add_row({t, to_string(ev.type), std::to_string(ev.level),
-                 std::to_string(ev.chunk), std::to_string(ev.bytes), e});
-  }
-  return csv.str();
-}
-
-std::vector<PlayerEvent> event_log_from_csv(const std::string& csv) {
-  std::vector<PlayerEvent> log;
-  for (const auto& row : parse_csv(csv)) {
-    if (row.size() < 6 || row[0] == "time_s") continue;
-    PlayerEvent ev;
-    ev.at = seconds(std::strtod(row[0].c_str(), nullptr));
-    ev.type = type_from_string(row[1]);
-    ev.level = std::atoi(row[2].c_str());
-    ev.chunk = std::atoi(row[3].c_str());
-    ev.bytes = std::atoll(row[4].c_str());
-    ev.extra = std::strtod(row[5].c_str(), nullptr);
-    log.push_back(ev);
-  }
-  return log;
+bool is_player_event(const TraceRecord& r, PlayerEventType type) {
+  return r.type == TraceType::kPlayer && r.label != nullptr &&
+         std::strcmp(r.label, to_string(type)) == 0;
 }
 
 }  // namespace mpdash

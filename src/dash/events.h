@@ -1,40 +1,32 @@
 #pragma once
-// Player event log: the application-layer half of what the cross-layer
-// analysis tool (src/analysis) correlates with the packet trace.
+// Player event types. The player emits each event into the run's trace as
+// a kPlayer record labelled to_string(type) (see DashPlayer::log); the
+// cross-layer analysis tool (src/analysis) reads them back from the same
+// trace it reads the packets from.
 
-#include <string>
-#include <vector>
+#include <cstdint>
 
-#include "util/units.h"
+#include "telemetry/trace_sink.h"
 
 namespace mpdash {
 
+// What each kPlayer record's level, chunk, bytes and value fields carry.
 enum class PlayerEventType : std::uint8_t {
   kPlaybackStart,
-  kChunkRequest,   // level, chunk, bytes(size), extra(deadline seconds)
+  kChunkRequest,   // level, chunk, bytes(size), value(deadline seconds)
   kChunkComplete,  // level, chunk, bytes(received)
-  kQualitySwitch,  // level(new), chunk, extra(old level)
+  kQualitySwitch,  // level(new), chunk, value(old level)
   kStallStart,
-  kStallEnd,       // extra(stall seconds)
-  kBufferSample,   // extra(buffer seconds)
+  kStallEnd,       // value(stall seconds)
+  kBufferSample,   // value(buffer seconds)
   kPlaybackDone,
-  kChunkRetry,     // level(retry level), chunk, extra(attempt number)
+  kChunkRetry,     // level(retry level), chunk, value(attempt number)
   kChunkAbandoned, // level(last tried), chunk
-};
-
-struct PlayerEvent {
-  TimePoint at = kTimeZero;
-  PlayerEventType type = PlayerEventType::kBufferSample;
-  int level = -1;
-  int chunk = -1;
-  Bytes bytes = 0;
-  double extra = 0.0;
 };
 
 const char* to_string(PlayerEventType t);
 
-// One row per event: "time_s,event,level,chunk,bytes,extra".
-std::string event_log_to_csv(const std::vector<PlayerEvent>& log);
-std::vector<PlayerEvent> event_log_from_csv(const std::string& csv);
+// True for the kPlayer record of an event of `type`.
+bool is_player_event(const TraceRecord& r, PlayerEventType type);
 
 }  // namespace mpdash

@@ -418,7 +418,6 @@ void DashPlayer::emit_span_end(SpanId id, TimePoint opened,
 
 void DashPlayer::log(PlayerEventType type, int level, int chunk, Bytes bytes,
                      double extra, SpanId span) {
-  events_.push_back({loop_.now(), type, level, chunk, bytes, extra});
   if (!telemetry_) return;
   switch (type) {
     case PlayerEventType::kBufferSample:

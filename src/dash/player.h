@@ -6,8 +6,8 @@
 // chunk, feed the playback buffer) -> drain. Playback consumes buffered
 // seconds in real time; an empty buffer while playing is a stall
 // (rebuffering) event. All externally relevant behavior lands in the
-// event log and per-chunk records consumed by the analysis + experiment
-// layers.
+// kPlayer trace records and per-chunk records consumed by the analysis +
+// experiment layers.
 
 #include <deque>
 #include <functional>
@@ -107,7 +107,6 @@ class DashPlayer {
 
   bool done() const { return done_; }
   const std::optional<Video>& video() const { return video_; }
-  const std::vector<PlayerEvent>& events() const { return events_; }
   const std::vector<ChunkRecord>& chunks() const { return chunk_log_; }
   const PlaybackBuffer* buffer() const { return buffer_ ? &*buffer_ : nullptr; }
 
@@ -119,8 +118,8 @@ class DashPlayer {
   // True if the manifest never arrived (session over before it started).
   bool manifest_failed() const { return manifest_failed_; }
 
-  // Registers `player.*` metrics and bridges the event log to kPlayer
-  // trace records. nullptr detaches.
+  // Registers `player.*` metrics and emits each player event as a kPlayer
+  // trace record. nullptr detaches.
   void set_telemetry(Telemetry* telemetry);
 
  private:
@@ -159,7 +158,8 @@ class DashPlayer {
   void arm_depletion_watch();
   void on_depleted();
   void sample_buffer();
-  // `span` stamps the kPlayer record explicitly (0 = ambient top-of-stack
+  // Counts the event in its `player.*` metric and emits it as a kPlayer
+  // record. `span` stamps the record explicitly (0 = ambient top-of-stack
   // stamping, which is only unambiguous while at most one span is open).
   void log(PlayerEventType type, int level = -1, int chunk = -1,
            Bytes bytes = 0, double extra = 0.0, SpanId span = 0);
@@ -205,7 +205,6 @@ class DashPlayer {
   EventId depletion_timer_;
   EventId sample_timer_;
 
-  std::vector<PlayerEvent> events_;
   std::vector<ChunkRecord> chunk_log_;
   int stall_count_ = 0;
   Duration total_stall_ = kDurationZero;

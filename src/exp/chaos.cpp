@@ -22,17 +22,6 @@ const char* to_string(RunOutcome o) {
   return "?";
 }
 
-bool outcome_from_string(std::string_view name, RunOutcome* out) {
-  for (int i = 0; i <= static_cast<int>(RunOutcome::kCrashed); ++i) {
-    const RunOutcome o = static_cast<RunOutcome>(i);
-    if (name == to_string(o)) {
-      *out = o;
-      return true;
-    }
-  }
-  return false;
-}
-
 const char kChaosSeriesHeader[] =
     "seed,time_s,buffer_s,level,stalls,chunks,wifi_bytes,cell_bytes,"
     "cell_share\n";

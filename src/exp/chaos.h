@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -44,7 +43,6 @@ enum class RunOutcome : std::uint8_t {
 };
 
 const char* to_string(RunOutcome o);
-bool outcome_from_string(std::string_view name, RunOutcome* out);
 
 // The spec every chaos run resolves per seed: recovery on, generous
 // watchdog budgets — a real chaos run is a few million events, so only a

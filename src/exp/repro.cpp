@@ -10,6 +10,7 @@
 
 #include "fault/fault_json.h"
 #include "util/csv.h"
+#include "util/enum_string.h"
 #include "util/json.h"
 
 namespace mpdash {
@@ -62,20 +63,13 @@ bool fleet_config_from_json_value(const JsonValue& root, FleetConfig* out,
     return false;
   }
   FleetConfig c;
-  auto bad = [error](const char* what) {
-    if (error) {
-      *error = std::string("fleet config: missing or bad \"") + what + "\"";
-    }
+  const JsonFields f("fleet config", error);
+  if (!f.get(root, "sessions", &c.sessions) ||
+      !f.get(root, "chunk_count", &c.chunk_count)) {
     return false;
-  };
-  const JsonValue* v = root.find("sessions");
-  if (v == nullptr || !v->is_number()) return bad("sessions");
-  c.sessions = static_cast<int>(v->as_int64(4));
-  v = root.find("chunk_count");
-  if (v == nullptr || !v->is_number()) return bad("chunk_count");
-  c.chunk_count = static_cast<int>(v->as_int64(20));
-  v = root.find("mix");
-  if (v == nullptr || !v->is_array()) return bad("mix");
+  }
+  const JsonValue* v = root.find("mix");
+  if (v == nullptr || !v->is_array()) return f.bad("mix");
   c.mix.clear();
   for (const JsonValue& item : v->items) {
     SessionSpec spec;
@@ -87,54 +81,28 @@ bool fleet_config_from_json_value(const JsonValue& root, FleetConfig* out,
     c.mix.push_back(std::move(spec));
   }
   v = root.find("discipline");
-  if (v == nullptr || !v->is_string()) return bad("discipline");
-  if (v->str == to_string(QueueDiscipline::kFifo)) {
-    c.discipline = QueueDiscipline::kFifo;
-  } else if (v->str == to_string(QueueDiscipline::kFairQueue)) {
-    c.discipline = QueueDiscipline::kFairQueue;
-  } else {
-    return bad("discipline");
+  if (v == nullptr || !v->is_string() ||
+      !enum_from_string<QueueDiscipline::kFairQueue>(v->str, &c.discipline)) {
+    return f.bad("discipline");
   }
-  v = root.find("fq_quantum");
-  if (v == nullptr || !v->is_number()) return bad("fq_quantum");
-  c.fq_quantum = v->as_int64(1500);
-  auto read_double = [&root, &bad](const char* name, double* field) {
-    const JsonValue* w = root.find(name);
-    if (w == nullptr || !w->is_number()) return bad(name);
-    *field = w->as_double(0.0);
-    return true;
-  };
-  if (!read_double("wifi_mbps", &c.wifi_mbps)) return false;
-  if (!read_double("lte_mbps", &c.lte_mbps)) return false;
-  if (!read_double("wifi_up_mbps", &c.wifi_up_mbps)) return false;
-  if (!read_double("lte_up_mbps", &c.lte_up_mbps)) return false;
-  v = root.find("wifi_rtt_ns");
-  if (v == nullptr || !v->is_number()) return bad("wifi_rtt_ns");
-  c.wifi_rtt = Duration(v->as_int64(0));
-  v = root.find("lte_rtt_ns");
-  if (v == nullptr || !v->is_number()) return bad("lte_rtt_ns");
-  c.lte_rtt = Duration(v->as_int64(0));
-  v = root.find("queue_capacity");
-  if (v == nullptr || !v->is_number()) return bad("queue_capacity");
-  c.queue_capacity = v->as_int64(0);
-  v = root.find("join_stagger_ns");
-  if (v == nullptr || !v->is_number()) return bad("join_stagger_ns");
-  c.join_stagger = Duration(v->as_int64(0));
-  v = root.find("time_limit_ns");
-  if (v == nullptr || !v->is_number()) return bad("time_limit_ns");
-  c.time_limit = Duration(v->as_int64(0));
+  if (!f.get(root, "fq_quantum", &c.fq_quantum) ||
+      !f.get(root, "wifi_mbps", &c.wifi_mbps) ||
+      !f.get(root, "lte_mbps", &c.lte_mbps) ||
+      !f.get(root, "wifi_up_mbps", &c.wifi_up_mbps) ||
+      !f.get(root, "lte_up_mbps", &c.lte_up_mbps) ||
+      !f.get(root, "wifi_rtt_ns", &c.wifi_rtt) ||
+      !f.get(root, "lte_rtt_ns", &c.lte_rtt) ||
+      !f.get(root, "queue_capacity", &c.queue_capacity) ||
+      !f.get(root, "join_stagger_ns", &c.join_stagger) ||
+      !f.get(root, "time_limit_ns", &c.time_limit)) {
+    return false;
+  }
   v = root.find("watchdog");
-  if (v == nullptr || !v->is_object()) return bad("watchdog");
-  {
-    const JsonValue* w = v->find("max_sim_events");
-    if (w == nullptr || !w->is_number()) return bad("watchdog.max_sim_events");
-    c.watchdog.max_sim_events = w->as_uint64(0);
-    w = v->find("max_wall_s");
-    if (w == nullptr || !w->is_number()) return bad("watchdog.max_wall_s");
-    c.watchdog.max_wall_s = w->as_double(0.0);
-    w = v->find("poll_interval");
-    if (w == nullptr || !w->is_number()) return bad("watchdog.poll_interval");
-    c.watchdog.poll_interval = w->as_uint64(4096);
+  if (v == nullptr || !v->is_object()) return f.bad("watchdog");
+  if (!f.get(*v, "watchdog.max_sim_events", &c.watchdog.max_sim_events) ||
+      !f.get(*v, "watchdog.max_wall_s", &c.watchdog.max_wall_s) ||
+      !f.get(*v, "watchdog.poll_interval", &c.watchdog.poll_interval)) {
+    return false;
   }
   *out = std::move(c);
   return true;
@@ -238,46 +206,40 @@ bool repro_bundle_from_json(const std::string& text, ReproBundle* out,
   const Layout& layout = fleet ? kFleetLayout : kSessionLayout;
 
   ReproBundle b;
-  auto missing = [error](const char* field) {
-    if (error) *error = std::string("bundle: missing field \"") + field + "\"";
-    return false;
-  };
+  const JsonFields f("bundle", error);
   // Bundles come from outside the program: a run needs at least one
-  // tenant and one chunk, and a count must fit the int that stores it.
-  auto valid_count = [error](const JsonValue& obj, const char* field) {
-    const std::int64_t n = obj.find(field)->as_int64(0);
-    if (n >= 1 && n <= std::numeric_limits<int>::max()) return true;
+  // tenant and one chunk (the read already refused a count no int holds).
+  auto valid_count = [error](int n, const char* field) {
+    if (n >= 1) return true;
     if (error) {
       *error = std::string("bundle: \"") + field + "\" must be from 1 to " +
                std::to_string(std::numeric_limits<int>::max());
     }
     return false;
   };
-  const JsonValue* v = root.find("schema");
-  if (v == nullptr || !v->is_number()) return missing("schema");
-  b.schema = static_cast<int>(v->as_int64(1));
+  if (!f.get(root, "schema", &b.schema)) return false;
   if (b.schema < 1 || b.schema > layout.schema) {
     if (error) {
       *error = "bundle: unsupported schema " + std::to_string(b.schema);
     }
     return false;
   }
-  v = root.find("seed");
-  if (v == nullptr || !v->is_number()) return missing("seed");
-  b.seed = v->as_uint64(0);
+  if (!f.get(root, "seed", &b.seed)) return false;
+  const JsonValue* v = nullptr;
   if (fleet) {
     v = root.find("config");
-    if (v == nullptr) return missing("config");
+    if (v == nullptr) return f.bad("config");
     FleetConfig config;
     if (!fleet_config_from_json_value(*v, &config, error) ||
-        !valid_count(*v, "sessions") || !valid_count(*v, "chunk_count") ||
+        !valid_count(config.sessions, "sessions") ||
+        !valid_count(config.chunk_count, "chunk_count") ||
         !valid_network(config, error)) {
       return false;
     }
     b.fleet = std::move(config);
   } else if (b.schema >= 2) {
     v = root.find("spec");
-    if (v == nullptr) return missing("spec");
+    if (v == nullptr) return f.bad("spec");
     std::string spec_error;
     if (!session_spec_from_json_value(*v, &b.spec, &spec_error)) {
       if (error) *error = "bundle: " + spec_error;
@@ -289,59 +251,49 @@ bool repro_bundle_from_json(const std::string& text, ReproBundle* out,
     // those bundles implied).
     v = root.find("scheme");
     if (v == nullptr || !v->is_string() ||
-        !scheme_from_string(v->str, &b.spec.scheme)) {
+        !enum_from_string<Scheme::kMpDashRate>(v->str, &b.spec.scheme)) {
       if (error) *error = "bundle: bad \"scheme\"";
       return false;
     }
-    v = root.find("adaptation");
-    if (v != nullptr && v->is_string()) b.spec.adaptation = v->str;
-    v = root.find("mptcp_scheduler");
-    if (v != nullptr && v->is_string()) b.spec.mptcp_scheduler = v->str;
-    v = root.find("inflight");
-    if (v != nullptr && v->is_number()) {
-      b.spec.inflight = static_cast<int>(v->as_int64(1));
-    }
-    v = root.find("recovery");
-    if (v != nullptr && v->is_bool()) b.spec.recovery = v->boolean;
-    v = root.find("time_limit_ns");
-    if (v == nullptr || !v->is_number()) return missing("time_limit_ns");
-    b.spec.time_limit = Duration(v->as_int64(0));
-    v = root.find("watchdog");
-    if (v != nullptr && v->is_object()) {
-      const JsonValue* w = v->find("max_sim_events");
-      if (w != nullptr) b.spec.watchdog.max_sim_events = w->as_uint64(0);
-      w = v->find("max_wall_s");
-      if (w != nullptr) b.spec.watchdog.max_wall_s = w->as_double(0.0);
-      w = v->find("poll_interval");
-      if (w != nullptr) b.spec.watchdog.poll_interval = w->as_uint64(4096);
+    const JsonValue* w = root.find("watchdog");
+    if (w != nullptr && !w->is_object()) return f.bad("watchdog");
+    WatchdogConfig& dog = b.spec.watchdog;
+    if (!f.get(root, "adaptation", &b.spec.adaptation, true) ||
+        !f.get(root, "mptcp_scheduler", &b.spec.mptcp_scheduler, true) ||
+        !f.get(root, "inflight", &b.spec.inflight, true) ||
+        !f.get(root, "recovery", &b.spec.recovery, true) ||
+        !f.get(root, "time_limit_ns", &b.spec.time_limit) ||
+        (w != nullptr &&
+         (!f.get(*w, "watchdog.max_sim_events", &dog.max_sim_events, true) ||
+          !f.get(*w, "watchdog.max_wall_s", &dog.max_wall_s, true) ||
+          !f.get(*w, "watchdog.poll_interval", &dog.poll_interval, true)))) {
+      return false;
     }
   }
   if (!fleet) {
-    v = root.find("chunk_count");
-    if (v == nullptr || !v->is_number()) return missing("chunk_count");
-    if (!valid_count(root, "chunk_count")) return false;
-    b.chunk_count = static_cast<int>(v->as_int64(0));
-    if (!valid_network(b.spec, error)) return false;
+    if (!f.get(root, "chunk_count", &b.chunk_count) ||
+        !valid_count(b.chunk_count, "chunk_count") ||
+        !valid_network(b.spec, error)) {
+      return false;
+    }
   }
   v = root.find("plan");
-  if (v == nullptr) return missing("plan");
+  if (v == nullptr) return f.bad("plan");
   if (!fault_plan_from_json_value(*v, &b.plan, error)) return false;
   v = root.find("outcome");
   if (v == nullptr || !v->is_string() ||
-      !outcome_from_string(v->str, &b.outcome)) {
+      !enum_from_string<RunOutcome::kCrashed>(v->str, &b.outcome)) {
     if (error) *error = "bundle: bad \"outcome\"";
     return false;
   }
-  v = root.find("hung_reason");
-  if (v != nullptr && v->is_string()) b.hung_reason = v->str;
+  if (!f.get(root, "hung_reason", &b.hung_reason, true)) return false;
   v = root.find("expected_violations");
-  if (v != nullptr && v->is_array()) {
+  if (v != nullptr) {
+    if (!v->is_array()) return f.bad("expected_violations");
     for (const JsonValue& item : v->items) {
-      if (!item.is_string()) {
-        if (error) *error = "bundle: non-string violation entry";
-        return false;
-      }
-      b.expected_violations.push_back(item.str);
+      std::string violation;
+      if (!json_get(item, &violation)) return f.bad("expected_violations");
+      b.expected_violations.push_back(std::move(violation));
     }
   }
   *out = std::move(b);

@@ -274,7 +274,6 @@ SessionResult StreamingRun::collect(int tenant) const {
   res.stall_s = to_seconds(player.total_stall_time());
   res.switches = player.quality_switches();
   res.chunk_log = player.chunks();
-  res.events = player.events();
   res.chunks = static_cast<int>(res.chunk_log.size());
   if (t.socket) res.deadline_misses = t.socket->deadline_misses();
   if (t.adapter) res.chunks_engaged = t.adapter->chunks_engaged();

@@ -43,8 +43,8 @@ struct SessionConfig {
   int debounce_ticks = 2;
   PlayerConfig player;
   Duration time_limit = seconds(1800.0);
-  // Captures the full telemetry trace (with payload, for the analyzer)
-  // into SessionResult::trace.
+  // Captures the full telemetry trace into SessionResult::trace: packets
+  // with payload and the player's kPlayer events, all the analyzer reads.
   bool record_trace = false;
   // Snapshot cadence when SessionEnv::metrics is set.
   Duration metrics_interval = seconds(1.0);
@@ -100,7 +100,6 @@ struct SessionResult {
   double energy_j() const { return wifi_energy_j + lte_energy_j; }
 
   std::vector<ChunkRecord> chunk_log;
-  std::vector<PlayerEvent> events;
   std::vector<TraceRecord> trace;  // when record_trace
 
   // --- robustness / chaos accounting -----------------------------------

@@ -3,18 +3,9 @@
 #include <algorithm>
 #include <utility>
 
-namespace mpdash {
+#include "util/enum_string.h"
 
-bool scheme_from_string(std::string_view name, Scheme* out) {
-  for (int i = 0; i <= static_cast<int>(Scheme::kMpDashRate); ++i) {
-    const Scheme s = static_cast<Scheme>(i);
-    if (name == to_string(s)) {
-      *out = s;
-      return true;
-    }
-  }
-  return false;
-}
+namespace mpdash {
 
 std::string session_spec_to_json(const SessionSpec& s) {
   // Canonical: fixed field order, every field always emitted, one line —
@@ -48,66 +39,36 @@ bool session_spec_from_json_value(const JsonValue& root, SessionSpec* out,
     return false;
   }
   SessionSpec s;
-  auto bad = [error](const char* what) {
-    if (error) *error = std::string("spec: missing or bad \"") + what + "\"";
-    return false;
-  };
+  const JsonFields f("spec", error);
   const JsonValue* v = root.find("scheme");
-  if (v == nullptr || !v->is_string() || !scheme_from_string(v->str, &s.scheme)) {
-    return bad("scheme");
+  if (v == nullptr || !v->is_string() ||
+      !enum_from_string<Scheme::kMpDashRate>(v->str, &s.scheme)) {
+    return f.bad("scheme");
   }
-  v = root.find("adaptation");
-  if (v == nullptr || !v->is_string()) return bad("adaptation");
-  s.adaptation = v->str;
-  v = root.find("mptcp_scheduler");
-  if (v == nullptr || !v->is_string()) return bad("mptcp_scheduler");
-  s.mptcp_scheduler = v->str;
-  v = root.find("alpha");
-  if (v == nullptr || !v->is_number()) return bad("alpha");
-  s.alpha = v->as_double(1.0);
-  v = root.find("debounce_ticks");
-  if (v == nullptr || !v->is_number()) return bad("debounce_ticks");
-  s.debounce_ticks = static_cast<int>(v->as_int64(2));
+  if (!f.get(root, "adaptation", &s.adaptation) ||
+      !f.get(root, "mptcp_scheduler", &s.mptcp_scheduler) ||
+      !f.get(root, "alpha", &s.alpha) ||
+      !f.get(root, "debounce_ticks", &s.debounce_ticks)) {
+    return false;
+  }
   v = root.find("scenario");
-  if (v == nullptr || !v->is_object()) return bad("scenario");
-  {
-    const JsonValue* w = v->find("wifi_mbps");
-    if (w == nullptr || !w->is_number()) return bad("scenario.wifi_mbps");
-    s.scenario.wifi_mbps = w->as_double(5.0);
-    w = v->find("lte_mbps");
-    if (w == nullptr || !w->is_number()) return bad("scenario.lte_mbps");
-    s.scenario.lte_mbps = w->as_double(4.0);
+  if (v == nullptr || !v->is_object()) return f.bad("scenario");
+  if (!f.get(*v, "scenario.wifi_mbps", &s.scenario.wifi_mbps) ||
+      !f.get(*v, "scenario.lte_mbps", &s.scenario.lte_mbps) ||
+      !f.get(root, "inflight", &s.inflight) ||
+      !f.get(root, "max_chunk_attempts", &s.max_chunk_attempts) ||
+      !f.get(root, "buffer_capacity_s", &s.buffer_capacity_s) ||
+      !f.get(root, "startup_buffer_s", &s.startup_buffer_s) ||
+      !f.get(root, "recovery", &s.recovery) ||
+      !f.get(root, "time_limit_ns", &s.time_limit)) {
+    return false;
   }
-  v = root.find("inflight");
-  if (v == nullptr || !v->is_number()) return bad("inflight");
-  s.inflight = static_cast<int>(v->as_int64(1));
-  v = root.find("max_chunk_attempts");
-  if (v == nullptr || !v->is_number()) return bad("max_chunk_attempts");
-  s.max_chunk_attempts = static_cast<int>(v->as_int64(3));
-  v = root.find("buffer_capacity_s");
-  if (v == nullptr || !v->is_number()) return bad("buffer_capacity_s");
-  s.buffer_capacity_s = v->as_double(40.0);
-  v = root.find("startup_buffer_s");
-  if (v == nullptr || !v->is_number()) return bad("startup_buffer_s");
-  s.startup_buffer_s = v->as_double(8.0);
-  v = root.find("recovery");
-  if (v == nullptr || !v->is_bool()) return bad("recovery");
-  s.recovery = v->boolean;
-  v = root.find("time_limit_ns");
-  if (v == nullptr || !v->is_number()) return bad("time_limit_ns");
-  s.time_limit = Duration(v->as_int64(0));
   v = root.find("watchdog");
-  if (v == nullptr || !v->is_object()) return bad("watchdog");
-  {
-    const JsonValue* w = v->find("max_sim_events");
-    if (w == nullptr || !w->is_number()) return bad("watchdog.max_sim_events");
-    s.watchdog.max_sim_events = w->as_uint64(0);
-    w = v->find("max_wall_s");
-    if (w == nullptr || !w->is_number()) return bad("watchdog.max_wall_s");
-    s.watchdog.max_wall_s = w->as_double(0.0);
-    w = v->find("poll_interval");
-    if (w == nullptr || !w->is_number()) return bad("watchdog.poll_interval");
-    s.watchdog.poll_interval = w->as_uint64(4096);
+  if (v == nullptr || !v->is_object()) return f.bad("watchdog");
+  if (!f.get(*v, "watchdog.max_sim_events", &s.watchdog.max_sim_events) ||
+      !f.get(*v, "watchdog.max_wall_s", &s.watchdog.max_wall_s) ||
+      !f.get(*v, "watchdog.poll_interval", &s.watchdog.poll_interval)) {
+    return false;
   }
   *out = std::move(s);
   return true;

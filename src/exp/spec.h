@@ -53,9 +53,6 @@ struct SessionSpec {
   friend bool operator==(const SessionSpec&, const SessionSpec&) = default;
 };
 
-// "baseline" → Scheme::kBaseline etc. (inverse of to_string).
-bool scheme_from_string(std::string_view name, Scheme* out);
-
 // Canonical single-line JSON object (see header comment).
 std::string session_spec_to_json(const SessionSpec& spec);
 bool session_spec_from_json_value(const JsonValue& v, SessionSpec* out,

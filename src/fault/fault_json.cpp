@@ -1,23 +1,9 @@
 #include "fault/fault_json.h"
 
-#include <cstring>
-
+#include "util/enum_string.h"
 #include "util/json.h"
 
 namespace mpdash {
-
-bool fault_kind_from_string(std::string_view name, FaultKind* out) {
-  // Inverse of to_string(FaultKind); the switch there is the source of
-  // truth, so walk the enum instead of duplicating the table.
-  for (int k = 0; k <= static_cast<int>(FaultKind::kServerReset); ++k) {
-    const FaultKind kind = static_cast<FaultKind>(k);
-    if (name == to_string(kind)) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
-}
 
 std::string fault_event_to_json(const FaultEvent& e) {
   std::string out = "{\"kind\":";
@@ -45,22 +31,6 @@ std::string fault_plan_to_json(const FaultPlan& plan) {
   return out;
 }
 
-namespace {
-
-bool require_number(const JsonValue& obj, const char* key, double* out,
-                    std::string* error) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->is_number()) {
-    if (error) *error = std::string("fault event: missing number '") + key +
-                        "'";
-    return false;
-  }
-  *out = v->as_double();
-  return true;
-}
-
-}  // namespace
-
 bool fault_event_from_json(const JsonValue& v, FaultEvent* out,
                            std::string* error) {
   if (!v.is_object()) {
@@ -69,7 +39,7 @@ bool fault_event_from_json(const JsonValue& v, FaultEvent* out,
   }
   const JsonValue* kind = v.find("kind");
   if (kind == nullptr || !kind->is_string() ||
-      !fault_kind_from_string(kind->str, &out->kind)) {
+      !enum_from_string<FaultKind::kServerReset>(kind->str, &out->kind)) {
     if (error) {
       *error = "fault event: bad or missing \"kind\"" +
                (kind != nullptr && kind->is_string() ? " '" + kind->str + "'"
@@ -77,37 +47,21 @@ bool fault_event_from_json(const JsonValue& v, FaultEvent* out,
     }
     return false;
   }
-  const JsonValue* at = v.find("at_ns");
-  const JsonValue* dur = v.find("duration_ns");
-  if (at == nullptr || !at->is_number() || dur == nullptr ||
-      !dur->is_number()) {
-    if (error) *error = "fault event: missing at_ns/duration_ns";
+  // Integer nanosecond counts round-trip exactly (no float in the path).
+  const JsonFields f("fault event", error);
+  if (!f.get(v, "at_ns", &out->at) ||
+      !f.get(v, "duration_ns", &out->duration) ||
+      !f.get(v, "path", &out->path_id, true) ||
+      !f.get(v, "value", &out->value, true)) {
     return false;
   }
-  // Integer nanosecond counts round-trip exactly (no float in the path).
-  out->at = TimePoint(Duration(at->as_int64()));
-  out->duration = Duration(dur->as_int64());
-  if (const JsonValue* path = v.find("path"); path != nullptr) {
-    out->path_id = static_cast<int>(path->as_int64());
-  }
-  if (const JsonValue* val = v.find("value"); val != nullptr) {
-    out->value = val->as_double();
-  }
-  if (const JsonValue* ge = v.find("ge"); ge != nullptr) {
-    if (!ge->is_object()) {
-      if (error) *error = "fault event: \"ge\" is not an object";
-      return false;
-    }
-    if (!require_number(*ge, "p_good_to_bad", &out->ge.p_good_to_bad,
-                        error) ||
-        !require_number(*ge, "p_bad_to_good", &out->ge.p_bad_to_good,
-                        error) ||
-        !require_number(*ge, "loss_good", &out->ge.loss_good, error) ||
-        !require_number(*ge, "loss_bad", &out->ge.loss_bad, error)) {
-      return false;
-    }
-  }
-  return true;
+  const JsonValue* ge = v.find("ge");
+  if (ge == nullptr) return true;
+  if (!ge->is_object()) return f.bad("ge");
+  return f.get(*ge, "ge.p_good_to_bad", &out->ge.p_good_to_bad) &&
+         f.get(*ge, "ge.p_bad_to_good", &out->ge.p_bad_to_good) &&
+         f.get(*ge, "ge.loss_good", &out->ge.loss_good) &&
+         f.get(*ge, "ge.loss_bad", &out->ge.loss_bad);
 }
 
 bool fault_plan_from_json_value(const JsonValue& v, FaultPlan* out,

@@ -10,16 +10,12 @@
 // whole minimized bundles as strings.
 
 #include <string>
-#include <string_view>
 
 #include "fault/fault.h"
 
 namespace mpdash {
 
 struct JsonValue;
-
-// "blackout" → FaultKind::kBlackout etc. (inverse of to_string).
-bool fault_kind_from_string(std::string_view name, FaultKind* out);
 
 // One event as a single-line JSON object:
 //   {"kind":"blackout","at_ns":5000000000,"duration_ns":12000000000,

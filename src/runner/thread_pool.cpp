@@ -1,6 +1,7 @@
 #include "runner/thread_pool.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 
 namespace mpdash {
@@ -61,6 +62,15 @@ int resolve_jobs(int requested) {
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
+}
+
+bool parse_jobs_value(std::string_view text, int* jobs) {
+  int n = 0;
+  const char* end = text.data() + text.size();
+  const auto res = std::from_chars(text.data(), end, n);
+  if (res.ec != std::errc() || res.ptr != end || n < 0) return false;
+  *jobs = n;
+  return true;
 }
 
 }  // namespace mpdash

@@ -9,6 +9,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -50,5 +51,9 @@ class ThreadPool {
 // otherwise the MPDASH_JOBS environment variable; otherwise
 // std::thread::hardware_concurrency() (>= 1).
 int resolve_jobs(int requested);
+
+// Parses a --jobs value: a whole integer >= 0, where 0 leaves the count to
+// resolve_jobs. False for anything else ("abc", "3x", "-5", "").
+bool parse_jobs_value(std::string_view text, int* jobs);
 
 }  // namespace mpdash

@@ -1,12 +1,12 @@
 #include "telemetry/trace_sink.h"
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <mutex>
 #include <unordered_set>
 
 #include "util/csv.h"
+#include "util/enum_string.h"
 #include "util/json.h"
 
 namespace mpdash {
@@ -28,21 +28,6 @@ const char* to_string(TraceType t) {
   return "unknown";
 }
 
-namespace {
-
-// Inverse of to_string(TraceType); false on an unknown name.
-bool trace_type_from_string(std::string_view name, TraceType* out) {
-  for (int i = 0; i < kTraceTypeCount; ++i) {
-    if (name == to_string(static_cast<TraceType>(i))) {
-      *out = static_cast<TraceType>(i);
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
 bool parse_trace_types(std::string_view spec, std::uint32_t* mask) {
   std::uint32_t out = 0;
   while (!spec.empty()) {
@@ -54,7 +39,7 @@ bool parse_trace_types(std::string_view spec, std::uint32_t* mask) {
     while (!name.empty() && name.back() == ' ') name.remove_suffix(1);
     if (name.empty()) continue;
     TraceType type;
-    if (!trace_type_from_string(name, &type)) return false;
+    if (!enum_from_string<TraceType::kSpanEnd>(name, &type)) return false;
     out |= 1u << static_cast<unsigned>(type);
   }
   *mask = out;
@@ -227,16 +212,6 @@ const char* intern_trace_label(std::string_view label) {
 
 namespace {
 
-// An integer field takes a whole literal the field's type can hold: a
-// fraction, an exponent, a sign it cannot carry or an overflow is
-// malformed input, never a cast.
-template <typename T>
-bool read_integer(const JsonValue& v, T* out) {
-  const char* end = v.number.data() + v.number.size();
-  const auto res = std::from_chars(v.number.data(), end, *out);
-  return res.ec == std::errc() && res.ptr == end;
-}
-
 bool record_from_json(const JsonValue& doc, TraceRecord* out,
                       std::string* err) {
   auto fail = [err](const std::string& msg) {
@@ -284,43 +259,43 @@ bool record_from_json(const JsonValue& doc, TraceRecord* out,
       // to_seconds() divides the integer nanosecond count by 1e9; with
       // shortest-round-trip doubles the rescale is exact for any
       // session-scale time, so llround restores the count bit-for-bit.
-      const double ns = v.as_double() * 1e9;
-      ok = std::fabs(ns) < 9e18;
-      if (ok) r.at = TimePoint(Duration(std::llround(ns)));
+      double t = 0.0;
+      ok = json_get(v, &t) && std::fabs(t * 1e9) < 9e18;
+      if (ok) r.at = TimePoint(Duration(std::llround(t * 1e9)));
     } else if (key == "span") {
-      ok = read_integer(v, &r.span);
+      ok = json_get(v, &r.span);
     } else if (key == "path") {
-      ok = read_integer(v, &r.path_id);
+      ok = json_get(v, &r.path_id);
     } else if (key == "link") {
-      ok = read_integer(v, &r.link_id);
+      ok = json_get(v, &r.link_id);
     } else if (key == "wire") {
-      ok = read_integer(v, &r.wire_size);
+      ok = json_get(v, &r.wire_size);
     } else if (key == "payload") {
-      ok = read_integer(v, &r.payload_len);
+      ok = json_get(v, &r.payload_len);
     } else if (key == "seq") {
-      ok = read_integer(v, &r.data_seq);
+      ok = json_get(v, &r.data_seq);
     } else if (key == "mask") {
-      ok = read_integer(v, &r.mask);
+      ok = json_get(v, &r.mask);
     } else if (key == "level" || key == "attempt") {
-      ok = read_integer(v, &r.level);
+      ok = json_get(v, &r.level);
     } else if (key == "chunk") {
-      ok = read_integer(v, &r.chunk);
+      ok = json_get(v, &r.chunk);
     } else if (key == "bytes") {
-      ok = read_integer(v, &r.bytes);
+      ok = json_get(v, &r.bytes);
     } else if (key == "cwnd") {
-      r.cwnd = v.as_double();
+      ok = json_get(v, &r.cwnd);
     } else if (key == "ssthresh") {
-      r.ssthresh = v.as_double();
+      ok = json_get(v, &r.ssthresh);
     } else if (key == "srtt_ms") {
-      r.srtt_ms = v.as_double();
+      ok = json_get(v, &r.srtt_ms);
     } else if (key == "budget_s") {
-      r.budget_s = v.as_double();
+      ok = json_get(v, &r.budget_s);
     } else if (key == "deliverable") {
-      r.deliverable_bytes = v.as_double();
+      ok = json_get(v, &r.deliverable_bytes);
     } else if (key == "remaining") {
-      r.remaining_bytes = v.as_double();
+      ok = json_get(v, &r.remaining_bytes);
     } else if (key == "value" || key == "deadline_s" || key == "elapsed_s") {
-      r.value = v.as_double();
+      ok = json_get(v, &r.value);
     } else {
       return fail("unknown numeric key '" + key + "'");
     }
@@ -328,7 +303,7 @@ bool record_from_json(const JsonValue& doc, TraceRecord* out,
   }
 
   if (type_name == nullptr) return fail("record has no type");
-  if (!trace_type_from_string(*type_name, &r.type)) {
+  if (!enum_from_string<TraceType::kSpanEnd>(*type_name, &r.type)) {
     return fail("unknown record type '" + *type_name + "'");
   }
   if (r.is_packet()) {

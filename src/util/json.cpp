@@ -13,36 +13,42 @@ const JsonValue* JsonValue::find(std::string_view key) const {
   return nullptr;
 }
 
-double JsonValue::as_double(double fallback) const {
-  if (type != Type::kNumber) return fallback;
-  double v = fallback;
-  const auto res = std::from_chars(number.data(),
-                                   number.data() + number.size(), v);
-  return res.ec == std::errc() ? v : fallback;
+bool json_get(const JsonValue& v, bool* out) {
+  if (!v.is_bool()) return false;
+  *out = v.boolean;
+  return true;
 }
 
-std::int64_t JsonValue::as_int64(std::int64_t fallback) const {
-  if (type != Type::kNumber) return fallback;
-  std::int64_t v = fallback;
-  const auto res = std::from_chars(number.data(),
-                                   number.data() + number.size(), v);
-  return res.ec == std::errc() && res.ptr == number.data() + number.size()
-             ? v
-             : fallback;
+bool json_get(const JsonValue& v, std::string* out) {
+  if (!v.is_string()) return false;
+  *out = v.str;
+  return true;
 }
 
-std::uint64_t JsonValue::as_uint64(std::uint64_t fallback) const {
-  if (type != Type::kNumber) return fallback;
-  std::uint64_t v = fallback;
-  const auto res = std::from_chars(number.data(),
-                                   number.data() + number.size(), v);
-  return res.ec == std::errc() && res.ptr == number.data() + number.size()
-             ? v
-             : fallback;
+bool json_get(const JsonValue& v, double* out) {
+  if (!v.is_number()) return false;
+  const char* end = v.number.data() + v.number.size();
+  const auto res = std::from_chars(v.number.data(), end, *out);
+  return res.ec == std::errc() && res.ptr == end;
 }
 
-bool JsonValue::as_bool(bool fallback) const {
-  return type == Type::kBool ? boolean : fallback;
+bool json_get(const JsonValue& v, Duration* out) {
+  std::int64_t ns = 0;
+  if (!json_get(v, &ns)) return false;
+  *out = Duration(ns);
+  return true;
+}
+
+bool JsonFields::bad(const char* name) const {
+  if (error_) {
+    *error_ = std::string(artifact_) + ": missing or bad \"" + name + "\"";
+  }
+  return false;
+}
+
+std::string_view JsonFields::key_of(std::string_view name) {
+  const std::size_t dot = name.rfind('.');
+  return dot == std::string_view::npos ? name : name.substr(dot + 1);
 }
 
 namespace {

@@ -10,11 +10,15 @@
 // Deliberately not a general-purpose library: no streaming, no SAX, no
 // allocator hooks — parse a whole document, walk the tree, done.
 
+#include <charconv>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "util/units.h"
 
 namespace mpdash {
 
@@ -45,13 +49,53 @@ struct JsonValue {
 
   // Member lookup; nullptr when absent or not an object.
   const JsonValue* find(std::string_view key) const;
+};
 
-  // Scalar accessors: fall back when the value has the wrong type or the
-  // literal does not parse.
-  double as_double(double fallback = 0.0) const;
-  std::int64_t as_int64(std::int64_t fallback = 0) const;
-  std::uint64_t as_uint64(std::uint64_t fallback = 0) const;
-  bool as_bool(bool fallback = false) const;
+// The one checked read of a JSON value into a typed field; false when the
+// value does not fit the field. A bool takes true/false, a string any
+// string and a double any number. An integer, and a Duration (integer
+// nanoseconds), takes only a whole literal its type holds: a fraction, an
+// exponent, a sign it cannot carry or an overflow is malformed input,
+// never a cast. On false, *out holds nothing the caller may use.
+bool json_get(const JsonValue& v, bool* out);
+bool json_get(const JsonValue& v, std::string* out);
+bool json_get(const JsonValue& v, double* out);
+bool json_get(const JsonValue& v, Duration* out);
+template <typename T>
+  requires std::is_integral_v<T>
+bool json_get(const JsonValue& v, T* out) {
+  if (!v.is_number()) return false;
+  const char* end = v.number.data() + v.number.size();
+  const auto res = std::from_chars(v.number.data(), end, *out);
+  return res.ec == std::errc() && res.ptr == end;
+}
+
+// The field reads of one artifact's reader. A field is named the way the
+// artifact spells it; its last dotted part is the key in the object read
+// ("watchdog.max_wall_s" reads "max_wall_s" from the watchdog object).
+// The first bad field sets *error to `<artifact>: missing or bad "<name>"`.
+// An optional field keeps *out when absent, but one that is present must
+// hold its type.
+class JsonFields {
+ public:
+  JsonFields(const char* artifact, std::string* error)
+      : artifact_(artifact), error_(error) {}
+
+  template <typename T>
+  bool get(const JsonValue& obj, const char* name, T* out,
+           bool optional = false) const {
+    const JsonValue* v = obj.find(key_of(name));
+    if (v == nullptr) return optional || bad(name);
+    return json_get(*v, out) || bad(name);
+  }
+  // Reports `name` as the bad field; always false.
+  bool bad(const char* name) const;
+
+ private:
+  static std::string_view key_of(std::string_view name);
+
+  const char* artifact_;
+  std::string* error_;
 };
 
 // Parses exactly one JSON document (trailing whitespace allowed, trailing

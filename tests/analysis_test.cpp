@@ -5,6 +5,7 @@
 #include "dash/video.h"
 #include "exp/scenario.h"
 #include "exp/session.h"
+#include "trace/generators.h"
 
 namespace mpdash {
 namespace {
@@ -32,7 +33,7 @@ TEST(Analyzer, ReconstructsEveryChunkFromTheWire) {
   ASSERT_TRUE(res.completed);
   AnalyzerConfig cfg;
   cfg.device = galaxy_note();
-  const AnalysisReport report = analyze(res.trace, res.events, cfg);
+  const AnalysisReport report = analyze(res.trace, cfg);
 
   // One ChunkDelivery per fetched chunk, sizes matching the player's log.
   ASSERT_EQ(report.chunks.size(), res.chunk_log.size());
@@ -60,7 +61,7 @@ TEST(Analyzer, PathUsageMatchesLinkCounters) {
 
   AnalyzerConfig acfg;
   acfg.device = galaxy_note();
-  const AnalysisReport report = analyze(res.trace, res.events, acfg);
+  const AnalysisReport report = analyze(res.trace, acfg);
   const PathUsage* wifi = report.path(kWifiPathId);
   const PathUsage* lte = report.path(kCellularPathId);
   ASSERT_NE(wifi, nullptr);
@@ -75,8 +76,8 @@ TEST(Analyzer, MpDashShiftsChunkBytesOffCellular) {
   const SessionResult mpd = recorded_session(Scheme::kMpDashRate);
   AnalyzerConfig cfg;
   cfg.device = galaxy_note();
-  const auto base_report = analyze(base.trace, base.events, cfg);
-  const auto mpd_report = analyze(mpd.trace, mpd.events, cfg);
+  const auto base_report = analyze(base.trace, cfg);
+  const auto mpd_report = analyze(mpd.trace, cfg);
 
   double base_cell = 0.0, mpd_cell = 0.0;
   for (const auto& c : base_report.chunks) {
@@ -92,10 +93,36 @@ TEST(Analyzer, EnergyAndSessionLengthPopulated) {
   const SessionResult res = recorded_session(Scheme::kBaseline);
   AnalyzerConfig cfg;
   cfg.device = galaxy_note();
-  const AnalysisReport report = analyze(res.trace, res.events, cfg);
+  const AnalysisReport report = analyze(res.trace, cfg);
   EXPECT_GT(to_seconds(report.session_length), 10.0);
   EXPECT_GT(report.energy.total_j(), 0.0);
   EXPECT_GT(report.energy.lte.total_j(), 0.0);
+}
+
+// The analyzer's stall and switch statistics come from the player's
+// records in the trace; on a session that stalls twice and switches levels
+// they must agree with the player's own counters.
+TEST(Analyzer, StallsAndSwitchesMatchTheSession) {
+  ScenarioConfig net =
+      constant_scenario(DataRate::mbps(6.0), DataRate::mbps(0.3));
+  net.wifi_down = gen_step(DataRate::mbps(6.0), DataRate::mbps(0.2),
+                           seconds(24.0), seconds(900.0));
+  Scenario scenario(net);
+  SessionConfig cfg;
+  cfg.scheme = Scheme::kBaseline;
+  cfg.adaptation = "gpac";
+  cfg.record_trace = true;
+  const SessionResult res = run_streaming_session(scenario, tiny_video(), cfg);
+  ASSERT_TRUE(res.completed);
+  ASSERT_GT(res.stalls, 1);
+  ASSERT_GT(res.switches, 0);
+
+  const AnalysisReport report = analyze(res.trace, AnalyzerConfig{});
+  EXPECT_EQ(report.stalls.size(), static_cast<std::size_t>(res.stalls));
+  Duration stalled = kDurationZero;
+  for (const StallInterval& s : report.stalls) stalled += s.end - s.start;
+  EXPECT_EQ(to_seconds(stalled), res.stall_s);
+  EXPECT_EQ(report.quality_switches, res.switches);
 }
 
 TEST(Analyzer, ThroughputSeriesCoversSession) {
@@ -114,7 +141,7 @@ TEST(Render, TimelineShowsLevelsAndCellularShare) {
   const SessionResult res = recorded_session(Scheme::kBaseline);
   AnalyzerConfig cfg;
   cfg.device = galaxy_note();
-  const AnalysisReport report = analyze(res.trace, res.events, cfg);
+  const AnalysisReport report = analyze(res.trace, cfg);
   const std::string out = render_chunk_timeline(report);
   EXPECT_NE(out.find("chunk level"), std::string::npos);
   EXPECT_NE(out.find("cellular share"), std::string::npos);

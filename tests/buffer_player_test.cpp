@@ -7,6 +7,7 @@
 #include "exp/session.h"
 #include "http/client.h"
 #include "mptcp/connection.h"
+#include "telemetry/telemetry.h"
 
 namespace mpdash {
 namespace {
@@ -64,6 +65,27 @@ struct PlayerFixture {
   }
 };
 
+// The player's events, read the way the analyzer reads them: as the
+// kPlayer records it emits into a trace.
+struct PlayerEvents {
+  Telemetry telemetry;
+  TraceCollector trace;
+
+  explicit PlayerEvents(DashPlayer& player) {
+    telemetry.add_sink(&trace);
+    player.set_telemetry(&telemetry);
+  }
+  PlayerEvents(const PlayerEvents&) = delete;  // the player holds its address
+  PlayerEvents& operator=(const PlayerEvents&) = delete;
+  std::vector<TraceRecord> records() const {
+    std::vector<TraceRecord> out;
+    for (const TraceRecord& r : trace.records()) {
+      if (r.type == TraceType::kPlayer) out.push_back(r);
+    }
+    return out;
+  }
+};
+
 Video short_video() {
   return Video("Short", seconds(4.0), 20,
                {DataRate::mbps(0.58), DataRate::mbps(1.01),
@@ -76,6 +98,7 @@ TEST(DashPlayer, FastNetworkPlaysTopQualityWithoutStalls) {
   PlayerFixture f(50.0, 50.0, short_video());
   auto adaptation = make_adaptation("festive");
   DashPlayer player(f.scenario.loop(), f.client, *adaptation);
+  const PlayerEvents events(player);
   player.start();
   f.scenario.loop().run_until(TimePoint(seconds(300.0)));
 
@@ -84,15 +107,17 @@ TEST(DashPlayer, FastNetworkPlaysTopQualityWithoutStalls) {
   ASSERT_EQ(player.chunks().size(), 20u);
   // FESTIVE ramps up; the tail should sit at the top level.
   EXPECT_EQ(player.chunks().back().level, 4);
-  // Event log bookkeeping: one request + one complete per chunk.
+  // Event bookkeeping: one request + one complete per chunk.
+  const std::vector<TraceRecord> records = events.records();
   int requests = 0, completes = 0;
-  for (const auto& ev : player.events()) {
-    requests += ev.type == PlayerEventType::kChunkRequest;
-    completes += ev.type == PlayerEventType::kChunkComplete;
+  for (const TraceRecord& r : records) {
+    requests += is_player_event(r, PlayerEventType::kChunkRequest);
+    completes += is_player_event(r, PlayerEventType::kChunkComplete);
   }
   EXPECT_EQ(requests, 20);
   EXPECT_EQ(completes, 20);
-  EXPECT_EQ(player.events().back().type, PlayerEventType::kPlaybackDone);
+  ASSERT_FALSE(records.empty());
+  EXPECT_TRUE(is_player_event(records.back(), PlayerEventType::kPlaybackDone));
 }
 
 TEST(DashPlayer, StarvedNetworkStallsButFinishes) {
@@ -127,12 +152,13 @@ TEST(DashPlayer, BufferNeverExceedsCapacity) {
   PlayerConfig cfg;
   cfg.buffer_capacity = seconds(20.0);
   DashPlayer player(f.scenario.loop(), f.client, *adaptation, cfg);
+  const PlayerEvents events(player);
   player.start();
   f.scenario.loop().run_until(TimePoint(seconds(300.0)));
   ASSERT_TRUE(player.done());
-  for (const auto& ev : player.events()) {
-    if (ev.type == PlayerEventType::kBufferSample) {
-      EXPECT_LE(ev.extra, 20.0 + 1e-6);
+  for (const TraceRecord& r : events.records()) {
+    if (is_player_event(r, PlayerEventType::kBufferSample)) {
+      EXPECT_LE(r.value, 20.0 + 1e-6);
     }
   }
 }
@@ -150,22 +176,6 @@ TEST(DashPlayer, ChunkRecordsCarryTimingAndBuffer) {
     EXPECT_GT(c.completed, c.requested);
     EXPECT_GT(c.bytes, 0);
     prev = c.requested;
-  }
-}
-
-TEST(DashPlayer, EventLogCsvRoundTrip) {
-  PlayerFixture f(50.0, 50.0, short_video());
-  auto adaptation = make_adaptation("gpac");
-  DashPlayer player(f.scenario.loop(), f.client, *adaptation);
-  player.start();
-  f.scenario.loop().run_until(TimePoint(seconds(300.0)));
-  const auto& events = player.events();
-  const auto parsed = event_log_from_csv(event_log_to_csv(events));
-  ASSERT_EQ(parsed.size(), events.size());
-  for (std::size_t i = 0; i < events.size(); i += 7) {
-    EXPECT_EQ(parsed[i].type, events[i].type);
-    EXPECT_EQ(parsed[i].chunk, events[i].chunk);
-    EXPECT_NEAR(to_seconds(parsed[i].at), to_seconds(events[i].at), 1e-3);
   }
 }
 

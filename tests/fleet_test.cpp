@@ -289,6 +289,9 @@ TEST(FleetReproBundle, RejectsSchemaAndCountsOutOfRange) {
                        "{\"sessions\": 2, \"chunk_count\": 0")
                 .find("chunk_count"),
             std::string::npos);
+  // A fractional integer is refused, not truncated into another network.
+  EXPECT_EQ(parse_with("\"fq_quantum\": 1500", "\"fq_quantum\": 1.5"),
+            "fleet config: missing or bad \"fq_quantum\"");
   // Network fields out of range would replay some other network: each
   // one-field edit is refused, naming the field.
   const struct {

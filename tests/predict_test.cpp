@@ -6,7 +6,6 @@
 #include "predict/ewma.h"
 #include "predict/harmonic.h"
 #include "predict/holt_winters.h"
-#include "predict/moving_average.h"
 
 namespace mpdash {
 namespace {
@@ -104,20 +103,6 @@ TEST(Harmonic, ZeroSampleDominates) {
   h.add_sample(DataRate::mbps(5.0));
   h.add_sample(DataRate::bits_per_second(0));
   EXPECT_TRUE(h.predict().is_zero());
-}
-
-TEST(MovingAverage, WindowedArithmeticMean) {
-  MovingAverage ma(3);
-  EXPECT_TRUE(ma.predict().is_zero());
-  ma.add_sample(DataRate::mbps(1.0));
-  ma.add_sample(DataRate::mbps(2.0));
-  EXPECT_NEAR(ma.predict().as_mbps(), 1.5, 1e-9);
-  ma.add_sample(DataRate::mbps(3.0));
-  ma.add_sample(DataRate::mbps(4.0));  // evicts the 1.0 sample
-  EXPECT_NEAR(ma.predict().as_mbps(), 3.0, 1e-9);
-  ma.reset();
-  EXPECT_TRUE(ma.predict().is_zero());
-  EXPECT_THROW(MovingAverage{0}, std::invalid_argument);
 }
 
 TEST(RateSampler, EmitsOneSamplePerInterval) {

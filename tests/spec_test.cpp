@@ -17,6 +17,7 @@
 #include "fault/fault.h"
 #include "fault/fault_json.h"
 #include "telemetry/telemetry.h"
+#include "util/enum_string.h"
 
 namespace mpdash {
 namespace {
@@ -84,6 +85,13 @@ TEST(SessionSpecJson, RejectsMalformedInputWithFieldErrors) {
       {"\"recovery\": false", "\"recovery\": \"no\"", "recovery"},
       {"\"wifi_mbps\": ", "\"wifi\": ", "scenario.wifi_mbps"},
       {"\"max_wall_s\": ", "\"wall\": ", "watchdog.max_wall_s"},
+      // An integer field takes only a whole literal its type holds: a
+      // fraction, a wrap-around or a sign would load some other run.
+      {"\"inflight\": 3", "\"inflight\": 2.5", "inflight"},
+      {"\"debounce_ticks\": 3", "\"debounce_ticks\": 4294967298",
+       "debounce_ticks"},
+      {"\"max_sim_events\": 1000", "\"max_sim_events\": -1",
+       "watchdog.max_sim_events"},
   };
   const std::string good = session_spec_to_json(sample_spec());
   for (const auto& c : cases) {
@@ -101,12 +109,13 @@ TEST(SessionSpecJson, SchemeNamesRoundTrip) {
   for (int i = 0; i <= static_cast<int>(Scheme::kMpDashRate); ++i) {
     const Scheme s = static_cast<Scheme>(i);
     Scheme parsed;
-    ASSERT_TRUE(scheme_from_string(to_string(s), &parsed)) << to_string(s);
+    ASSERT_TRUE(enum_from_string<Scheme::kMpDashRate>(to_string(s), &parsed))
+        << to_string(s);
     EXPECT_EQ(parsed, s);
   }
   Scheme out;
-  EXPECT_FALSE(scheme_from_string("", &out));
-  EXPECT_FALSE(scheme_from_string("mpdash", &out));
+  EXPECT_FALSE(enum_from_string<Scheme::kMpDashRate>("", &out));
+  EXPECT_FALSE(enum_from_string<Scheme::kMpDashRate>("mpdash", &out));
 }
 
 // --- resolution ----------------------------------------------------------

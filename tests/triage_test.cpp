@@ -107,6 +107,23 @@ TEST(FaultPlanJson, RejectsMalformedInput) {
   // Trailing garbage after a valid document is an error, not ignored.
   EXPECT_FALSE(fault_plan_from_json("{\"events\":[]} x", &plan, &err));
   EXPECT_FALSE(err.empty());
+  // A fractional time or path id is refused, never cast: 7.356757643e9
+  // would move the fault to t = 0, and 1.5 would aim it at path 1.
+  const struct {
+    const char* fields;
+    const char* want;
+  } casts[] = {
+      {"\"at_ns\":7.356757643e9,\"duration_ns\":0", "at_ns"},
+      {"\"at_ns\":0,\"duration_ns\":0,\"path\":1.5", "path"},
+  };
+  for (const auto& c : casts) {
+    err.clear();
+    const std::string text =
+        std::string("{\"events\":[{\"kind\":\"blackout\",") + c.fields + "}]}";
+    EXPECT_FALSE(fault_plan_from_json(text, &plan, &err)) << c.fields;
+    EXPECT_EQ(err,
+              std::string("fault event: missing or bad \"") + c.want + "\"");
+  }
 }
 
 // --- watchdog ------------------------------------------------------------

@@ -37,6 +37,7 @@
 #include "trace/locations.h"
 #include "trace/trace_io.h"
 #include "util/csv.h"
+#include "util/enum_string.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -332,7 +333,9 @@ Args parse(int argc, char** argv) {
 
 Scheme parse_scheme(const std::string& s) {
   Scheme out;
-  if (!scheme_from_string(s, &out)) usage("unknown scheme " + s);
+  if (!enum_from_string<Scheme::kMpDashRate>(s, &out)) {
+    usage("unknown scheme " + s);
+  }
   return out;
 }
 
@@ -812,11 +815,8 @@ int cmd_fleet(const Args& a) {
   cfg.fleet.sessions = a.sessions;
   if (a.chunks > 0) cfg.fleet.chunk_count = a.chunks;
   cfg.fleet.mix = parse_mix(a);
-  if (a.discipline == "fifo") {
-    cfg.fleet.discipline = QueueDiscipline::kFifo;
-  } else if (a.discipline == "fq") {
-    cfg.fleet.discipline = QueueDiscipline::kFairQueue;
-  } else {
+  if (!enum_from_string<QueueDiscipline::kFairQueue>(a.discipline,
+                                                     &cfg.fleet.discipline)) {
     usage("unknown discipline " + a.discipline + " (fifo|fq)");
   }
   if (a.wifi_mbps) cfg.fleet.wifi_mbps = *a.wifi_mbps;
