@@ -7,17 +7,19 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "analysis/rollup.h"
 #include "dash/video.h"
+#include "exp/field_study.h"
 #include "exp/scenario.h"
 #include "exp/session.h"
 #include "runner/campaign.h"
-#include "telemetry/trace_sink.h"
 #include "trace/locations.h"
+#include "util/csv.h"
 #include "util/json.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -26,7 +28,8 @@ namespace mpdash::bench {
 
 // Shared `--jobs N` / `--jobs=N` flag for the campaign-based benches: a
 // whole integer >= 0 (0 = auto: MPDASH_JOBS env, then hardware concurrency
-// — see resolve_jobs()). Anything else exits 2 with the usage line.
+// — see resolve_jobs()). Anything else, a malformed MPDASH_JOBS included,
+// exits 2 with the usage line.
 inline int parse_jobs(int argc, char** argv) {
   int jobs = 0;
   for (int i = 1; i < argc; ++i) {
@@ -42,7 +45,13 @@ inline int parse_jobs(int argc, char** argv) {
       std::exit(2);
     }
   }
-  return jobs;
+  try {
+    return resolve_jobs(jobs);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\nusage: %s [--jobs N]\n", e.what(),
+                 argv[0]);
+    std::exit(2);
+  }
 }
 
 // MPDASH_QUICK=1 trims session lengths for fast smoke runs; default is
@@ -71,7 +80,7 @@ inline std::string& current_bench_id() {
 }
 
 // MPDASH_BENCH_JSON=1 appends one metrics snapshot per run_scheme() call
-// to BENCH_<id>.json (JSON lines, one object per run).
+// or field-study cell to BENCH_<id>.json (JSON lines, one object per run).
 inline bool bench_json_enabled() {
   const char* env = std::getenv("MPDASH_BENCH_JSON");
   return env != nullptr && env[0] == '1';
@@ -87,20 +96,15 @@ inline const char* bench_attrib_path() {
   return (env != nullptr && env[0] != '\0') ? env : nullptr;
 }
 
-// Attribution time-series bucket: coarse enough that a 10-minute session
-// yields a handful of rows per cell, not thousands.
-inline constexpr double kBenchAttribBucketS = 10.0;
-
-inline std::string bench_snapshot_line(Telemetry& telemetry, Scheme scheme,
-                                       const std::string& algo,
-                                       double session_s) {
+// `snapshot` is a MetricsSnapshot::to_json() object.
+inline std::string bench_snapshot_line(const std::string& snapshot,
+                                       Scheme scheme,
+                                       const std::string& algo) {
   const std::string id =
       current_bench_id().empty() ? "bench" : current_bench_id();
-  const MetricsSnapshot snap =
-      telemetry.metrics().snapshot(TimePoint(seconds(session_s)));
   return "{\"bench\":" + json_quote(id) + ",\"scheme\":\"" +
          to_string(scheme) + "\",\"adaptation\":" + json_quote(algo) +
-         ",\"snapshot\":" + snap.to_json() + "}\n";
+         ",\"snapshot\":" + snapshot + "}\n";
 }
 
 // Appends pre-rendered JSON lines to BENCH_<id>.json. Campaign benches
@@ -137,16 +141,11 @@ inline void append_campaign_summary(const CampaignStats& stats) {
 // Runs one (scenario, scheme, algorithm) cell. When `json_out` is given,
 // the MPDASH_BENCH_JSON snapshot line is returned through it instead of
 // written immediately — required inside campaign workers, where direct
-// file appends would interleave nondeterministically. When `attrib_out`
-// is given, the cell additionally captures the span-model record set,
-// runs deadline-miss attribution, and returns attribution time-series
-// rows keyed by `attrib_key` (same buffering contract as `json_out`).
+// file appends would interleave nondeterministically.
 inline SessionResult run_scheme(const ScenarioConfig& net, const Video& video,
                                 Scheme scheme, const std::string& algo,
                                 bool record = false,
-                                std::string* json_out = nullptr,
-                                std::string* attrib_out = nullptr,
-                                const std::string& attrib_key = {}) {
+                                std::string* json_out = nullptr) {
   Scenario scenario(net);
   SessionConfig cfg;
   cfg.scheme = scheme;
@@ -155,23 +154,11 @@ inline SessionResult run_scheme(const ScenarioConfig& net, const Video& video,
   Telemetry telemetry;
   SessionEnv env;
   if (bench_json_enabled()) env.telemetry = &telemetry;
-  TraceCollector attrib_capture;
-  TypeFilterSink attrib_filter(&attrib_capture, span_model_trace_mask());
-  if (attrib_out != nullptr) {
-    env.telemetry = &telemetry;
-    telemetry.add_sink(&attrib_filter);
-  }
   SessionResult res = run_streaming_session(scenario, video, cfg, env);
-  if (attrib_out != nullptr) {
-    telemetry.remove_sink(&attrib_filter);
-    SpanModel model = build_span_model(attrib_capture.records());
-    attribute_misses(&model, kWifiPathId);
-    *attrib_out =
-        attribution_series_csv(model, kBenchAttribBucketS, attrib_key);
-  }
   if (bench_json_enabled()) {
-    const std::string line =
-        bench_snapshot_line(telemetry, scheme, algo, res.session_s);
+    const std::string line = bench_snapshot_line(
+        telemetry.metrics().snapshot(seconds(res.session_s)).to_json(),
+        scheme, algo);
     if (json_out != nullptr) {
       *json_out = line;
     } else {
@@ -181,9 +168,41 @@ inline SessionResult run_scheme(const ScenarioConfig& net, const Video& video,
   return res;
 }
 
-inline double saving(double baseline, double value) {
-  if (baseline <= 0.0) return 0.0;
-  return (baseline - value) / baseline;
+// The field study (exp/field_study.h) of Figures 9/10 and Table 5 with the
+// bench video. Writes the MPDASH_BENCH_JSON lines and MPDASH_BENCH_ATTRIB
+// series from the cells in add order, so both files are bitwise identical
+// for any job count. A failed cell (named on stderr) exits 1.
+inline std::vector<LocationOutcome> bench_field_study(
+    std::vector<LocationProfile> locations, int jobs) {
+  const char* attrib_path = bench_attrib_path();
+  FieldStudyResult study = run_field_study(
+      {.locations = std::move(locations),
+       .jobs = jobs,
+       .metrics = bench_json_enabled(),
+       .attribution = attrib_path != nullptr},
+      bench_video());
+  if (study.stats.failures > 0) std::exit(1);
+  std::string json_lines, rows(kAttribSeriesHeader);
+  for (const LocationOutcome& o : study.locations) {
+    for (const FieldStudyCell& c : o.cells) {
+      if (!c.metrics.empty()) {
+        json_lines += bench_snapshot_line(c.metrics, c.scheme, c.algorithm);
+      }
+      rows += c.attribution;
+    }
+  }
+  append_bench_lines(json_lines);
+  append_campaign_summary(study.stats);
+  // stderr, like the progress lines: stdout must stay bitwise identical
+  // across runs that write to differently named files.
+  if (attrib_path != nullptr) {
+    std::fprintf(stderr,
+                 write_file(attrib_path, rows)
+                     ? "attribution series written to %s\n"
+                     : "cannot write %s\n",
+                 attrib_path);
+  }
+  return std::move(study.locations);
 }
 
 inline std::string mb(Bytes b) {

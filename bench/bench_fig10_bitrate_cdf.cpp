@@ -3,7 +3,7 @@
 // The paper: no reduction for ~83 % of experiments; mean reduction among
 // the rest only 2.5 %; negative values (bitrate increases) occur.
 
-#include "field_study.h"
+#include "bench_common.h"
 
 using namespace mpdash;
 using namespace mpdash::bench;
@@ -12,14 +12,15 @@ int main(int argc, char** argv) {
   const int jobs = parse_jobs(argc, argv);
   print_header("Figure 10", "playback bitrate reduction CDF");
 
-  const auto outcomes = run_field_study(field_study_locations(), jobs);
+  const auto outcomes = bench_field_study(field_study_locations(), jobs);
 
   std::vector<std::pair<std::string,
                         std::vector<std::pair<double, double>>>> series;
   int no_reduction = 0, total = 0, stall_regressions = 0;
   OnlineStats reductions_when_any;
   for (const char* algo : {"festive", "bba"}) {
-    for (const char* scheme : {"rate", "duration"}) {
+    for (const Scheme scheme :
+         {Scheme::kMpDashRate, Scheme::kMpDashDuration}) {
       std::vector<double> red;
       for (const auto& o : outcomes) {
         const double r = o.bitrate_reduction(algo, scheme);
@@ -30,14 +31,13 @@ int main(int argc, char** argv) {
         } else {
           reductions_when_any.add(r * 100.0);
         }
-        const int base_stalls = o.at(std::string(algo) + "/baseline").stalls;
-        if (o.at(std::string(algo) + "/" + scheme).stalls > base_stalls) {
+        if (o.at(algo, scheme).stalls > o.at(algo, Scheme::kBaseline).stalls) {
           ++stall_regressions;
         }
       }
       std::vector<std::pair<double, double>> cdf_pts;
       for (const auto& [v, f] : empirical_cdf(red)) cdf_pts.emplace_back(v, f);
-      series.emplace_back(std::string(algo) + "-" + scheme,
+      series.emplace_back(std::string(algo) + "-" + scheme_label(scheme),
                           std::move(cdf_pts));
     }
   }

@@ -3,7 +3,7 @@
 // BBA-Duration; plus the radio-energy savings percentiles the paper
 // reports in prose (25th/50th/75th).
 
-#include "field_study.h"
+#include "bench_common.h"
 
 using namespace mpdash;
 using namespace mpdash::bench;
@@ -12,13 +12,14 @@ int main(int argc, char** argv) {
   const int jobs = parse_jobs(argc, argv);
   print_header("Figure 9", "cellular savings CDF across 33 locations");
 
-  const auto outcomes = run_field_study(field_study_locations(), jobs);
+  const auto outcomes = bench_field_study(field_study_locations(), jobs);
 
   std::vector<std::pair<std::string,
                         std::vector<std::pair<double, double>>>> series;
   std::vector<double> all_savings, all_energy;
   for (const char* algo : {"festive", "bba"}) {
-    for (const char* scheme : {"rate", "duration"}) {
+    for (const Scheme scheme :
+         {Scheme::kMpDashRate, Scheme::kMpDashDuration}) {
       std::vector<double> savings;
       for (const auto& o : outcomes) {
         savings.push_back(o.cell_saving(algo, scheme));
@@ -29,7 +30,7 @@ int main(int argc, char** argv) {
       for (const auto& [v, f] : empirical_cdf(savings)) {
         cdf_pts.emplace_back(v * 100.0, f);
       }
-      series.emplace_back(std::string(algo) + "-" + scheme,
+      series.emplace_back(std::string(algo) + "-" + scheme_label(scheme),
                           std::move(cdf_pts));
     }
   }
@@ -46,7 +47,9 @@ int main(int argc, char** argv) {
   // FESTIVE vs BBA medians.
   for (const char* algo : {"festive", "bba"}) {
     std::vector<double> s;
-    for (const auto& o : outcomes) s.push_back(o.cell_saving(algo, "rate"));
+    for (const auto& o : outcomes) {
+      s.push_back(o.cell_saving(algo, Scheme::kMpDashRate));
+    }
     std::printf("median cellular saving, %s-rate: %.0f%%\n", algo,
                 percentile(s, 50) * 100);
   }

@@ -2,7 +2,7 @@
 // seven representative locations the paper names (grouped by WiFi
 // scenario), for FESTIVE and BBA under rate- and duration-based deadlines.
 
-#include "field_study.h"
+#include "bench_common.h"
 
 using namespace mpdash;
 using namespace mpdash::bench;
@@ -11,7 +11,7 @@ int main(int argc, char** argv) {
   const int jobs = parse_jobs(argc, argv);
   print_header("Table 5", "savings at representative locations");
 
-  const auto outcomes = run_field_study(table5_locations(), jobs);
+  const auto outcomes = bench_field_study(table5_locations(), jobs);
 
   TextTable table({"location", "WiFi BW/RTT", "LTE BW/RTT", "FEST/B rate",
                    "FEST/B dur", "FEST/E rate", "FEST/E dur", "BBA/B rate",
@@ -25,14 +25,14 @@ int main(int argc, char** argv) {
              TextTable::num(to_milliseconds(loc.wifi_rtt), 1),
          TextTable::num(loc.lte_mean.as_mbps(), 2) + "/" +
              TextTable::num(to_milliseconds(loc.lte_rtt), 1),
-         pct(o.cell_saving("festive", "rate")),
-         pct(o.cell_saving("festive", "duration")),
-         pct(o.energy_saving("festive", "rate")),
-         pct(o.energy_saving("festive", "duration")),
-         pct(o.cell_saving("bba", "rate")),
-         pct(o.cell_saving("bba", "duration")),
-         pct(o.energy_saving("bba", "rate")),
-         pct(o.energy_saving("bba", "duration"))});
+         pct(o.cell_saving("festive", Scheme::kMpDashRate)),
+         pct(o.cell_saving("festive", Scheme::kMpDashDuration)),
+         pct(o.energy_saving("festive", Scheme::kMpDashRate)),
+         pct(o.energy_saving("festive", Scheme::kMpDashDuration)),
+         pct(o.cell_saving("bba", Scheme::kMpDashRate)),
+         pct(o.cell_saving("bba", Scheme::kMpDashDuration)),
+         pct(o.energy_saving("bba", Scheme::kMpDashRate)),
+         pct(o.energy_saving("bba", Scheme::kMpDashDuration))});
   }
   std::printf("%s", table.render().c_str());
   std::printf("(B = cellular-byte saving, E = radio-energy saving, vs the "
@@ -45,9 +45,9 @@ int main(int argc, char** argv) {
   std::printf("savings grow with WiFi bandwidth: %s %.0f%% -> %s %.0f%% "
               "(FESTIVE-rate)\n",
               weakest.location.name.c_str(),
-              weakest.cell_saving("festive", "rate") * 100,
+              weakest.cell_saving("festive", Scheme::kMpDashRate) * 100,
               strongest.location.name.c_str(),
-              strongest.cell_saving("festive", "rate") * 100);
+              strongest.cell_saving("festive", Scheme::kMpDashRate) * 100);
   std::printf("paper shape: savings increase from scenario 1 (weak WiFi) to "
               "scenario 3 (strong WiFi, up to ~99%%).\n");
   return 0;

@@ -277,12 +277,13 @@ ChaosRunResult run_chaos_single(const ChaosConfig& cfg, const Video& video,
   telemetry.remove_sink(&pipeline_filter);
   if (jsonl) {
     telemetry.remove_sink(&*jsonl);
-    // A trace is an artifact, not an invariant: report it the way
-    // emit_repro_bundle reports a bundle, and keep the run's outcome.
+    // A trace is an artifact, not an invariant: the run's outcome stands,
+    // and the failure travels beside it for the caller to act on.
     if (!jsonl->close()) {
-      std::fprintf(stderr, "chaos: trace for seed %llu not written: "
-                   "cannot write %s\n",
-                   static_cast<unsigned long long>(seed), trace_path.c_str());
+      out.trace_error = "cannot write " + trace_path;
+      std::fprintf(stderr, "chaos: trace for seed %llu not written: %s\n",
+                   static_cast<unsigned long long>(seed),
+                   out.trace_error.c_str());
     }
   }
 

@@ -72,7 +72,8 @@ struct ChaosConfig {
   // Per-run JSONL trace capture; empty disables. With more than one seed
   // each run writes `<trace_path>.<seed>`. `trace_types` filters the
   // stream (parse_trace_types mask; default = everything). A trace that
-  // fails to write is reported on stderr; the run's outcome stands.
+  // fails to write is reported on stderr and in the run's trace_error; the
+  // run's outcome stands.
   std::string trace_path;
   std::uint32_t trace_types = ~0u;
   // Per-run deadline-miss attribution: widens the in-process capture to
@@ -119,6 +120,9 @@ struct ChaosRunResult {
   // ChaosConfig::attribution was set.
   bool has_attribution = false;
   RollupRow attribution;
+  // "cannot write <path>" when the run's --trace file failed to write. An
+  // artifact of the run, not part of it: fingerprint() leaves it out.
+  std::string trace_error;
 
   bool ok() const { return outcome == RunOutcome::kOk; }
   // Deterministic one-line digest of everything observable; the jobs-N

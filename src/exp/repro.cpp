@@ -48,10 +48,7 @@ std::string fleet_config_to_json(const FleetConfig& c) {
   out += ", \"queue_capacity\": " + std::to_string(c.queue_capacity);
   out += ", \"join_stagger_ns\": " + std::to_string(c.join_stagger.count());
   out += ", \"time_limit_ns\": " + std::to_string(c.time_limit.count());
-  out += ", \"watchdog\": {\"max_sim_events\": " +
-         json_u64(c.watchdog.max_sim_events) +
-         ", \"max_wall_s\": " + json_double(c.watchdog.max_wall_s) +
-         ", \"poll_interval\": " + json_u64(c.watchdog.poll_interval) + "}";
+  out += ", \"watchdog\": " + watchdog_to_json(c.watchdog);
   out += "}";
   return out;
 }
@@ -94,14 +91,8 @@ bool fleet_config_from_json_value(const JsonValue& root, FleetConfig* out,
       !f.get(root, "lte_rtt_ns", &c.lte_rtt) ||
       !f.get(root, "queue_capacity", &c.queue_capacity) ||
       !f.get(root, "join_stagger_ns", &c.join_stagger) ||
-      !f.get(root, "time_limit_ns", &c.time_limit)) {
-    return false;
-  }
-  v = root.find("watchdog");
-  if (v == nullptr || !v->is_object()) return f.bad("watchdog");
-  if (!f.get(*v, "watchdog.max_sim_events", &c.watchdog.max_sim_events) ||
-      !f.get(*v, "watchdog.max_wall_s", &c.watchdog.max_wall_s) ||
-      !f.get(*v, "watchdog.poll_interval", &c.watchdog.poll_interval)) {
+      !f.get(root, "time_limit_ns", &c.time_limit) ||
+      !watchdog_from_json(root, f, &c.watchdog)) {
     return false;
   }
   *out = std::move(c);
@@ -255,18 +246,13 @@ bool repro_bundle_from_json(const std::string& text, ReproBundle* out,
       if (error) *error = "bundle: bad \"scheme\"";
       return false;
     }
-    const JsonValue* w = root.find("watchdog");
-    if (w != nullptr && !w->is_object()) return f.bad("watchdog");
-    WatchdogConfig& dog = b.spec.watchdog;
     if (!f.get(root, "adaptation", &b.spec.adaptation, true) ||
         !f.get(root, "mptcp_scheduler", &b.spec.mptcp_scheduler, true) ||
+        !session_names_known(b.spec, f) ||
         !f.get(root, "inflight", &b.spec.inflight, true) ||
         !f.get(root, "recovery", &b.spec.recovery, true) ||
         !f.get(root, "time_limit_ns", &b.spec.time_limit) ||
-        (w != nullptr &&
-         (!f.get(*w, "watchdog.max_sim_events", &dog.max_sim_events, true) ||
-          !f.get(*w, "watchdog.max_wall_s", &dog.max_wall_s, true) ||
-          !f.get(*w, "watchdog.poll_interval", &dog.poll_interval, true)))) {
+        !watchdog_from_json(root, f, &b.spec.watchdog, true)) {
       return false;
     }
   }

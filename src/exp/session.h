@@ -5,6 +5,7 @@
 // evaluations), each returning the metrics the paper reports.
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "dash/player.h"
 #include "energy/accounting.h"
 #include "exp/scenario.h"
+#include "mptcp/scheduler.h"
 #include "runner/watchdog.h"
 #include "telemetry/telemetry.h"
 
@@ -33,6 +35,18 @@ bool scheme_uses_mpdash(Scheme s);
 // Factory for the evaluated DASH algorithms: "gpac", "festive", "bba",
 // "bba-c", "mpc".
 std::unique_ptr<RateAdaptation> make_adaptation(const std::string& name);
+
+// Whether `make` (make_adaptation, make_scheduler) builds `name`. The
+// factories hold the one list of names, so input is checked against them
+// up front: an unknown name is bad input, not a run that crashes.
+template <typename Factory>
+bool factory_builds(Factory make, const std::string& name) {
+  try {
+    return make(name) != nullptr;
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
+}
 
 struct SessionConfig {
   Scheme scheme = Scheme::kBaseline;

@@ -24,12 +24,33 @@ std::string session_spec_to_json(const SessionSpec& s) {
   out += ", \"startup_buffer_s\": " + json_double(s.startup_buffer_s);
   out += std::string(", \"recovery\": ") + (s.recovery ? "true" : "false");
   out += ", \"time_limit_ns\": " + std::to_string(s.time_limit.count());
-  out += ", \"watchdog\": {\"max_sim_events\": " +
-         json_u64(s.watchdog.max_sim_events) +
-         ", \"max_wall_s\": " + json_double(s.watchdog.max_wall_s) +
-         ", \"poll_interval\": " + json_u64(s.watchdog.poll_interval) + "}";
+  out += ", \"watchdog\": " + watchdog_to_json(s.watchdog);
   out += "}";
   return out;
+}
+
+bool session_names_known(const SessionSpec& spec, const JsonFields& f) {
+  return (factory_builds(make_adaptation, spec.adaptation) ||
+          f.bad("adaptation")) &&
+         (factory_builds(make_scheduler, spec.mptcp_scheduler) ||
+          f.bad("mptcp_scheduler"));
+}
+
+std::string watchdog_to_json(const WatchdogConfig& w) {
+  return "{\"max_sim_events\": " + json_u64(w.max_sim_events) +
+         ", \"max_wall_s\": " + json_double(w.max_wall_s) +
+         ", \"poll_interval\": " + json_u64(w.poll_interval) + "}";
+}
+
+bool watchdog_from_json(const JsonValue& parent, const JsonFields& f,
+                        WatchdogConfig* out, bool optional) {
+  const JsonValue* v = parent.find("watchdog");
+  if (v == nullptr && optional) return true;
+  if (v == nullptr || !v->is_object()) return f.bad("watchdog");
+  return f.get(*v, "watchdog.max_sim_events", &out->max_sim_events,
+               optional) &&
+         f.get(*v, "watchdog.max_wall_s", &out->max_wall_s, optional) &&
+         f.get(*v, "watchdog.poll_interval", &out->poll_interval, optional);
 }
 
 bool session_spec_from_json_value(const JsonValue& root, SessionSpec* out,
@@ -47,6 +68,7 @@ bool session_spec_from_json_value(const JsonValue& root, SessionSpec* out,
   }
   if (!f.get(root, "adaptation", &s.adaptation) ||
       !f.get(root, "mptcp_scheduler", &s.mptcp_scheduler) ||
+      !session_names_known(s, f) ||
       !f.get(root, "alpha", &s.alpha) ||
       !f.get(root, "debounce_ticks", &s.debounce_ticks)) {
     return false;
@@ -60,14 +82,8 @@ bool session_spec_from_json_value(const JsonValue& root, SessionSpec* out,
       !f.get(root, "buffer_capacity_s", &s.buffer_capacity_s) ||
       !f.get(root, "startup_buffer_s", &s.startup_buffer_s) ||
       !f.get(root, "recovery", &s.recovery) ||
-      !f.get(root, "time_limit_ns", &s.time_limit)) {
-    return false;
-  }
-  v = root.find("watchdog");
-  if (v == nullptr || !v->is_object()) return f.bad("watchdog");
-  if (!f.get(*v, "watchdog.max_sim_events", &s.watchdog.max_sim_events) ||
-      !f.get(*v, "watchdog.max_wall_s", &s.watchdog.max_wall_s) ||
-      !f.get(*v, "watchdog.poll_interval", &s.watchdog.poll_interval)) {
+      !f.get(root, "time_limit_ns", &s.time_limit) ||
+      !watchdog_from_json(root, f, &s.watchdog)) {
     return false;
   }
   *out = std::move(s);

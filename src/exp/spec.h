@@ -60,6 +60,17 @@ bool session_spec_from_json_value(const JsonValue& v, SessionSpec* out,
 bool session_spec_from_json(const std::string& text, SessionSpec* out,
                             std::string* error);
 
+// Fails through `f`, naming the field, on an adaptation or MPTCP
+// scheduler name the session factories do not build.
+bool session_names_known(const SessionSpec& spec, const JsonFields& f);
+
+// The "watchdog" object of session specs and fleet configs. The reader
+// takes `parent`'s through `f`; with `optional` (schema-1 bundles) an
+// absent object or field keeps its value in *out.
+std::string watchdog_to_json(const WatchdogConfig& watchdog);
+bool watchdog_from_json(const JsonValue& parent, const JsonFields& f,
+                        WatchdogConfig* out, bool optional = false);
+
 // Resolution: spec + per-run seed → the runtime views. All derived seeds
 // (link loss streams, HTTP retry jitter) come from `run_seed` via named
 // streams, so one (spec, seed) pair maps to exactly one simulation.

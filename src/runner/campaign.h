@@ -14,6 +14,7 @@
 //   * A throwing run marks its own RunReport failed and leaves the other
 //     runs untouched (its result slot keeps the default-constructed R).
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
@@ -84,7 +85,9 @@ struct CampaignResult {
 };
 
 struct CampaignOptions {
-  int jobs = 0;  // 0 → resolve_jobs(): MPDASH_JOBS env or hardware cores
+  // 0 → resolve_jobs(): MPDASH_JOBS env or hardware cores. The pool gets
+  // at most one worker per run, and CampaignStats::jobs reports that count.
+  int jobs = 0;
   std::FILE* progress = stderr;  // nullptr silences progress and failures
 };
 
@@ -109,7 +112,9 @@ class Campaign {
   const std::string& name() const { return name_; }
 
   CampaignResult<R> run(const CampaignOptions& opts = {}) const {
-    const int jobs = resolve_jobs(opts.jobs);
+    // Never more workers than runs: `--jobs 5000` over 33 runs starts 33.
+    const int jobs = std::min(resolve_jobs(opts.jobs),
+                              std::max(1, static_cast<int>(specs_.size())));
     CampaignResult<R> out;
     out.results.resize(specs_.size());
     out.reports.resize(specs_.size());
@@ -138,7 +143,7 @@ class Campaign {
       progress.completed(rep.key, rep.ok, rep.error);
     };
 
-    if (jobs <= 1 || specs_.size() <= 1) {
+    if (jobs <= 1) {
       for (int i = 0; i < out.stats.runs; ++i) run_one(i);
     } else {
       ThreadPool pool(jobs);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 namespace mpdash {
 
@@ -57,7 +59,11 @@ void ThreadPool::worker() {
 int resolve_jobs(int requested) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("MPDASH_JOBS")) {
-    const int n = std::atoi(env);
+    int n = 0;
+    if (!parse_jobs_value(env, &n)) {
+      throw std::invalid_argument(std::string("bad MPDASH_JOBS value '") +
+                                  env + "' (want an integer >= 0)");
+    }
     if (n > 0) return n;
   }
   const unsigned hw = std::thread::hardware_concurrency();

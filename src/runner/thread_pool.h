@@ -48,7 +48,8 @@ class ThreadPool {
 };
 
 // Worker-count resolution for --jobs style flags: `requested` > 0 wins;
-// otherwise the MPDASH_JOBS environment variable; otherwise
+// otherwise the MPDASH_JOBS environment variable, read like a --jobs value
+// (std::invalid_argument naming the variable when malformed); otherwise
 // std::thread::hardware_concurrency() (>= 1).
 int resolve_jobs(int requested);
 

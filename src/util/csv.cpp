@@ -28,10 +28,6 @@ void CsvWriter::add_row(const std::vector<std::string>& cells) {
 
 std::string CsvWriter::str() const { return data_; }
 
-bool CsvWriter::write_file(const std::string& path) const {
-  return mpdash::write_file(path, data_);
-}
-
 std::string CsvWriter::escape(const std::string& cell) {
   if (cell.find_first_of(",\"\n\r") == std::string::npos) return cell;
   std::string quoted = "\"";

@@ -15,8 +15,6 @@ class CsvWriter {
 
   void add_row(const std::vector<std::string>& cells);
   std::string str() const;
-  // Writes to `path` through write_file; returns false on I/O failure.
-  bool write_file(const std::string& path) const;
 
   // RFC-4180 quoting for one cell (quotes only when needed).
   static std::string escape(const std::string& cell);

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "dash/video.h"
+#include "exp/field_study.h"
 #include "exp/scenario.h"
 #include "exp/session.h"
 #include "fault/fault.h"
@@ -217,6 +222,125 @@ TEST_P(SchedulerNames, BothMptcpSchedulersStreamCleanly) {
 
 INSTANTIATE_TEST_SUITE_P(Names, SchedulerNames,
                          ::testing::Values("minrtt", "roundrobin"));
+
+// --- field study ----------------------------------------------------------
+
+// Two locations at opposite ends of Table 5 (weakest and strongest WiFi),
+// FESTIVE and BBA, baseline + rate + duration: 12 cells of a 40 s clip.
+FieldStudyConfig small_field_study() {
+  FieldStudyConfig cfg;
+  const std::vector<LocationProfile> table5 = table5_locations();
+  cfg.locations = {table5.front(), table5.back()};
+  return cfg;
+}
+
+const Scheme kStudySchemes[] = {Scheme::kBaseline, Scheme::kMpDashRate,
+                                Scheme::kMpDashDuration};
+
+// Every SessionResult field a cell's consumers read, doubles exact.
+std::string summary(const SessionResult& r) {
+  char buf[512];
+  std::snprintf(buf, sizeof buf,
+                "done=%d s=%.17g wifi=%lld cell=%lld frac=%.17g stalls=%d "
+                "stall_s=%.17g sw=%d chunks=%d avg=%.17g steady=%.17g "
+                "miss=%d engaged=%d ew=%.17g el=%.17g",
+                r.completed, r.session_s, static_cast<long long>(r.wifi_bytes),
+                static_cast<long long>(r.cell_bytes), r.cell_fraction,
+                r.stalls, r.stall_s, r.switches, r.chunks, r.avg_bitrate_mbps,
+                r.steady_avg_bitrate_mbps, r.deadline_misses,
+                r.chunks_engaged, r.wifi_energy_j, r.lte_energy_j);
+  std::string out = buf;
+  for (const ChunkRecord& c : r.chunk_log) {
+    out += " " + std::to_string(c.level) + ":" + std::to_string(c.bytes) +
+           "@" + std::to_string(c.completed.count());
+  }
+  return out;
+}
+
+TEST(FieldStudy, CellsMatchDirectSessionsInAddOrder) {
+  const FieldStudyConfig cfg = small_field_study();
+  const Video video = tiny_video();
+  const FieldStudyResult study = run_field_study(cfg, video);
+  ASSERT_EQ(study.stats.failures, 0);
+  ASSERT_EQ(study.locations.size(), 2u);
+  for (const LocationOutcome& o : study.locations) {
+    ASSERT_EQ(o.cells.size(), 6u);
+    const ScenarioConfig net = location_scenario(
+        o.location, video.total_duration() + seconds(120.0));
+    std::size_t i = 0;
+    for (const std::string& algo : cfg.algorithms) {
+      for (const Scheme scheme : kStudySchemes) {
+        const FieldStudyCell& cell = o.cells[i++];
+        EXPECT_EQ(cell.algorithm, algo);
+        EXPECT_EQ(cell.scheme, scheme);
+        EXPECT_TRUE(cell.metrics.empty());
+        Scenario scenario(net);
+        SessionConfig session;
+        session.scheme = scheme;
+        session.adaptation = algo;
+        EXPECT_EQ(summary(cell.result),
+                  summary(run_streaming_session(scenario, video, session)))
+            << o.location.name << "/" << algo << "/" << to_string(scheme);
+        EXPECT_EQ(&o.at(algo, scheme), &cell.result);
+      }
+    }
+    EXPECT_THROW(o.at("gpac", Scheme::kBaseline), std::out_of_range);
+  }
+}
+
+TEST(FieldStudy, CellsAndAttributionAreJobsInvariant) {
+  FieldStudyConfig cfg = small_field_study();
+  cfg.metrics = true;
+  cfg.attribution = true;
+  const Video video = tiny_video();
+  cfg.jobs = 1;
+  const FieldStudyResult serial = run_field_study(cfg, video);
+  cfg.jobs = 4;
+  const FieldStudyResult parallel = run_field_study(cfg, video);
+  ASSERT_EQ(serial.stats.failures, 0);
+  ASSERT_EQ(parallel.stats.failures, 0);
+  EXPECT_EQ(parallel.stats.jobs, 4);
+  ASSERT_EQ(serial.locations.size(), parallel.locations.size());
+  std::size_t rows = 0;
+  for (std::size_t li = 0; li < serial.locations.size(); ++li) {
+    const auto& a = serial.locations[li].cells;
+    const auto& b = parallel.locations[li].cells;
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(summary(a[i].result), summary(b[i].result));
+      EXPECT_EQ(a[i].metrics, b[i].metrics);
+      EXPECT_EQ(a[i].attribution, b[i].attribution);
+      rows += a[i].attribution.empty() ? 0 : 1;
+    }
+  }
+  EXPECT_GT(rows, 0u);  // the comparison above covered real rows
+}
+
+// Metrics and attribution instrument the run's telemetry, which only
+// observes: every result equals the uninstrumented run's.
+TEST(FieldStudy, InstrumentationLeavesEverySessionResultUnchanged) {
+  FieldStudyConfig cfg = small_field_study();
+  cfg.jobs = 2;
+  const Video video = tiny_video();
+  const FieldStudyResult off = run_field_study(cfg, video);
+  cfg.metrics = true;
+  cfg.attribution = true;
+  const FieldStudyResult on = run_field_study(cfg, video);
+  ASSERT_EQ(off.stats.failures, 0);
+  ASSERT_EQ(on.stats.failures, 0);
+  for (std::size_t li = 0; li < off.locations.size(); ++li) {
+    const auto& a = off.locations[li].cells;
+    const auto& b = on.locations[li].cells;
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(summary(a[i].result), summary(b[i].result));
+      EXPECT_TRUE(a[i].metrics.empty());
+      EXPECT_TRUE(a[i].attribution.empty());
+      EXPECT_FALSE(b[i].metrics.empty());
+      EXPECT_FALSE(b[i].attribution.empty());
+    }
+  }
+}
 
 }  // namespace
 }  // namespace mpdash

@@ -8,6 +8,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,6 +56,54 @@ TEST(ResolveJobs, RequestedWinsAndAutoIsPositive) {
   EXPECT_EQ(resolve_jobs(1), 1);
   EXPECT_GE(resolve_jobs(0), 1);
   EXPECT_GE(resolve_jobs(-3), 1);
+}
+
+// Sets an environment variable for one scope, restoring what was there.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_) {
+      ::setenv(name_, old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+// MPDASH_JOBS reads like a --jobs value: "3x" is not 3 workers, and "abc"
+// is not a silent fall-back to the hardware count.
+TEST(ResolveJobs, MalformedEnvThrowsNamingTheVariable) {
+  for (const char* bad : {"abc", "3x", "-1", ""}) {
+    ScopedEnv env("MPDASH_JOBS", bad);
+    try {
+      resolve_jobs(0);
+      ADD_FAILURE() << "MPDASH_JOBS='" << bad << "' was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("MPDASH_JOBS"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ResolveJobs, EnvCountAndZeroMeansHardware) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  {
+    ScopedEnv env("MPDASH_JOBS", "2");
+    EXPECT_EQ(resolve_jobs(0), 2);
+    EXPECT_EQ(resolve_jobs(5), 5);  // an explicit count wins
+  }
+  {
+    ScopedEnv env("MPDASH_JOBS", "0");
+    EXPECT_EQ(resolve_jobs(0), hw > 0 ? static_cast<int>(hw) : 1);
+  }
 }
 
 TEST(SeedDerivation, DependsOnCampaignSeedAndKeyOnly) {
@@ -118,6 +169,21 @@ TEST(Campaign, ResultsStayInAddOrderUnderManyJobs) {
   EXPECT_EQ(res.stats.jobs, 8);
   EXPECT_GT(res.stats.wall_s, 0.0);
   EXPECT_GT(res.stats.run_wall_sum_s, 0.0);
+}
+
+// A campaign starts no more workers than it has runs, and reports the
+// count it started.
+TEST(Campaign, PoolNeverOutnumbersRuns) {
+  Campaign<int> campaign("small");
+  for (int i = 0; i < 3; ++i) {
+    campaign.add("run-" + std::to_string(i), [i](RunContext&) { return i; });
+  }
+  CampaignOptions opts;
+  opts.jobs = 16;
+  opts.progress = nullptr;
+  const auto res = campaign.run(opts);
+  EXPECT_EQ(res.stats.jobs, 3);
+  EXPECT_EQ(res.results, (std::vector<int>{0, 1, 2}));
 }
 
 // One throwing run reports and continues; it never poisons the rest.

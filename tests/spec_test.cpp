@@ -92,6 +92,10 @@ TEST(SessionSpecJson, RejectsMalformedInputWithFieldErrors) {
        "debounce_ticks"},
       {"\"max_sim_events\": 1000", "\"max_sim_events\": -1",
        "watchdog.max_sim_events"},
+      // A name the session factories do not build would crash the run.
+      {"\"adaptation\": \"bba\"", "\"adaptation\": \"foo\"", "adaptation"},
+      {"\"mptcp_scheduler\": \"roundrobin\"",
+       "\"mptcp_scheduler\": \"foo\"", "mptcp_scheduler"},
   };
   const std::string good = session_spec_to_json(sample_spec());
   for (const auto& c : cases) {

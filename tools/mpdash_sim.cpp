@@ -22,10 +22,12 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "dash/video.h"
 #include "exp/chaos.h"
+#include "exp/field_study.h"
 #include "exp/fleet.h"
 #include "exp/repro.h"
 #include "exp/scenario.h"
@@ -322,6 +324,21 @@ Args parse(int argc, char** argv) {
       a.input = flag;
     else usage("unknown flag " + flag);
   }
+  if (!factory_builds(make_adaptation, a.algo)) {
+    usage("unknown adaptation " + a.algo);
+  }
+  if (!factory_builds(make_scheduler, a.mptcp_scheduler)) {
+    usage("unknown MPTCP scheduler " + a.mptcp_scheduler);
+  }
+  // The campaign commands' worker count, MPDASH_JOBS included, is input
+  // like the flags: a malformed value exits 2 here, not inside a run.
+  if (usage_lists(*spec, "--jobs")) {
+    try {
+      a.jobs = resolve_jobs(a.jobs);
+    } catch (const std::invalid_argument& e) {
+      usage(e.what());
+    }
+  }
   if (!a.input.empty() && a.command != "repro" && a.command != "shrink") {
     usage(a.command == "fleet"
               ? "fleet takes no bundle; replay or minimize one with "
@@ -410,6 +427,19 @@ bool close_trace(const Args& a, JsonlSink& jsonl) {
   return true;
 }
 
+// Writes an artifact the user asked for and says so on stdout ("<what>
+// written to <path>"). A write that fails, down to the final flush, is
+// named on stderr and fails the command: false.
+bool write_artifact(const std::string& path, const std::string& text,
+                    const std::string& what) {
+  if (!write_file(path, text)) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("%s written to %s\n", what.c_str(), path.c_str());
+  return true;
+}
+
 int cmd_stream(const Args& a) {
   const Video video = pick_video(a);
   Scenario scenario(build_network(a, video.total_duration() + seconds(180.0)));
@@ -437,13 +467,12 @@ int cmd_stream(const Args& a) {
 
   const SessionResult res = run_streaming_session(scenario, video, cfg, env);
 
-  if (!a.metrics_path.empty()) {
-    if (!write_file(a.metrics_path, timeline.to_csv())) {
-      std::fprintf(stderr, "cannot write %s\n", a.metrics_path.c_str());
-      return 1;
-    }
-    std::printf("metrics timeline (%zu snapshots) written to %s\n",
-                timeline.snapshots().size(), a.metrics_path.c_str());
+  if (!a.metrics_path.empty() &&
+      !write_artifact(a.metrics_path, timeline.to_csv(),
+                      "metrics timeline (" +
+                          std::to_string(timeline.snapshots().size()) +
+                          " snapshots)")) {
+    return 1;
   }
   if (!a.metrics_prom_path.empty()) {
     PrometheusOptions prom;
@@ -452,12 +481,12 @@ int cmd_stream(const Args& a) {
                    {"scheme", a.scheme}};
     const MetricsSnapshot snap =
         telemetry.metrics().snapshot(TimePoint(seconds(res.session_s)));
-    if (!write_file(a.metrics_prom_path, to_prometheus(snap, prom))) {
-      std::fprintf(stderr, "cannot write %s\n", a.metrics_prom_path.c_str());
+    if (!write_artifact(a.metrics_prom_path, to_prometheus(snap, prom),
+                        "prometheus metrics (" +
+                            std::to_string(snap.values.size()) +
+                            " families)")) {
       return 1;
     }
-    std::printf("prometheus metrics (%zu families) written to %s\n",
-                snap.values.size(), a.metrics_prom_path.c_str());
   }
   if (jsonl) {
     telemetry.remove_sink(jsonl.get());
@@ -496,11 +525,7 @@ int cmd_stream(const Args& a) {
                  std::to_string(res.stalls), std::to_string(res.switches),
                  TextTable::num(res.energy_j(), 1),
                  std::to_string(res.deadline_misses)});
-    if (!csv.write_file(a.csv_path)) {
-      std::fprintf(stderr, "cannot write %s\n", a.csv_path.c_str());
-      return 1;
-    }
-    std::printf("result written to %s\n", a.csv_path.c_str());
+    if (!write_artifact(a.csv_path, csv.str(), "result")) return 1;
   }
   return res.completed ? 0 : 1;
 }
@@ -533,11 +558,9 @@ int cmd_download(const Args& a) {
     // at the transfer finish (the loop itself drains to the trace horizon).
     MetricsTimeline timeline;
     timeline.record(telemetry.metrics().snapshot(res.finish_time));
-    if (!write_file(a.metrics_path, timeline.to_csv())) {
-      std::fprintf(stderr, "cannot write %s\n", a.metrics_path.c_str());
+    if (!write_artifact(a.metrics_path, timeline.to_csv(), "metrics")) {
       return 1;
     }
-    std::printf("metrics written to %s\n", a.metrics_path.c_str());
   }
   if (jsonl) {
     telemetry.remove_sink(jsonl.get());
@@ -554,54 +577,22 @@ int cmd_download(const Args& a) {
   return res.completed && !res.deadline_missed ? 0 : 1;
 }
 
-// Parallel field-study campaign: baseline vs the chosen MP-DASH scheme at
-// every built-in location, sharded over --jobs workers. The table and the
-// optional CSV are assembled in location order after the pool drains, so
-// they are identical for any job count.
+// Field-study sweep (exp/field_study.h): baseline vs the chosen MP-DASH
+// scheme at every built-in location, sharded over --jobs workers. The
+// table and the optional CSV are identical for any job count.
 int cmd_sweep(const Args& a) {
   const Scheme scheme = parse_scheme(a.scheme);
-  if (scheme == Scheme::kBaseline || scheme == Scheme::kWifiOnly) {
+  if (!scheme_uses_mpdash(scheme)) {
     usage("sweep needs an MP-DASH scheme (mpdash-rate or mpdash-duration)");
   }
-  const Video video = pick_video(a);
-  const Duration horizon = video.total_duration() + seconds(180.0);
-
-  const auto& locations = field_study_locations();
-  struct Pair {
-    SessionResult base;
-    SessionResult mpd;
-  };
-  Campaign<Pair> campaign("sweep/" + a.algo);
-  for (const auto& loc : locations) {
-    campaign.add(loc.name + "/" + a.algo + "/" + a.scheme,
-                 [&loc, &video, &a, scheme, horizon](RunContext&) {
-                   const ScenarioConfig net = location_scenario(loc, horizon);
-                   SessionConfig cfg;
-                   cfg.adaptation = a.algo;
-                   cfg.alpha = a.alpha;
-                   cfg.mptcp_scheduler = a.mptcp_scheduler;
-                   Pair pair;
-                   cfg.scheme = Scheme::kBaseline;
-                   Scenario base_sc(net);
-                   pair.base = run_streaming_session(base_sc, video, cfg);
-                   cfg.scheme = scheme;
-                   Scenario mpd_sc(net);
-                   pair.mpd = run_streaming_session(mpd_sc, video, cfg);
-                   return pair;
-                 });
-  }
-  CampaignOptions opts;
-  opts.jobs = a.jobs;
-  const auto res = campaign.run(opts);
-  if (!res.all_ok()) {
-    for (const RunReport& r : res.reports) {
-      if (!r.ok) {
-        std::fprintf(stderr, "run '%s' failed: %s\n", r.key.c_str(),
-                     r.error.c_str());
-      }
-    }
-    return 1;
-  }
+  const FieldStudyResult res = run_field_study(
+      {.algorithms = {a.algo},
+       .schemes = {scheme},
+       .alpha = a.alpha,
+       .mptcp_scheduler = a.mptcp_scheduler,
+       .jobs = a.jobs},
+      pick_video(a));
+  if (res.stats.failures > 0) return 1;  // each named on stderr
 
   TextTable table({"location", "scenario", "cell saving", "bitrate delta",
                    "stalls"});
@@ -609,26 +600,22 @@ int cmd_sweep(const Args& a) {
                  "mpdash_cell_mb", "cell_saving", "bitrate_delta_mbps",
                  "stalls"});
   std::vector<double> savings;
-  for (std::size_t i = 0; i < locations.size(); ++i) {
-    const auto& loc = locations[i];
-    const Pair& pair = res.results[i];
-    const double saving =
-        pair.base.cell_bytes > 0
-            ? 1.0 - static_cast<double>(pair.mpd.cell_bytes) /
-                        static_cast<double>(pair.base.cell_bytes)
-            : 0.0;
-    const double delta = pair.mpd.steady_avg_bitrate_mbps -
-                         pair.base.steady_avg_bitrate_mbps;
+  for (const LocationOutcome& o : res.locations) {
+    const SessionResult& base = o.at(a.algo, Scheme::kBaseline);
+    const SessionResult& mpd = o.at(a.algo, scheme);
+    const double saving = o.cell_saving(a.algo, scheme);
+    const double delta =
+        mpd.steady_avg_bitrate_mbps - base.steady_avg_bitrate_mbps;
+    const std::string scenario =
+        std::to_string(static_cast<int>(o.location.scenario));
     savings.push_back(saving);
-    table.add_row({loc.name, std::to_string(static_cast<int>(loc.scenario)),
-                   TextTable::pct(saving, 1), TextTable::num(delta, 2),
-                   std::to_string(pair.mpd.stalls)});
-    csv.add_row({loc.name, std::to_string(static_cast<int>(loc.scenario)),
-                 a.algo, a.scheme,
-                 TextTable::num(static_cast<double>(pair.base.cell_bytes) / 1e6, 3),
-                 TextTable::num(static_cast<double>(pair.mpd.cell_bytes) / 1e6, 3),
+    table.add_row({o.location.name, scenario, TextTable::pct(saving, 1),
+                   TextTable::num(delta, 2), std::to_string(mpd.stalls)});
+    csv.add_row({o.location.name, scenario, a.algo, a.scheme,
+                 TextTable::num(static_cast<double>(base.cell_bytes) / 1e6, 3),
+                 TextTable::num(static_cast<double>(mpd.cell_bytes) / 1e6, 3),
                  TextTable::num(saving, 4), TextTable::num(delta, 3),
-                 std::to_string(pair.mpd.stalls)});
+                 std::to_string(mpd.stalls)});
   }
   std::printf("%s", table.render().c_str());
   std::printf("cellular savings: p25 %.0f%%, median %.0f%%, p75 %.0f%%\n",
@@ -638,14 +625,9 @@ int cmd_sweep(const Args& a) {
               "%.2fs, speedup %.2fx)\n",
               res.stats.runs, res.stats.jobs, res.stats.wall_s,
               res.stats.run_wall_sum_s, res.stats.speedup());
-  if (!a.csv_path.empty()) {
-    if (!csv.write_file(a.csv_path)) {
-      std::fprintf(stderr, "cannot write %s\n", a.csv_path.c_str());
-      return 1;
-    }
-    std::printf("results written to %s\n", a.csv_path.c_str());
-  }
-  return 0;
+  const bool ok =
+      a.csv_path.empty() || write_artifact(a.csv_path, csv.str(), "results");
+  return ok ? 0 : 1;
 }
 
 // Every hung reason and violation of a chaos or fleet campaign, per seed,
@@ -726,22 +708,14 @@ int cmd_chaos(const Args& a) {
                    std::to_string(r.http_timeouts),
                    std::to_string(r.violations.size())});
     }
-    if (!csv.write_file(a.csv_path)) {
-      std::fprintf(stderr, "cannot write %s\n", a.csv_path.c_str());
-      return 1;
-    }
-    std::printf("results written to %s\n", a.csv_path.c_str());
+    if (!write_artifact(a.csv_path, csv.str(), "results")) return 1;
   }
   if (!a.series_path.empty()) {
     // Runs land in seed order regardless of --jobs, so the aggregate is
     // bitwise stable for any worker count.
     std::string series(kChaosSeriesHeader);
     for (const ChaosRunResult& r : res.runs) series += r.series_csv;
-    if (!write_file(a.series_path, series)) {
-      std::fprintf(stderr, "cannot write %s\n", a.series_path.c_str());
-      return 1;
-    }
-    std::printf("series written to %s\n", a.series_path.c_str());
+    if (!write_artifact(a.series_path, series, "series")) return 1;
   }
   if (!a.attrib_path.empty()) {
     // Rows sort by rollup_key_less — the order `mpdash_trace rollup`
@@ -757,13 +731,16 @@ int cmd_chaos(const Args& a) {
               [](const RollupRow& x, const RollupRow& y) {
                 return rollup_key_less(x.key, y.key);
               });
-    if (!write_file(a.attrib_path, rollup_to_csv(rows))) {
-      std::fprintf(stderr, "cannot write %s\n", a.attrib_path.c_str());
+    if (!write_artifact(a.attrib_path, rollup_to_csv(rows),
+                        "attribution roll-up")) {
       return 1;
     }
-    std::printf("attribution roll-up written to %s\n", a.attrib_path.c_str());
   }
-  if (!a.trace_path.empty()) {
+  // Each unwritten trace was named on stderr as its run ended.
+  const bool traces_written = std::none_of(
+      res.runs.begin(), res.runs.end(),
+      [](const ChaosRunResult& r) { return !r.trace_error.empty(); });
+  if (!a.trace_path.empty() && traces_written) {
     std::printf("per-run traces written to %s%s\n", a.trace_path.c_str(),
                 cfg.seed_count > 1 ? ".<seed>" : "");
   }
@@ -771,6 +748,9 @@ int cmd_chaos(const Args& a) {
     std::printf("repro bundles for %d non-ok run%s written to %s\n", oc.bad(),
                 oc.bad() == 1 ? "" : "s", a.bundle_dir.c_str());
   }
+  // A trace asked for and not written fails the command, as a failed --csv
+  // does, whatever --keep-going says.
+  if (!traces_written) return 1;
   // The exit gate CI keys off: any violation, hang, or crash is a
   // failure; --keep-going demotes them to report-only.
   return a.keep_going ? 0 : (oc.bad() == 0 ? 0 : 1);
@@ -801,6 +781,9 @@ std::vector<SessionSpec> parse_mix(const Args& a) {
     const std::size_t colon = entry.find(':');
     spec.scheme = parse_scheme(entry.substr(0, colon));
     if (colon != std::string::npos) spec.adaptation = entry.substr(colon + 1);
+    if (!factory_builds(make_adaptation, spec.adaptation)) {
+      usage("unknown adaptation " + spec.adaptation + " in --mix");
+    }
     mix.push_back(std::move(spec));
   }
   if (mix.empty()) usage("empty --mix '" + a.mix + "'");
@@ -852,12 +835,10 @@ int cmd_fleet(const Args& a) {
               res.stats.wall_s, a.chaos ? "on" : "off");
   std::printf("outcomes: %d ok, %d violation, %d hung, %d crashed\n", oc.ok,
               oc.violation, oc.hung, oc.crashed);
-  if (!a.csv_path.empty()) {
-    if (!write_file(a.csv_path, res.sessions_csv())) {
-      std::fprintf(stderr, "cannot write %s\n", a.csv_path.c_str());
-      return 1;
-    }
-    std::printf("per-session results written to %s\n", a.csv_path.c_str());
+  if (!a.csv_path.empty() &&
+      !write_artifact(a.csv_path, res.sessions_csv(),
+                      "per-session results")) {
+    return 1;
   }
   if (!a.bundle_dir.empty() && oc.bad() > 0) {
     std::printf("fleet repro bundles for %d non-ok run%s written to %s\n",
