@@ -60,10 +60,8 @@ int main() {
       run_scheme(net, video, Scheme::kMpDashRate, "festive", true);
   const SessionResult base =
       run_scheme(net, video, Scheme::kBaseline, "festive", true);
-  ScenarioConfig wifi_net = net;
-  wifi_net.wifi_only = true;
   const SessionResult wifi =
-      run_scheme(wifi_net, video, Scheme::kWifiOnly, "festive", true);
+      run_scheme(net, video, Scheme::kWifiOnly, "festive", true);
 
   plot("MP-DASH (rate-based)", mpd);
   plot("default MPTCP", base);

@@ -13,9 +13,8 @@ int main() {
   const Video video = bench_video();
   // A single ~3.4 Mbps pipe (the paper quotes a stable MPTCP aggregate of
   // R = 3.4 between the 2.41 and 3.94 Mbps encoding rates).
-  ScenarioConfig net =
+  const ScenarioConfig net =
       constant_scenario(DataRate::mbps(3.6), DataRate::mbps(3.0));
-  net.wifi_only = true;
 
   for (const char* algo : {"bba", "bba-c"}) {
     const SessionResult res =

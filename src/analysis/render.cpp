@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <set>
+#include <map>
+#include <span>
 #include <sstream>
 #include <string_view>
 
@@ -53,8 +54,7 @@ std::string render_chunk_timeline(const AnalysisReport& report,
   return out.str();
 }
 
-std::string render_flame(const SpanModel& model, const FlameModel& flame,
-                         int width) {
+std::string render_flame(const SpanModel& model, int width) {
   std::ostringstream out;
   const double total_s = to_seconds(model.trace_end);
   if (model.spans.empty() || total_s <= 0.0) return "(no spans)\n";
@@ -83,9 +83,7 @@ std::string render_flame(const SpanModel& model, const FlameModel& flame,
     out << "\n";
   };
 
-  for (std::size_t i = 0; i < model.spans.size(); ++i) {
-    const ChunkTimeline& t = model.spans[i];
-    const SpanDetail& d = flame.details[i];
+  for (const ChunkTimeline& t : model.spans) {
     const int a = col(t.start);
     const int b = std::max(a, col(t.end));
 
@@ -121,16 +119,16 @@ std::string render_flame(const SpanModel& model, const FlameModel& flame,
 
     // HTTP attempts: one nested row, attempts in sequence with their
     // retry/backoff gaps ('~' between a timeout and the next request).
-    if (!d.attempts.empty()) {
+    if (!t.attempts.empty()) {
       std::string http(static_cast<std::size_t>(width), ' ');
-      for (std::size_t k = 0; k < d.attempts.size(); ++k) {
-        const HttpAttempt& at = d.attempts[k];
+      for (std::size_t k = 0; k < t.attempts.size(); ++k) {
+        const HttpAttempt& at = t.attempts[k];
         const int s = col(at.start);
         const int e = std::max(s, col(at.end));
         for (int c = s; c <= e; ++c) http[static_cast<std::size_t>(c)] = '-';
-        if (k + 1 < d.attempts.size()) {
+        if (k + 1 < t.attempts.size()) {
           // Backoff gap runs from this attempt's close to the next send.
-          const int n = col(d.attempts[k + 1].start);
+          const int n = col(t.attempts[k + 1].start);
           for (int c = e + 1; c < n; ++c) {
             http[static_cast<std::size_t>(c)] = '~';
           }
@@ -149,7 +147,7 @@ std::string render_flame(const SpanModel& model, const FlameModel& flame,
       }
       char http_label[32];
       std::snprintf(http_label, sizeof http_label, "  http x%zu",
-                    d.attempts.size());
+                    t.attempts.size());
       emit(http_label, http, t.http_retries > 0
                                  ? std::to_string(t.http_retries) +
                                        " retries"
@@ -158,33 +156,42 @@ std::string render_flame(const SpanModel& model, const FlameModel& flame,
 
     // Per-path transmit activity (path-id order), each followed by its
     // subflow congestion row when the trace carried kSubflowUpdate
-    // records (cwnd forward-filled between samples, glyph ∝ cwnd).
-    std::set<int> span_paths;
-    for (const auto& [path, intervals] : d.path_activity) {
-      span_paths.insert(path);
+    // records (cwnd forward-filled between samples, glyph ∝ cwnd). The
+    // samples are time-sorted, so the span's window is one binary search.
+    struct PathRows {
+      const std::vector<ActivityInterval>* activity = nullptr;
+      std::span<const SubflowSample> subflow;
+    };
+    std::map<int, PathRows> paths;
+    for (const auto& [path, intervals] : t.path_activity) {
+      paths[path].activity = &intervals;
     }
-    for (const auto& [path, samples] : d.subflow) span_paths.insert(path);
-    for (const int path : span_paths) {
-      const auto act_it = d.path_activity.find(path);
-      if (act_it != d.path_activity.end()) {
+    for (const auto& [path, samples] : model.subflow) {
+      const auto lo = std::lower_bound(
+          samples.begin(), samples.end(), t.start,
+          [](const SubflowSample& s, TimePoint at) { return s.at < at; });
+      const auto hi = std::upper_bound(
+          lo, samples.end(), t.end,
+          [](TimePoint at, const SubflowSample& s) { return at < s.at; });
+      if (lo != hi) paths[path].subflow = std::span(lo, hi);
+    }
+    for (const auto& [path, rows] : paths) {
+      if (rows.activity != nullptr) {
         std::string act(static_cast<std::size_t>(width), ' ');
-        for (const ActivityInterval& iv : act_it->second) {
+        for (const ActivityInterval& iv : *rows.activity) {
           const int s = col(iv.first);
           const int e = std::max(s, col(iv.second));
           for (int c = s; c <= e; ++c) {
             act[static_cast<std::size_t>(c)] = '=';
           }
         }
-        const auto bytes_it = t.bytes_by_path.find(path);
+        // The same deliveries fill path_activity and bytes_by_path.
         emit("  path " + std::to_string(path), act,
-             bytes_it != t.bytes_by_path.end()
-                 ? std::to_string(static_cast<long long>(bytes_it->second)) +
-                       " B"
-                 : "");
+             std::to_string(static_cast<long long>(t.bytes_by_path.at(path))) +
+                 " B");
       }
-      const auto sf_it = d.subflow.find(path);
-      if (sf_it == d.subflow.end() || sf_it->second.empty()) continue;
-      const std::vector<SubflowSample>& samples = sf_it->second;
+      const std::span<const SubflowSample> samples = rows.subflow;
+      if (samples.empty()) continue;
       double cwnd_min = samples[0].cwnd, cwnd_max = samples[0].cwnd;
       double rtt_min = samples[0].srtt_ms, rtt_max = samples[0].srtt_ms;
       for (const SubflowSample& s : samples) {

@@ -38,7 +38,6 @@ std::string render_path_summary(const AnalysisReport& report);
 // Path rows: '=' where that path delivered payload for this span.
 // Rows without data (no HTTP records, no payload) are omitted, so older
 // span-only traces (golden fixtures) still render as pure Gantt bars.
-std::string render_flame(const SpanModel& model, const FlameModel& flame,
-                         int width = 72);
+std::string render_flame(const SpanModel& model, int width = 72);
 
 }  // namespace mpdash

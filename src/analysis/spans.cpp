@@ -57,6 +57,9 @@ bool label_is(const TraceRecord& r, const char* name) {
 
 using Interval = std::pair<TimePoint, TimePoint>;
 
+// Deliveries at most this far apart fuse into one path-activity interval.
+constexpr Duration kActivityMergeGap = milliseconds(50);
+
 // Sorted, merged union; empty pieces dropped.
 std::vector<Interval> merge_intervals(std::vector<Interval> iv) {
   std::vector<Interval> out;
@@ -229,8 +232,23 @@ SpanModel build_span_model(const std::vector<TraceRecord>& trace) {
     return it->second;
   };
 
+  // Attempts within a span are sequential (retries wait out the
+  // backoff), so a closing record belongs to the last still-open attempt.
+  const auto close_attempt = [](ChunkTimeline& t, const TraceRecord& r) {
+    for (auto a = t.attempts.rbegin(); a != t.attempts.rend(); ++a) {
+      if (a->outcome == nullptr) {
+        a->end = r.at;
+        a->outcome = r.label;
+        return;
+      }
+    }
+  };
+
   for (const TraceRecord& r : trace) {
     if (r.at > model.trace_end) model.trace_end = r.at;
+    if (r.type == TraceType::kSubflowUpdate) {
+      model.subflow[r.path_id].push_back({r.at, r.cwnd, r.srtt_ms});
+    }
     if (r.type == TraceType::kFault) {
       if (r.enabled) {
         FaultWindow w;
@@ -292,14 +310,25 @@ SpanModel build_span_model(const std::vector<TraceRecord>& trace) {
             t.have_bytes = true;
           }
           t.last_byte = r.at;
+          auto& iv = t.path_activity[r.path_id];
+          if (!iv.empty() && r.at - iv.back().second <= kActivityMergeGap) {
+            iv.back().second = std::max(iv.back().second, r.at);
+          } else {
+            iv.push_back({r.at, r.at});
+          }
         }
         break;
       case TraceType::kHttp:
-        if (label_is(r, "timeout")) {
+        if (label_is(r, "request")) {
+          t.attempts.push_back({r.level, r.at, r.at, nullptr});
+        } else if (label_is(r, "timeout")) {
           ++t.http_timeouts;
+          close_attempt(t, r);
         } else if (label_is(r, "retry")) {
           ++t.http_retries;
           t.backoff_s += r.value;
+        } else if (label_is(r, "response") || label_is(r, "giveup")) {
+          close_attempt(t, r);
         }
         break;
       case TraceType::kPlayer:
@@ -317,6 +346,11 @@ SpanModel build_span_model(const std::vector<TraceRecord>& trace) {
   model.spans.reserve(open.size());
   for (auto& [id, t] : open) {
     if (!t.closed()) t.end = model.trace_end;  // trace ended mid-flight
+    // An attempt the trace ended on extends to its span's end, so its bar
+    // has a width.
+    for (HttpAttempt& a : t.attempts) {
+      if (a.outcome == nullptr) a.end = std::max(a.start, t.end);
+    }
     model.spans.push_back(std::move(t));
   }
   for (FaultWindow& w : model.faults) {
@@ -395,100 +429,6 @@ int count_for(const std::vector<std::pair<MissCause, int>>& counts,
     if (c == cause) return n;
   }
   return 0;
-}
-
-const SpanDetail* FlameModel::find(const SpanModel& model, SpanId id) const {
-  const ChunkTimeline* t = model.find(id);
-  if (t == nullptr) return nullptr;
-  const std::size_t i = static_cast<std::size_t>(t - model.spans.data());
-  return i < details.size() ? &details[i] : nullptr;
-}
-
-FlameModel build_flame_model(const std::vector<TraceRecord>& trace,
-                             const SpanModel& model, Duration merge_gap) {
-  FlameModel flame;
-  flame.details.resize(model.spans.size());
-  std::map<SpanId, std::size_t> index;
-  for (std::size_t i = 0; i < model.spans.size(); ++i) {
-    flame.details[i].span = model.spans[i].span;
-    index.emplace(model.spans[i].span, i);
-  }
-
-  // Subflow updates are connection-scoped, not span-stamped, so collect
-  // them globally (sorted by emission order = time order) and slice each
-  // span's window out below.
-  std::map<int, std::vector<SubflowSample>> subflow_samples;
-
-  for (const TraceRecord& r : trace) {
-    if (r.type == TraceType::kSubflowUpdate) {
-      subflow_samples[r.path_id].push_back({r.at, r.cwnd, r.srtt_ms});
-      continue;
-    }
-    if (r.span == 0) continue;
-    const auto it = index.find(r.span);
-    if (it == index.end()) continue;
-    SpanDetail& d = flame.details[it->second];
-    if (r.type == TraceType::kHttp && r.label != nullptr) {
-      if (std::strcmp(r.label, "request") == 0) {
-        HttpAttempt a;
-        a.attempt = r.level;
-        a.start = r.at;
-        a.end = r.at;
-        d.attempts.push_back(a);
-      } else if (std::strcmp(r.label, "response") == 0 ||
-                 std::strcmp(r.label, "timeout") == 0 ||
-                 std::strcmp(r.label, "giveup") == 0) {
-        // Attempts within a span are sequential (retries wait out the
-        // backoff), so the closing record always belongs to the last
-        // still-open attempt.
-        for (auto a = d.attempts.rbegin(); a != d.attempts.rend(); ++a) {
-          if (a->outcome == nullptr) {
-            a->end = r.at;
-            a->outcome = r.label;
-            break;
-          }
-        }
-      }
-      continue;
-    }
-    if (r.type == TraceType::kPacketDeliver && r.kind == PacketKind::kData &&
-        r.is_downlink() && r.payload_len > 0) {
-      auto& iv = d.path_activity[r.path_id];
-      if (!iv.empty() && r.at - iv.back().second <= merge_gap) {
-        iv.back().second = std::max(iv.back().second, r.at);
-      } else {
-        iv.push_back({r.at, r.at});
-      }
-    }
-  }
-
-  // Attempts the trace ended on (or that never got a closing record)
-  // extend to their span's end so the bar has a width.
-  for (std::size_t i = 0; i < flame.details.size(); ++i) {
-    for (HttpAttempt& a : flame.details[i].attempts) {
-      if (a.outcome == nullptr) {
-        a.end = std::max(a.start, model.spans[i].end);
-      }
-    }
-  }
-
-  // Slice each span's time window out of the global subflow streams
-  // (samples are time-sorted, so each slice is one binary search + copy).
-  for (std::size_t i = 0; i < flame.details.size(); ++i) {
-    const ChunkTimeline& t = model.spans[i];
-    for (const auto& [path, samples] : subflow_samples) {
-      const auto lo = std::lower_bound(
-          samples.begin(), samples.end(), t.start,
-          [](const SubflowSample& s, TimePoint at) { return s.at < at; });
-      const auto hi = std::upper_bound(
-          lo, samples.end(), t.end,
-          [](TimePoint at, const SubflowSample& s) { return at < s.at; });
-      if (lo != hi) {
-        flame.details[i].subflow[path].assign(lo, hi);
-      }
-    }
-  }
-  return flame;
 }
 
 }  // namespace mpdash

@@ -66,6 +66,26 @@ struct FaultWindow {
   bool server_scoped() const { return path_id < 0; }
 };
 
+// One HTTP attempt inside a span, from its "request" record to the
+// record that closed it.
+struct HttpAttempt {
+  int attempt = 0;                // attempt number as emitted (kHttp level)
+  TimePoint start = kTimeZero;    // "request" record
+  TimePoint end = kTimeZero;      // closing record (or span end if open)
+  const char* outcome = nullptr;  // "response"/"timeout"/"giveup"; null =
+                                  // still in flight at trace end
+};
+
+using ActivityInterval = std::pair<TimePoint, TimePoint>;
+
+// One kSubflowUpdate observation (server data sender: cwnd/RTT at an
+// ack or RTO edge).
+struct SubflowSample {
+  TimePoint at = kTimeZero;
+  double cwnd = 0.0;
+  double srtt_ms = 0.0;
+};
+
 // Reconstructed life of one causal span (one chunk request, or the
 // manifest fetch).
 struct ChunkTimeline {
@@ -95,7 +115,11 @@ struct ChunkTimeline {
 
   // Per-path downlink payload delivered inside the span.
   std::map<int, Bytes> bytes_by_path;
+  // The same deliveries as intervals per path: deliveries at most 50 ms
+  // apart fuse into one (the flame view draws shapes, not packets).
+  std::map<int, std::vector<ActivityInterval>> path_activity;
 
+  std::vector<HttpAttempt> attempts;  // request order; gaps = backoff
   int http_timeouts = 0;
   int http_retries = 0;
   double backoff_s = 0.0;   // total scheduled retry backoff
@@ -137,6 +161,10 @@ struct SpanModel {
   TimePoint trace_end = kTimeZero;
   std::size_t records = 0;
   std::size_t unspanned_records = 0;  // records outside any span
+  // Subflow cwnd/RTT samples per path, in time order. Subflow updates are
+  // connection-scoped (not stamped with a chunk span), so a span's rows
+  // are the samples with start <= at <= end.
+  std::map<int, std::vector<SubflowSample>> subflow;
 
   const ChunkTimeline* find(SpanId id) const;
 };
@@ -150,8 +178,9 @@ std::uint32_t span_model_trace_mask();
 // view's subflow rows need on top of the span model.
 std::uint32_t flame_trace_mask();
 
-// First pass: group records by span id, collect fault windows, fill
-// every ChunkTimeline milestone. Does not assign causes.
+// One pass: group records by span id, collect fault windows and subflow
+// samples, fill every ChunkTimeline milestone and flame row. Does not
+// assign causes.
 SpanModel build_span_model(const std::vector<TraceRecord>& trace);
 
 // Attribution pass: assigns a MissCause to every missed span by walking
@@ -170,56 +199,5 @@ std::vector<std::pair<MissCause, int>> attribution_counts(
 // Count for one cause in an attribution_counts() result (0 if absent).
 int count_for(const std::vector<std::pair<MissCause, int>>& counts,
               MissCause cause);
-
-// ---------------------------------------------------------------------------
-// Flame/Gantt detail: the per-span sub-rows the --flame view nests inside
-// each chunk bar — HTTP attempts (with retry/backoff gaps) and per-path
-// transmit activity. Kept separate from ChunkTimeline because it needs a
-// second walk over the raw records and most consumers (attribution,
-// roll-ups) never want it.
-
-struct HttpAttempt {
-  int attempt = 0;                // attempt number as emitted (kHttp level)
-  TimePoint start = kTimeZero;    // "request" record
-  TimePoint end = kTimeZero;      // closing record (or span end if open)
-  const char* outcome = nullptr;  // "response"/"timeout"/"giveup"; null =
-                                  // still in flight at trace end
-};
-
-using ActivityInterval = std::pair<TimePoint, TimePoint>;
-
-// One kSubflowUpdate observation (server data sender: cwnd/RTT at an
-// ack or RTO edge).
-struct SubflowSample {
-  TimePoint at = kTimeZero;
-  double cwnd = 0.0;
-  double srtt_ms = 0.0;
-};
-
-struct SpanDetail {
-  SpanId span = 0;
-  std::vector<HttpAttempt> attempts;  // request order; gaps = backoff
-  // Downlink payload activity per path, merged into intervals when
-  // deliveries are closer than the merge gap.
-  std::map<int, std::vector<ActivityInterval>> path_activity;
-  // Subflow cwnd/RTT samples per path inside this span's window. Subflow
-  // updates are connection-scoped (not stamped with a chunk span), so
-  // they are sliced by time: every sample with start <= at <= end.
-  std::map<int, std::vector<SubflowSample>> subflow;
-};
-
-struct FlameModel {
-  std::vector<SpanDetail> details;  // aligned with SpanModel::spans
-
-  const SpanDetail* find(const SpanModel& model, SpanId id) const;
-};
-
-// Second pass over the trace: collects the per-span HTTP attempt segments
-// and per-path delivery intervals for the flame view. `merge_gap` fuses
-// deliveries separated by less than that into one interval (rendering
-// needs shapes, not packets).
-FlameModel build_flame_model(const std::vector<TraceRecord>& trace,
-                             const SpanModel& model,
-                             Duration merge_gap = milliseconds(50));
 
 }  // namespace mpdash

@@ -49,16 +49,6 @@ DataRate MpDashSocket::aggregate_throughput() const {
   return conn_.client().aggregate_throughput_estimate();
 }
 
-DataRate MpDashSocket::wifi_throughput() const {
-  const auto all = paths();
-  if (all.empty()) return DataRate::bits_per_second(0);
-  const ControlledPath* best = &all.front();
-  for (const auto& p : all) {
-    if (p.unit_cost < best->unit_cost) best = &p;
-  }
-  return path_throughput(best->id);
-}
-
 std::vector<ControlledPath> MpDashSocket::paths() const {
   std::vector<ControlledPath> out;
   out.reserve(conn_.paths().size());

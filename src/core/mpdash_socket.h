@@ -47,13 +47,11 @@ class MpDashSocket : public MultipathControl {
   void disable();
 
   bool active() const { return scheduler_.active(); }
-  bool last_deadline_missed() const { return scheduler_.deadline_missed(); }
   int deadline_misses() const { return deadline_misses_; }
 
   // Aggregated throughput estimate across all paths (enabled or not) for
   // rate adaptation (§3.2, second part of the interface).
   DataRate aggregate_throughput() const;
-  DataRate wifi_throughput() const;  // cheapest path's estimate
 
   // --- MultipathControl (exposed for the scheduler and for tests) ------
   std::vector<ControlledPath> paths() const override;

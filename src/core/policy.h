@@ -8,7 +8,6 @@
 // DASH adapter, exactly as the paper argues.
 
 #include <string>
-#include <vector>
 
 #include "link/path.h"
 
@@ -26,11 +25,6 @@ struct PathPolicy {
       case InterfaceKind::kCellular: return cellular_cost;
       default: return other_cost;
     }
-  }
-
-  // Applies this policy's costs to a set of path descriptions.
-  void apply(std::vector<PathDescription>& paths) const {
-    for (auto& p : paths) p.unit_cost = cost_for(p.kind);
   }
 };
 

@@ -28,7 +28,6 @@ class PlaybackBuffer {
 
   // Playback control.
   void set_playing(TimePoint now, bool playing);
-  bool playing() const { return playing_; }
 
   // Time at which the buffer empties if no chunk arrives (TimePoint::max()
   // when paused or already empty-proof).

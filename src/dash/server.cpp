@@ -21,7 +21,6 @@ HttpResponse DashServer::handle(const HttpRequest& req) {
         chunk >= video_.chunk_count()) {
       return not_found();
     }
-    ++chunks_served_;
     HttpResponse resp;
     resp.headers.push_back({"Content-Type", "video/iso.segment"});
     resp.body_len = video_.chunk_size(level, chunk);

@@ -14,7 +14,6 @@ class DashServer {
   DashServer(MptcpEndpoint& endpoint, Video video);
 
   const Video& video() const { return video_; }
-  std::size_t chunks_served() const { return chunks_served_; }
   // The underlying HTTP engine — the fault layer drives its stall/drop
   // hooks through this.
   HttpServer& http() { return http_; }
@@ -24,7 +23,6 @@ class DashServer {
 
   Video video_;
   HttpServer http_;
-  std::size_t chunks_served_ = 0;
 };
 
 }  // namespace mpdash

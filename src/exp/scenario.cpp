@@ -57,7 +57,6 @@ Scenario::Scenario(ScenarioConfig config) : config_(std::move(config)) {
   };
   add_path(kWifiPathId, "wifi", InterfaceKind::kWifi, config_.wifi_down,
            config_.wifi_up, config_.wifi_rtt, config_.wifi_ge_loss, nullptr);
-  if (config_.wifi_only) return;
   if (config_.lte_throttle) {
     ShaperConfig shaper = *config_.lte_throttle;
     if (shaper.name == "shaper") shaper.name = "lte";  // metric key per path
@@ -88,7 +87,6 @@ Bytes Scenario::wifi_bytes() const {
 }
 
 Bytes Scenario::cellular_bytes() const {
-  if (links_.size() < 4) return 0;
   return links_[2]->delivered_bytes() + links_[3]->delivered_bytes();
 }
 

@@ -1,8 +1,9 @@
 #pragma once
-// Network scenario construction: WiFi + LTE path pair (or WiFi alone)
-// with configurable bandwidth traces, RTTs, and the optional cellular
-// throttle of Table 4. One topology serves a single session (flow 0) and
-// a fleet (one flow per tenant on the same links).
+// Network scenario construction: WiFi + LTE path pair with configurable
+// bandwidth traces, RTTs, and the optional cellular throttle of Table 4.
+// One topology serves a single session (flow 0) and a fleet (one flow per
+// tenant on the same links). A WiFi-only run keeps both paths and
+// connects over WiFi alone (Scheme::kWifiOnly).
 
 #include <memory>
 #include <optional>
@@ -39,7 +40,6 @@ struct ScenarioConfig {
   std::uint64_t seed = 1;
   std::optional<ShaperConfig> lte_throttle;  // Table 4 strawman
   PathPolicy policy = prefer_wifi_policy();
-  bool wifi_only = false;  // single-path baseline (Figure 11 bottom)
   // How every link arbitrates between the flows sharing it (fleets).
   QueueDiscipline discipline = QueueDiscipline::kFifo;
   Bytes fq_quantum = 1500;
@@ -65,7 +65,7 @@ class Scenario {
   // A fleet runs tenant i on for_flow(i) copies of them.
   std::vector<NetPath*> paths();
   NetPath& wifi() { return paths_.front(); }
-  NetPath* cellular() { return paths_.size() > 1 ? &paths_[1] : nullptr; }
+  NetPath* cellular() { return &paths_[1]; }
   const ScenarioConfig& config() const { return config_; }
 
   // Wires telemetry into the event loop and every link/shaper. nullptr

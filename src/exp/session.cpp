@@ -91,10 +91,8 @@ class EnergyProbe {
     Counters c;
     c.wifi_down = scenario_.wifi().downlink().delivered_bytes();
     c.wifi_up = scenario_.wifi().uplink().delivered_bytes();
-    if (NetPath* lte = scenario_.cellular()) {
-      c.lte_down = lte->downlink().delivered_bytes();
-      c.lte_up = lte->uplink().delivered_bytes();
-    }
+    c.lte_down = scenario_.cellular()->downlink().delivered_bytes();
+    c.lte_up = scenario_.cellular()->uplink().delivered_bytes();
     return c;
   }
 

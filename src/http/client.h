@@ -55,7 +55,6 @@ struct HttpTransfer {
 
   bool ok() const { return error == TransferError::kNone; }
   Duration download_time() const { return completed - request_sent; }
-  DataRate goodput() const { return rate_of(body_bytes, download_time()); }
 };
 
 struct HttpClientConfig {

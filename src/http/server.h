@@ -27,17 +27,14 @@ class HttpServer {
 
   std::size_t requests_served() const { return served_; }
   std::size_t requests_dropped() const { return dropped_; }
-  HttpParseError parse_error() const { return parser_.error(); }
 
   // --- fault hooks -----------------------------------------------------
   // Stalled: requests are still parsed and handled, but responses queue
   // up server-side; clearing the stall flushes them in order.
   void set_stalled(bool stalled);
-  bool stalled() const { return stalled_; }
   // Dropping: requests are consumed off the stream and thrown away. The
   // client never hears back for these.
   void set_dropping(bool dropping) { dropping_ = dropping; }
-  bool dropping() const { return dropping_; }
 
  private:
   void on_request(const HttpRequest& req);

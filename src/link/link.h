@@ -95,8 +95,6 @@ class Link {
   // spike). Applies to deliveries scheduled after the call.
   void set_extra_delay(Duration extra) { extra_delay_ = extra; }
   Duration extra_delay() const { return extra_delay_; }
-  // Replaces the i.i.d. loss probability at runtime (loss burst window).
-  void set_random_loss(double p) { config_.random_loss = p; }
   double random_loss() const { return config_.random_loss; }
   // Installs/clears the Gilbert–Elliott burst model at runtime. The chain
   // restarts in the Good state.
@@ -108,7 +106,6 @@ class Link {
 
   int id() const { return config_.id; }
   const std::string& name() const { return config_.name; }
-  const BandwidthTrace& rate_trace() const { return config_.rate; }
   Duration propagation_delay() const { return config_.propagation_delay; }
 
   Bytes queued_bytes() const { return queued_bytes_; }

@@ -53,7 +53,6 @@ void TokenBucketShaper::drain() {
     queue_.pop_front();
     queued_bytes_ -= p.wire_size;
     tokens_ -= static_cast<double>(p.wire_size);
-    forwarded_bytes_ += p.wire_size;
     if (telemetry_) {
       forwarded_counter_.add(static_cast<double>(p.wire_size));
       queue_gauge_.set(static_cast<double>(queued_bytes_));

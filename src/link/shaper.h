@@ -33,7 +33,6 @@ class TokenBucketShaper {
   void set_telemetry(Telemetry* telemetry);
 
   Bytes dropped_bytes() const { return dropped_bytes_; }
-  Bytes forwarded_bytes() const { return forwarded_bytes_; }
 
  private:
   void refill();
@@ -55,7 +54,6 @@ class TokenBucketShaper {
   bool drain_scheduled_ = false;
 
   Bytes dropped_bytes_ = 0;
-  Bytes forwarded_bytes_ = 0;
 };
 
 }  // namespace mpdash

@@ -24,7 +24,6 @@ class HoltWinters final : public ThroughputEstimator {
   std::size_t sample_count() const override { return n_; }
   void reset() override;
 
-  double level_bps() const { return level_; }
   double trend_bps() const { return trend_; }
 
  private:

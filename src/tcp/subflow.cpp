@@ -101,7 +101,6 @@ void SubflowSender::send_data(std::uint64_t data_seq, Bytes len,
   sp.live = true;
   ++inflight_;
   transmit_packet(seq, sp, /*retransmit=*/false);
-  bytes_sent_ += len;
   arm_rto();
 }
 

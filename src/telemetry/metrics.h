@@ -158,6 +158,15 @@ class MetricsRegistry {
 // lets the series be read after the registry that produced it is gone.
 class MetricsTimeline {
  public:
+  // Recorded snapshots view names in names_: a copy's would still view the
+  // source's map, so copying is an error. A move keeps the map's nodes,
+  // and the views stay valid.
+  MetricsTimeline() = default;
+  MetricsTimeline(const MetricsTimeline&) = delete;
+  MetricsTimeline& operator=(const MetricsTimeline&) = delete;
+  MetricsTimeline(MetricsTimeline&&) = default;
+  MetricsTimeline& operator=(MetricsTimeline&&) = default;
+
   void record(MetricsSnapshot snap);
   const std::vector<MetricsSnapshot>& snapshots() const { return snapshots_; }
   bool empty() const { return snapshots_.empty(); }

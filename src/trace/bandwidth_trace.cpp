@@ -107,10 +107,6 @@ TimePoint BandwidthTrace::time_to_deliver(TimePoint from, Bytes bytes) const {
   return TimePoint::max();
 }
 
-TimePoint BandwidthTrace::last_change() const {
-  return points_.empty() ? kTimeZero : points_.back().start;
-}
-
 DataRate BandwidthTrace::mean_rate(Duration horizon) const {
   if (horizon <= kDurationZero) return DataRate::bits_per_second(0);
   return rate_of(bytes_between(kTimeZero, TimePoint(horizon)), horizon);

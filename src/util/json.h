@@ -40,7 +40,6 @@ struct JsonValue {
   std::vector<std::pair<std::string, JsonValue>> members;  // kObject,
                                                            // insertion order
 
-  bool is_null() const { return type == Type::kNull; }
   bool is_object() const { return type == Type::kObject; }
   bool is_array() const { return type == Type::kArray; }
   bool is_string() const { return type == Type::kString; }

@@ -29,16 +29,6 @@ TEST(Scenario, ConstantScenarioWiring) {
   EXPECT_EQ(sc.cellular_bytes(), 0);
 }
 
-TEST(Scenario, WifiOnlyOmitsCellular) {
-  ScenarioConfig cfg = constant_scenario(DataRate::mbps(5.0),
-                                         DataRate::mbps(2.0));
-  cfg.wifi_only = true;
-  Scenario sc(cfg);
-  EXPECT_EQ(sc.paths().size(), 1u);
-  EXPECT_EQ(sc.cellular(), nullptr);
-  EXPECT_EQ(sc.cellular_bytes(), 0);
-}
-
 TEST(Scenario, RttConfigurationReachesPaths) {
   ScenarioConfig cfg = constant_scenario(DataRate::mbps(5.0),
                                          DataRate::mbps(2.0));

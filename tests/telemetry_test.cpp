@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "dash/video.h"
@@ -118,6 +121,31 @@ TEST(Metrics, TimelineFlattensHistograms) {
   EXPECT_NE(csv.find("rtt_ms.le_10,1"), std::string::npos);
   EXPECT_NE(csv.find("rtt_ms.le_100,2"), std::string::npos);  // cumulative
   EXPECT_NE(csv.find("rtt_ms.le_inf,2"), std::string::npos);
+}
+
+// Snapshots view names the timeline owns, so a copy would dangle once its
+// source died; only moves are allowed.
+static_assert(!std::is_copy_constructible_v<MetricsTimeline>);
+static_assert(!std::is_copy_assignable_v<MetricsTimeline>);
+
+TEST(Metrics, MovedTimelineOutlivesItsSourceAndRegistry) {
+  std::string want;
+  std::optional<MetricsTimeline> moved;
+  {
+    auto reg = std::make_unique<MetricsRegistry>();
+    reg->gauge("buffer.level_s").set(4.5);
+    reg->counter("http.requests").add(3.0);
+    auto source = std::make_unique<MetricsTimeline>();
+    source->record(reg->snapshot(TimePoint(seconds(1.0))));
+    reg->counter("http.requests").add(1.0);
+    source->record(reg->snapshot(TimePoint(seconds(2.0))));
+    want = source->to_csv();
+    moved.emplace(std::move(*source));
+    source.reset();
+    reg.reset();
+  }
+  EXPECT_EQ(moved->to_csv(), want);
+  EXPECT_EQ(moved->snapshots().back().values[0].name, "buffer.level_s");
 }
 
 // --- trace sinks ------------------------------------------------------

@@ -233,6 +233,7 @@ TEST(Flame, NestsAttemptsBackoffAndPathActivity) {
   trace.push_back(http(1, 4.5, "request", 1));
   trace.push_back(deliver(1, 5.0, 0, 1200));
   trace.push_back(deliver(1, 5.02, 0, 1200));  // < merge gap: same interval
+  trace.push_back(deliver(1, 5.065, 0, 1200));  // 45 ms < 50 ms: same again
   trace.push_back(deliver(1, 6.0, 1, 800));    // costly path pitches in
   trace.push_back(deliver(1, 6.5, 0, 1200));   // > merge gap: new interval
   trace.push_back(http(1, 7.0, "response", 1));
@@ -244,10 +245,9 @@ TEST(Flame, NestsAttemptsBackoffAndPathActivity) {
 
   SpanModel model = build_span_model(trace);
   attribute_misses(&model);
-  const FlameModel flame = build_flame_model(trace, model);
 
-  ASSERT_EQ(flame.details.size(), 2u);
-  const SpanDetail* d = flame.find(model, 1);
+  ASSERT_EQ(model.spans.size(), 2u);
+  const ChunkTimeline* d = model.find(1);
   ASSERT_NE(d, nullptr);
   ASSERT_EQ(d->attempts.size(), 2u);
   EXPECT_EQ(d->attempts[0].attempt, 0);
@@ -261,15 +261,15 @@ TEST(Flame, NestsAttemptsBackoffAndPathActivity) {
 
   ASSERT_EQ(d->path_activity.size(), 2u);
   const auto& wifi = d->path_activity.at(0);
-  ASSERT_EQ(wifi.size(), 2u);  // merged pair + distant third delivery
+  ASSERT_EQ(wifi.size(), 2u);  // merged triple + distant fourth delivery
   EXPECT_DOUBLE_EQ(to_seconds(wifi[0].first), 5.0);
-  EXPECT_DOUBLE_EQ(to_seconds(wifi[0].second), 5.02);
+  EXPECT_DOUBLE_EQ(to_seconds(wifi[0].second), 5.065);
   EXPECT_DOUBLE_EQ(to_seconds(wifi[1].first), 6.5);
   ASSERT_EQ(d->path_activity.at(1).size(), 1u);
 
   // The span with no deliveries has no activity rows; its lone attempt
   // stays open and extends to the span end.
-  const SpanDetail* d2 = flame.find(model, 2);
+  const ChunkTimeline* d2 = model.find(2);
   ASSERT_NE(d2, nullptr);
   EXPECT_TRUE(d2->path_activity.empty());
   ASSERT_EQ(d2->attempts.size(), 1u);
@@ -277,7 +277,7 @@ TEST(Flame, NestsAttemptsBackoffAndPathActivity) {
   EXPECT_DOUBLE_EQ(to_seconds(d2->attempts[0].end), 9.0);
 
   // Rendering: both spans appear, attempts row shows the retry glyphs.
-  const std::string text = render_flame(model, flame, 60);
+  const std::string text = render_flame(model, 60);
   EXPECT_NE(text.find("span 1 chunk 0"), std::string::npos);
   EXPECT_NE(text.find("span 2 chunk 1"), std::string::npos);
   EXPECT_NE(text.find("http x2"), std::string::npos);
@@ -286,6 +286,44 @@ TEST(Flame, NestsAttemptsBackoffAndPathActivity) {
   EXPECT_NE(text.find('~'), std::string::npos);  // backoff gap
   EXPECT_NE(text.find('x'), std::string::npos);  // timeout glyph
   EXPECT_NE(text.find('o'), std::string::npos);  // response glyph
+}
+
+// Subflow updates are connection-scoped: the model keeps every sample per
+// path (each still counts as a record outside any span), and the flame
+// view gives each span the samples inside its own [start, end] window.
+TEST(Flame, SubflowSamplesSliceBySpanWindow) {
+  const auto sample = [](double at_s, int path, double cwnd) {
+    TraceRecord r = rec(TraceType::kSubflowUpdate, at_s);
+    r.path_id = path;
+    r.cwnd = cwnd;
+    r.srtt_ms = 40.0;
+    return r;
+  };
+  std::vector<TraceRecord> trace;
+  trace.push_back(sample(0.5, 0, 5.0));  // before any span
+  trace.push_back(span_start(1, 1.0, "chunk", 0, 1, 1000, 0.0));
+  trace.push_back(sample(1.5, 0, 10.0));
+  trace.push_back(sample(1.6, 1, 4.0));
+  trace.push_back(span_end(1, 2.0, "delivered", 1000));
+  trace.push_back(span_start(2, 3.0, "chunk", 1, 1, 1000, 0.0));
+  trace.push_back(sample(3.5, 0, 20.0));
+  trace.push_back(span_end(2, 4.0, "delivered", 1000));
+
+  const SpanModel model = build_span_model(trace);
+  EXPECT_EQ(model.records, trace.size());
+  EXPECT_EQ(model.unspanned_records, 4u);
+  ASSERT_EQ(model.subflow.size(), 2u);
+  ASSERT_EQ(model.subflow.at(0).size(), 3u);
+  EXPECT_DOUBLE_EQ(model.subflow.at(0)[1].cwnd, 10.0);
+  ASSERT_EQ(model.subflow.at(1).size(), 1u);
+
+  const std::string text = render_flame(model, 40);
+  EXPECT_NE(text.find("cwnd 10..10"), std::string::npos);  // span 1, path 0
+  EXPECT_NE(text.find("cwnd 4..4"), std::string::npos);    // span 1, path 1
+  EXPECT_NE(text.find("cwnd 20..20"), std::string::npos);  // span 2, path 0
+  EXPECT_EQ(text.find("cwnd 5..5"), std::string::npos);    // in no window
+  ASSERT_NE(text.find("  sf 1"), std::string::npos);
+  EXPECT_EQ(text.find("  sf 1"), text.rfind("  sf 1"));  // span 1 only
 }
 
 // Golden snapshot: the flame view over an in-process pipelined session
@@ -323,8 +361,7 @@ TEST(Flame, GoldenPipelinedSnapshot) {
 
   SpanModel model = build_span_model(trace);
   attribute_misses(&model);
-  const FlameModel flame = build_flame_model(trace, model);
-  const std::string got = render_flame(model, flame, 72);
+  const std::string got = render_flame(model, 72);
   ASSERT_FALSE(got.empty());
   // The satellite this snapshot locks: a subflow congestion row under
   // each path's transmit-activity row.

@@ -271,10 +271,7 @@ int run_analyze(const Args& args) {
   print_summary(model, trace);
   if (!model.spans.empty()) print_attribution(model);
   if (args.waterfall) print_waterfall(model, args.width);
-  if (args.flame) {
-    const FlameModel flame = build_flame_model(trace, model);
-    std::printf("\n%s", render_flame(model, flame, args.width).c_str());
-  }
+  if (args.flame) std::printf("\n%s", render_flame(model, args.width).c_str());
   if (!args.csv_path.empty()) {
     if (!write_file(args.csv_path, spans_to_csv(model))) {
       std::fprintf(stderr, "error: cannot write %s\n",
