@@ -9,8 +9,8 @@
 // sessions four ways — telemetry detached; idle-attached (every counter
 // live, no sinks); always-on (idle plus the 1 s metrics snapshotter,
 // with span allocation short-circuiting on `tracing()`); and fully
-// traced (span sink attached, every record materialized). The gate is
-// the marginal cost of this PR's observability machinery: always-on
+// traced (a span-model builder fed live, what `chaos --attrib` pays).
+// The gate is the marginal cost of the observability machinery: always-on
 // must stay within 2% of the idle-attached budget when
 // MPDASH_OVERHEAD_STRICT=1. The detached→idle instrumentation cost and
 // the opt-in full-tracing cost are reported and recorded in
@@ -23,6 +23,7 @@
 #include <cstring>
 #include <vector>
 
+#include "analysis/spans.h"
 #include "bench_common.h"
 #include "core/deadline_scheduler.h"
 #include "core/offline_optimal.h"
@@ -173,13 +174,14 @@ SessionResult overhead_session(Telemetry* telemetry,
   return res;
 }
 
-// The everything-on configuration this PR adds: a trace sink attached
-// (so every span and record is materialized) plus the registry
-// snapshotter on its default 1 s cadence.
+// The everything-on configuration: the span model folded live (so every
+// span and record is materialized) plus the registry snapshotter on its
+// default 1 s cadence.
 SessionResult overhead_session_full(MetricsTimeline* timeline) {
   Telemetry telemetry;
-  RingBufferSink ring(8192);
-  telemetry.add_sink(&ring);
+  SpanModelBuilder spans;
+  TypeFilterSink filter(&spans, span_model_trace_mask());
+  telemetry.add_sink(&filter);
   return overhead_session(&telemetry, timeline);
 }
 

@@ -28,7 +28,7 @@ std::string spans_to_csv(const SpanModel& model) {
   for (const ChunkTimeline& t : model.spans) {
     Bytes preferred = 0, costly = 0;
     for (const auto& [p, bytes] : t.bytes_by_path) {
-      (p == 0 ? preferred : costly) += bytes;
+      (p == model.preferred_path ? preferred : costly) += bytes;
     }
     out += std::to_string(t.span);
     out += ',' + cell(t.name ? t.name : "");

@@ -207,34 +207,52 @@ std::uint32_t span_model_trace_mask() {
          (1u << static_cast<unsigned>(TraceType::kPacketDeliver));
 }
 
-std::uint32_t flame_trace_mask() {
-  return span_model_trace_mask() |
-         (1u << static_cast<unsigned>(TraceType::kSubflowUpdate));
-}
-
-SpanModel build_span_model(const std::vector<TraceRecord>& trace) {
-  SpanModel model;
-  model.records = trace.size();
-  // Span ids are allocated in increasing order, so a map keyed by id
-  // yields timelines in request order.
-  std::map<SpanId, ChunkTimeline> open;
-
-  auto timeline = [&open](const TraceRecord& r) -> ChunkTimeline& {
-    auto [it, inserted] = open.try_emplace(r.span);
-    if (inserted) {
-      // Records can precede the kSpanStart of their span (the player
-      // activates the id before level selection); the start record
-      // overwrites this provisional anchor.
-      it->second.span = r.span;
-      it->second.start = r.at;
-      it->second.end = r.at;
+void SpanModelBuilder::on_record(const TraceRecord& r) {
+  ++model_.records;
+  ++model_.records_by_type[static_cast<std::size_t>(r.type)];
+  if (r.at > model_.trace_end) model_.trace_end = r.at;
+  if (r.type == TraceType::kSubflowUpdate) {
+    model_.subflow[r.path_id].push_back({r.at, r.cwnd, r.srtt_ms});
+  }
+  if (r.type == TraceType::kFault) {
+    if (r.enabled) {
+      FaultWindow w;
+      w.kind = r.label;
+      w.path_id = r.path_id;
+      w.start = r.at;
+      w.end = r.at;
+      model_.faults.push_back(w);
+    } else {
+      for (auto it = model_.faults.rbegin(); it != model_.faults.rend();
+           ++it) {
+        if (!it->closed && it->path_id == r.path_id &&
+            ((it->kind == nullptr && r.label == nullptr) ||
+             (it->kind && r.label && std::strcmp(it->kind, r.label) == 0))) {
+          it->end = r.at;
+          it->closed = true;
+          break;
+        }
+      }
     }
-    return it->second;
-  };
-
-  // Attempts within a span are sequential (retries wait out the
-  // backoff), so a closing record belongs to the last still-open attempt.
-  const auto close_attempt = [](ChunkTimeline& t, const TraceRecord& r) {
+    return;  // faults are trace-global, not span-owned
+  }
+  if (r.span == 0) {
+    ++model_.unspanned_records;
+    return;
+  }
+  auto [it, inserted] = open_.try_emplace(r.span);
+  ChunkTimeline& t = it->second;
+  if (inserted) {
+    // Records can precede the kSpanStart of their span (the player
+    // activates the id before level selection); the start record
+    // overwrites this provisional anchor.
+    t.span = r.span;
+    t.start = r.at;
+    t.end = r.at;
+  }
+  // Attempts within a span are sequential (retries wait out the backoff),
+  // so a closing record belongs to the last still-open attempt.
+  const auto close_attempt = [&t, &r] {
     for (auto a = t.attempts.rbegin(); a != t.attempts.rend(); ++a) {
       if (a->outcome == nullptr) {
         a->end = r.at;
@@ -243,124 +261,99 @@ SpanModel build_span_model(const std::vector<TraceRecord>& trace) {
       }
     }
   };
-
-  for (const TraceRecord& r : trace) {
-    if (r.at > model.trace_end) model.trace_end = r.at;
-    if (r.type == TraceType::kSubflowUpdate) {
-      model.subflow[r.path_id].push_back({r.at, r.cwnd, r.srtt_ms});
-    }
-    if (r.type == TraceType::kFault) {
-      if (r.enabled) {
-        FaultWindow w;
-        w.kind = r.label;
-        w.path_id = r.path_id;
-        w.start = r.at;
-        w.end = r.at;
-        model.faults.push_back(w);
-      } else {
-        for (auto it = model.faults.rbegin(); it != model.faults.rend();
-             ++it) {
-          if (!it->closed && it->path_id == r.path_id &&
-              ((it->kind == nullptr && r.label == nullptr) ||
-               (it->kind && r.label &&
-                std::strcmp(it->kind, r.label) == 0))) {
-            it->end = r.at;
-            it->closed = true;
-            break;
-          }
+  switch (r.type) {
+    case TraceType::kSpanStart:
+      t.name = r.label;
+      t.chunk = r.chunk;
+      t.level = r.level;
+      t.requested_bytes = r.bytes;
+      t.deadline_s = r.value;
+      t.start = r.at;
+      break;
+    case TraceType::kSpanEnd:
+      t.status = r.label;
+      t.delivered_bytes = r.bytes;
+      t.end = r.at;
+      break;
+    case TraceType::kSchedDecision:
+      if (label_is(r, "begin")) {
+        t.sched_engaged = true;
+        t.sched_begin = r.at;
+      } else if (label_is(r, "miss")) {
+        t.sched_missed = true;
+      } else if (label_is(r, "enable") && r.enabled) {
+        t.first_enable_by_path.try_emplace(r.path_id, r.at);
+      }
+      break;
+    case TraceType::kPacketDeliver:
+      if (r.kind == PacketKind::kData && r.is_downlink() &&
+          r.payload_len > 0) {
+        t.bytes_by_path[r.path_id] += r.payload_len;
+        if (!t.have_bytes) {
+          t.first_byte = r.at;
+          t.have_bytes = true;
+        }
+        t.last_byte = r.at;
+        auto& iv = t.path_activity[r.path_id];
+        if (!iv.empty() && r.at - iv.back().second <= kActivityMergeGap) {
+          iv.back().second = std::max(iv.back().second, r.at);
+        } else {
+          iv.push_back({r.at, r.at});
         }
       }
-      continue;  // faults are trace-global, not span-owned
-    }
-    if (r.span == 0) {
-      ++model.unspanned_records;
-      continue;
-    }
-    ChunkTimeline& t = timeline(r);
-    switch (r.type) {
-      case TraceType::kSpanStart:
-        t.name = r.label;
-        t.chunk = r.chunk;
-        t.level = r.level;
-        t.requested_bytes = r.bytes;
-        t.deadline_s = r.value;
-        t.start = r.at;
-        break;
-      case TraceType::kSpanEnd:
-        t.status = r.label;
-        t.delivered_bytes = r.bytes;
-        t.end = r.at;
-        break;
-      case TraceType::kSchedDecision:
-        if (label_is(r, "begin")) {
-          t.sched_engaged = true;
-          t.sched_begin = r.at;
-        } else if (label_is(r, "miss")) {
-          t.sched_missed = true;
-        } else if (label_is(r, "enable") && r.enabled) {
-          t.first_enable_by_path.try_emplace(r.path_id, r.at);
-        }
-        break;
-      case TraceType::kPacketDeliver:
-        if (r.kind == PacketKind::kData && r.is_downlink() &&
-            r.payload_len > 0) {
-          t.bytes_by_path[r.path_id] += r.payload_len;
-          if (!t.have_bytes) {
-            t.first_byte = r.at;
-            t.have_bytes = true;
-          }
-          t.last_byte = r.at;
-          auto& iv = t.path_activity[r.path_id];
-          if (!iv.empty() && r.at - iv.back().second <= kActivityMergeGap) {
-            iv.back().second = std::max(iv.back().second, r.at);
-          } else {
-            iv.push_back({r.at, r.at});
-          }
-        }
-        break;
-      case TraceType::kHttp:
-        if (label_is(r, "request")) {
-          t.attempts.push_back({r.level, r.at, r.at, nullptr});
-        } else if (label_is(r, "timeout")) {
-          ++t.http_timeouts;
-          close_attempt(t, r);
-        } else if (label_is(r, "retry")) {
-          ++t.http_retries;
-          t.backoff_s += r.value;
-        } else if (label_is(r, "response") || label_is(r, "giveup")) {
-          close_attempt(t, r);
-        }
-        break;
-      case TraceType::kPlayer:
-        if (is_player_event(r, PlayerEventType::kChunkRetry)) {
-          ++t.chunk_retries;
-        } else if (is_player_event(r, PlayerEventType::kStallStart)) {
-          ++t.stalls_started;
-        }
-        break;
-      default:
-        break;
-    }
+      break;
+    case TraceType::kHttp:
+      if (label_is(r, "request")) {
+        t.attempts.push_back({r.level, r.at, r.at, nullptr});
+      } else if (label_is(r, "timeout")) {
+        ++t.http_timeouts;
+        close_attempt();
+      } else if (label_is(r, "retry")) {
+        ++t.http_retries;
+        t.backoff_s += r.value;
+      } else if (label_is(r, "response") || label_is(r, "giveup")) {
+        close_attempt();
+      }
+      break;
+    case TraceType::kPlayer:
+      if (is_player_event(r, PlayerEventType::kChunkRetry)) {
+        ++t.chunk_retries;
+      } else if (is_player_event(r, PlayerEventType::kStallStart)) {
+        ++t.stalls_started;
+      }
+      break;
+    default:
+      break;
   }
+}
 
-  model.spans.reserve(open.size());
-  for (auto& [id, t] : open) {
-    if (!t.closed()) t.end = model.trace_end;  // trace ended mid-flight
+SpanModel SpanModelBuilder::finish() {
+  model_.spans.reserve(open_.size());
+  for (auto& [id, t] : open_) {
+    if (!t.closed()) t.end = model_.trace_end;  // trace ended mid-flight
     // An attempt the trace ended on extends to its span's end, so its bar
     // has a width.
     for (HttpAttempt& a : t.attempts) {
       if (a.outcome == nullptr) a.end = std::max(a.start, t.end);
     }
-    model.spans.push_back(std::move(t));
+    model_.spans.push_back(std::move(t));
   }
-  for (FaultWindow& w : model.faults) {
-    if (!w.closed) w.end = model.trace_end;
+  open_.clear();
+  for (FaultWindow& w : model_.faults) {
+    if (!w.closed) w.end = model_.trace_end;
   }
-  overlap_post_pass(model);
-  return model;
+  overlap_post_pass(model_);
+  return std::move(model_);
+}
+
+SpanModel build_span_model(const std::vector<TraceRecord>& trace) {
+  SpanModelBuilder builder;
+  for (const TraceRecord& r : trace) builder.on_record(r);
+  return builder.finish();
 }
 
 void attribute_misses(SpanModel* model, int preferred_path) {
+  model->preferred_path = preferred_path;
   for (ChunkTimeline& t : model->spans) {
     // Derive the costly-path milestones now that the preferred path is
     // known.

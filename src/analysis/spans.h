@@ -1,14 +1,17 @@
 #pragma once
 // Span model: reconstructs per-chunk causal timelines from a TraceRecord
-// stream (live from a TraceCollector or loaded from JSONL) and runs the
-// deadline-miss attribution pass — the "why did chunk 42 stall" layer the
-// paper had to hand-correlate from tcpdump + player logs (§6).
+// stream and runs the deadline-miss attribution pass — the "why did chunk
+// 42 stall" layer the paper had to hand-correlate from tcpdump + player
+// logs (§6). SpanModelBuilder is the one fold: a TraceSink that takes each
+// record as a run emits it or as read_trace_jsonl reads it back, so no
+// consumer holds a run's records to fold them afterwards.
 //
 // Every record between a chunk's kSpanStart and kSpanEnd carries the
 // span's id (Telemetry stamps the active span), so a span's causal
 // window is exactly the records that share its id, joined against the
 // trace-global fault windows.
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -126,11 +129,11 @@ struct ChunkTimeline {
   int chunk_retries = 0;    // player-level downshift retries
   int stalls_started = 0;   // playback stalled while this span in flight
 
-  // Overlap-aware accounting (post-pass in build_span_model). A pipelined
-  // player keeps several spans open at once, so one fault window can
-  // overlap them all; these fields total the wall time each fault scope
-  // covered this span (union, so stacked windows don't double count) and
-  // apportion intervals shared between concurrently open spans, making
+  // Overlap-aware accounting (post-pass in SpanModelBuilder::finish). A
+  // pipelined player keeps several spans open at once, so one fault window
+  // can overlap them all; these fields total the wall time each fault
+  // scope covered this span (union, so stacked windows don't double count)
+  // and apportion intervals shared between concurrently open spans, making
   // per-span waterfalls sum to the trace-level blackout time instead of
   // multiply counting it.
   double path_fault_overlap_s = 0.0;    // link-fault windows ∩ this span
@@ -161,6 +164,8 @@ struct SpanModel {
   TimePoint trace_end = kTimeZero;
   std::size_t records = 0;
   std::size_t unspanned_records = 0;  // records outside any span
+  std::array<std::size_t, kTraceTypeCount> records_by_type{};  // by TraceType
+  int preferred_path = 0;  // attribute_misses' argument; renderers split by it
   // Subflow cwnd/RTT samples per path, in time order. Subflow updates are
   // connection-scoped (not stamped with a chunk span), so a span's rows
   // are the samples with start <= at <= end.
@@ -169,25 +174,38 @@ struct SpanModel {
   const ChunkTimeline* find(SpanId id) const;
 };
 
-// TypeFilterSink mask covering every record type the span model and the
-// flame view consume. Capture behind this mask and build_span_model sees
-// exactly what a full JSONL trace would give it.
+// TypeFilterSink mask of every record type attribution reads (all the span
+// model reads but kSubflowUpdate, which only the flame view's subflow rows
+// use): a builder behind it attributes as one fed the whole JSONL trace.
 std::uint32_t span_model_trace_mask();
 
-// span_model_trace_mask() plus kSubflowUpdate — everything the flame
-// view's subflow rows need on top of the span model.
-std::uint32_t flame_trace_mask();
+// Folds records into a SpanModel as they arrive: groups them by span id,
+// collects fault windows and subflow samples, fills every ChunkTimeline
+// milestone and flame row. Does not assign causes.
+class SpanModelBuilder final : public TraceSink {
+ public:
+  void on_record(const TraceRecord& r) override;
 
-// One pass: group records by span id, collect fault windows and subflow
-// samples, fill every ChunkTimeline milestone and flame row. Does not
-// assign causes.
+  // Ends what the trace left open at its last record (spans, HTTP
+  // attempts, fault windows), runs the overlap post-pass and hands over
+  // the model. Call once, after the last record.
+  SpanModel finish();
+
+ private:
+  SpanModel model_;
+  // Span ids are allocated in increasing order, so a map keyed by id
+  // yields timelines in request order.
+  std::map<SpanId, ChunkTimeline> open_;
+};
+
+// Feeds `trace` to a SpanModelBuilder and finishes it.
 SpanModel build_span_model(const std::vector<TraceRecord>& trace);
 
 // Attribution pass: assigns a MissCause to every missed span by walking
 // its causal window against the fault table. `preferred_path` is the
-// path Algorithm 1 keeps always-on (WiFi = 0 everywhere in this repo);
-// other paths are the "costly" set whose late enablement indicts the
-// scheduler.
+// path Algorithm 1 keeps always-on (WiFi = 0 everywhere in this repo),
+// kept as model->preferred_path; other paths are the "costly" set whose
+// late enablement indicts the scheduler.
 void attribute_misses(SpanModel* model, int preferred_path = 0);
 
 // Misses per cause across the model (kNone excluded; zero counts kept).

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <iterator>
 #include <optional>
-#include <set>
 #include <utility>
 
 #include "exp/repro.h"
@@ -165,42 +164,36 @@ std::vector<std::string> check_counter_invariants(MetricsRegistry& m,
   return v;
 }
 
-std::vector<std::string> check_pipeline_invariants(
-    const std::vector<TraceRecord>& trace, int max_retries) {
-  std::vector<std::string> v;
-  std::set<SpanId> closed;
-  for (const TraceRecord& r : trace) {
-    if (r.type == TraceType::kSpanStart) {
-      if (r.span != 0 && closed.count(r.span) > 0) {
-        v.push_back("span " + std::to_string(r.span) +
-                    " reopened after close at t=" +
-                    std::to_string(to_seconds(r.at)));
-      }
-      continue;
+void PipelineAudit::on_record(const TraceRecord& r) {
+  if (r.type == TraceType::kSpanStart) {
+    if (r.span != 0 && closed_.count(r.span) > 0) {
+      violations_.push_back("span " + std::to_string(r.span) +
+                            " reopened after close at t=" +
+                            std::to_string(to_seconds(r.at)));
     }
-    if (r.type == TraceType::kSpanEnd) {
-      closed.insert(r.span);
-      continue;
+    return;
+  }
+  if (r.type == TraceType::kSpanEnd) {
+    closed_.insert(r.span);
+    return;
+  }
+  if (r.type != TraceType::kHttp || r.label == nullptr) return;
+  if (std::strcmp(r.label, "response") == 0) {
+    if (r.span != 0 && closed_.count(r.span) > 0) {
+      violations_.push_back("response delivered to dead span " +
+                            std::to_string(r.span) + " at t=" +
+                            std::to_string(to_seconds(r.at)));
     }
-    if (r.type != TraceType::kHttp || r.label == nullptr) continue;
-    if (std::strcmp(r.label, "response") == 0) {
-      if (r.span != 0 && closed.count(r.span) > 0) {
-        v.push_back("response delivered to dead span " +
-                    std::to_string(r.span) + " at t=" +
-                    std::to_string(to_seconds(r.at)));
-      }
-    } else if (std::strcmp(r.label, "retry") == 0) {
-      // Retry records carry the attempt number after increment, so a
-      // budget-honoring client never logs one above max_retries.
-      if (r.level > max_retries) {
-        v.push_back("retry budget exceeded: attempt " +
-                    std::to_string(r.level) + " > " +
-                    std::to_string(max_retries) + " on span " +
-                    std::to_string(r.span));
-      }
+  } else if (std::strcmp(r.label, "retry") == 0) {
+    // Retry records carry the attempt number after increment, so a
+    // budget-honoring client never logs one above max_retries.
+    if (r.level > max_retries_) {
+      violations_.push_back("retry budget exceeded: attempt " +
+                            std::to_string(r.level) + " > " +
+                            std::to_string(max_retries_) + " on span " +
+                            std::to_string(r.span));
     }
   }
-  return v;
 }
 
 SessionSpec default_chaos_spec() {
@@ -232,19 +225,14 @@ ChaosRunResult run_chaos_single(const ChaosConfig& cfg, const Video& video,
     scfg.metrics_interval = cfg.series_interval;
   }
 
-  // Always-on request-lifecycle capture for the pipelined audit. Sinks are
-  // pure observers, so attaching one never perturbs the simulation or the
-  // campaign digest. Attribution mode widens the mask to everything the
-  // span model consumes (faults, scheduler decisions, player events,
-  // payload deliveries).
-  std::uint32_t capture_mask =
-      (1u << static_cast<unsigned>(TraceType::kHttp)) |
-      (1u << static_cast<unsigned>(TraceType::kSpanStart)) |
-      (1u << static_cast<unsigned>(TraceType::kSpanEnd));
-  if (cfg.attribution) capture_mask |= span_model_trace_mask();
-  TraceCollector pipeline_capture;
-  TypeFilterSink pipeline_filter(&pipeline_capture, capture_mask);
-  telemetry.add_sink(&pipeline_filter);
+  // The pipelined audit always, and under attribution the span model, fold
+  // each record as it is emitted. Sinks are pure observers, so attaching
+  // one never perturbs the simulation or the campaign digest.
+  PipelineAudit audit(scfg.http_recovery.max_retries);
+  telemetry.add_sink(&audit);
+  SpanModelBuilder spans;
+  TypeFilterSink span_filter(&spans, span_model_trace_mask());
+  if (cfg.attribution) telemetry.add_sink(&span_filter);
 
   // Per-run trace capture: sinks attach to the run-private telemetry, so
   // any --jobs interleaving writes each file from exactly one thread.
@@ -274,7 +262,8 @@ ChaosRunResult run_chaos_single(const ChaosConfig& cfg, const Video& video,
     out.hung_reason = e.what();
   }
 
-  telemetry.remove_sink(&pipeline_filter);
+  telemetry.remove_sink(&audit);
+  telemetry.remove_sink(&span_filter);
   if (jsonl) {
     telemetry.remove_sink(&*jsonl);
     // A trace is an artifact, not an invariant: the run's outcome stands,
@@ -304,18 +293,13 @@ ChaosRunResult run_chaos_single(const ChaosConfig& cfg, const Video& video,
   out.faults_skipped = res.faults_skipped;
   out.manifest_failed = res.manifest_failed;
   out.violations = check_chaos_invariants(res, video.chunk_count());
-  {
-    std::vector<std::string> pv = check_pipeline_invariants(
-        pipeline_capture.records(), scfg.http_recovery.max_retries);
-    out.violations.insert(out.violations.end(),
-                          std::make_move_iterator(pv.begin()),
-                          std::make_move_iterator(pv.end()));
-  }
+  out.violations.insert(out.violations.end(), audit.violations().begin(),
+                        audit.violations().end());
   if (cfg.series_interval > kDurationZero) {
     out.series_csv = qoe_series_csv(timeline, seed);
   }
   if (cfg.attribution) {
-    SpanModel model = build_span_model(pipeline_capture.records());
+    SpanModel model = spans.finish();
     attribute_misses(&model, kWifiPathId);
     out.attribution = rollup_span_model(model, std::to_string(seed));
     out.has_attribution = true;

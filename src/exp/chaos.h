@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -76,9 +77,9 @@ struct ChaosConfig {
   // run's outcome stands.
   std::string trace_path;
   std::uint32_t trace_types = ~0u;
-  // Per-run deadline-miss attribution: widens the in-process capture to
-  // the span-model record set, runs attribute_misses over it, and fills
-  // ChaosRunResult::attribution (one RollupRow keyed by seed). Sinks are
+  // Per-run deadline-miss attribution: a SpanModelBuilder folds the run's
+  // records as they are emitted, attribute_misses runs over its model, and
+  // ChaosRunResult::attribution gets one RollupRow keyed by seed. Sinks are
   // pure observers, so the campaign digest is unchanged.
   bool attribution = false;
   std::FILE* progress = stderr;  // nullptr silences the runner
@@ -212,13 +213,25 @@ std::vector<std::string> check_chaos_invariants(const SessionResult& res,
 std::vector<std::string> check_counter_invariants(MetricsRegistry& m,
                                                   const SessionResult& res);
 
-// Audits the pipelined request lifecycle from a (kHttp | kSpanStart |
-// kSpanEnd)-filtered trace: no HTTP response may be delivered to a span
-// that already closed (a stale late response must be discarded, never
+// Audits the pipelined request lifecycle from its kHttp, kSpanStart and
+// kSpanEnd records as they arrive: no HTTP response may reach a span that
+// already closed (a stale late response must be discarded, never
 // surfaced), no span reopens, and no request exceeds its retry budget.
 // Holds for sequential runs too (the sequential player is inflight = 1).
-std::vector<std::string> check_pipeline_invariants(
-    const std::vector<TraceRecord>& trace, int max_retries);
+class PipelineAudit final : public TraceSink {
+ public:
+  explicit PipelineAudit(int max_retries) : max_retries_(max_retries) {}
+
+  void on_record(const TraceRecord& r) override;
+
+  // In record order.
+  const std::vector<std::string>& violations() const { return violations_; }
+
+ private:
+  int max_retries_;
+  std::set<SpanId> closed_;
+  std::vector<std::string> violations_;
+};
 
 // The synthetic chaos video for `cfg.chunk_count` chunks.
 Video chaos_video(const ChaosConfig& cfg);

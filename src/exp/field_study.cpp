@@ -42,8 +42,8 @@ FieldStudyResult run_field_study(const FieldStudyConfig& config,
               if (config.metrics || config.attribution) {
                 env.telemetry = &ctx.telemetry;
               }
-              TraceCollector capture;
-              TypeFilterSink filter(&capture, span_model_trace_mask());
+              SpanModelBuilder spans;
+              TypeFilterSink filter(&spans, span_model_trace_mask());
               if (config.attribution) ctx.telemetry.add_sink(&filter);
               Scenario scenario(net);
               cell.result =
@@ -55,7 +55,7 @@ FieldStudyResult run_field_study(const FieldStudyConfig& config,
               }
               if (config.attribution) {
                 ctx.telemetry.remove_sink(&filter);
-                SpanModel model = build_span_model(capture.records());
+                SpanModel model = spans.finish();
                 attribute_misses(&model, kWifiPathId);
                 cell.attribution = attribution_series_csv(
                     model, /*bucket_s=*/10.0, ctx.key);

@@ -46,37 +46,8 @@ bool parse_trace_types(std::string_view spec, std::uint32_t* mask) {
   return true;
 }
 
-RingBufferSink::RingBufferSink(std::size_t capacity)
-    : buffer_(capacity == 0 ? 1 : capacity) {}
-
-void RingBufferSink::on_record(const TraceRecord& r) {
-  buffer_[head_] = r;
-  head_ = (head_ + 1) % buffer_.size();
-  if (size_ < buffer_.size()) ++size_;
-  ++total_;
-}
-
-std::vector<TraceRecord> RingBufferSink::snapshot() const {
-  std::vector<TraceRecord> out;
-  out.reserve(size_);
-  // Oldest record sits at head_ once the buffer has wrapped.
-  const std::size_t start =
-      size_ == buffer_.size() ? head_ : (head_ + buffer_.size() - size_) %
-                                            buffer_.size();
-  for (std::size_t i = 0; i < size_; ++i) {
-    out.push_back(buffer_[(start + i) % buffer_.size()]);
-  }
-  return out;
-}
-
-void RingBufferSink::clear() {
-  head_ = 0;
-  size_ = 0;
-  total_ = 0;
-}
-
 // Doubles go through json_double, whose shortest round-trip form lets
-// load_trace_jsonl recover every value bit-for-bit.
+// read_trace_jsonl recover every value bit-for-bit.
 std::string trace_record_to_json(const TraceRecord& r) {
   std::string out = "{\"t\":" + json_double(to_seconds(r.at)) + ",\"type\":\"";
   out += to_string(r.type);
@@ -329,7 +300,7 @@ bool trace_record_from_json(std::string_view line, TraceRecord* out,
   return json_parse(line, &doc, err) && record_from_json(doc, out, err);
 }
 
-bool load_trace_jsonl(const std::string& path, std::vector<TraceRecord>* out,
+bool read_trace_jsonl(const std::string& path, TraceSink& sink,
                       std::string* err) {
   std::string text;
   if (!read_file(path, &text)) {
@@ -352,7 +323,7 @@ bool load_trace_jsonl(const std::string& path, std::vector<TraceRecord>* out,
       if (err) *err = path + ":" + std::to_string(line_no) + ": " + line_err;
       return false;
     }
-    out->push_back(std::move(r));
+    sink.on_record(r);
   }
   return true;
 }

@@ -8,14 +8,13 @@
 // feeds back into simulation state, so runs are bitwise identical with
 // and without sinks attached.
 //
-// Two sink implementations ship here:
-//   * RingBufferSink — bounded, allocation-free after construction;
-//     always cheap enough to leave attached.
-//   * JsonlSink — streams one JSON object per line to a file (the
-//     `mpdash_sim --trace out.jsonl` backend).
-// TraceCollector (unbounded) backs full-session capture for analysis.
-// The JSONL reader (load_trace_jsonl, what mpdash_trace loads) sits beside
-// the writer and parses each line with util's json_parse.
+// JsonlSink streams one JSON object per line to a file (the
+// `mpdash_sim --trace out.jsonl` backend); TypeFilterSink narrows any sink
+// to the record types one analysis reads; TraceCollector keeps every
+// record, for consumers that need the records themselves rather than a
+// fold of them. The JSONL reader (read_trace_jsonl, what mpdash_trace
+// reads) sits beside the writer, parses each line with util's json_parse
+// and feeds the records to a sink as it goes.
 
 #include <cstdint>
 #include <cstdio>
@@ -111,30 +110,6 @@ class TraceSink {
   virtual void on_record(const TraceRecord& r) = 0;
 };
 
-// Bounded ring buffer: keeps the newest `capacity` records, overwriting
-// the oldest once full.
-class RingBufferSink final : public TraceSink {
- public:
-  explicit RingBufferSink(std::size_t capacity);
-
-  void on_record(const TraceRecord& r) override;
-
-  std::size_t size() const { return size_; }
-  std::size_t capacity() const { return buffer_.size(); }
-  // Records lost to wraparound so far.
-  std::uint64_t overwritten() const { return total_ - size_; }
-  std::uint64_t total_seen() const { return total_; }
-  // Retained records, oldest first.
-  std::vector<TraceRecord> snapshot() const;
-  void clear();
-
- private:
-  std::vector<TraceRecord> buffer_;
-  std::size_t head_ = 0;  // next write position
-  std::size_t size_ = 0;
-  std::uint64_t total_ = 0;
-};
-
 // Unbounded in-memory capture — the full-fidelity trace the cross-layer
 // analyzer consumes.
 class TraceCollector final : public TraceSink {
@@ -178,8 +153,8 @@ class JsonlSink final : public TraceSink {
 };
 
 // Forwards only records whose type is set in `mask` (bit = 1u << type) to
-// the wrapped sink, so an in-memory capture keeps only what one analysis
-// pass reads (the span model, the flame view).
+// the wrapped sink, so it sees only what one analysis reads (a span-model
+// builder behind span_model_trace_mask()).
 class TypeFilterSink final : public TraceSink {
  public:
   TypeFilterSink(TraceSink* inner, std::uint32_t mask)
@@ -219,9 +194,10 @@ const char* intern_trace_label(std::string_view label);
 bool trace_record_from_json(std::string_view line, TraceRecord* out,
                             std::string* err = nullptr);
 
-// Loads a whole JSONL trace file, skipping blank lines. On failure returns
-// false with *err naming the offending `path:line`.
-bool load_trace_jsonl(const std::string& path, std::vector<TraceRecord>* out,
+// Feeds a JSONL trace file's records to `sink` in file order, skipping
+// blank lines. On failure returns false with *err naming the offending
+// `path:line`; the records before that line have been fed.
+bool read_trace_jsonl(const std::string& path, TraceSink& sink,
                       std::string* err = nullptr);
 
 }  // namespace mpdash

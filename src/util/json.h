@@ -1,7 +1,7 @@
 #pragma once
 // Minimal JSON document parser: the one reader for every JSON artifact the
 // simulator writes — fault plans, repro bundles, and the JSONL traces
-// (one document per line, see load_trace_jsonl). The emitters are
+// (one document per line, see read_trace_jsonl). The emitters are
 // hand-rolled (trace JSONL, fault-plan and bundle serializers); this is
 // the matching reader: a small value tree that keeps number literals as
 // raw text so integer nanosecond counts and shortest-round-trip doubles

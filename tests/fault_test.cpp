@@ -387,6 +387,13 @@ TraceRecord http_rec(double at_s, TraceType type, SpanId span,
   return r;
 }
 
+// The audit's violations after `trace`, under a retry budget of 4.
+std::vector<std::string> audit(const std::vector<TraceRecord>& trace) {
+  PipelineAudit audit(4);
+  for (const TraceRecord& r : trace) audit.on_record(r);
+  return audit.violations();
+}
+
 TEST(PipelineInvariants, OverlappingCleanLifecyclePasses) {
   // Two requests pipelined: span 2 opens before span 1 closes, each gets
   // its response while open, one retry inside the budget.
@@ -401,7 +408,7 @@ TEST(PipelineInvariants, OverlappingCleanLifecyclePasses) {
       http_rec(1.2, TraceType::kHttp, 2, "response", 0),
       http_rec(1.3, TraceType::kSpanEnd, 2, "delivered"),
   };
-  EXPECT_TRUE(check_pipeline_invariants(trace, 4).empty());
+  EXPECT_TRUE(audit(trace).empty());
 }
 
 TEST(PipelineInvariants, ResponseToClosedSpanFlagged) {
@@ -410,7 +417,7 @@ TEST(PipelineInvariants, ResponseToClosedSpanFlagged) {
       http_rec(0.5, TraceType::kSpanEnd, 1, "abandoned"),
       http_rec(0.9, TraceType::kHttp, 1, "response", 0),
   };
-  const auto v = check_pipeline_invariants(trace, 4);
+  const auto v = audit(trace);
   ASSERT_EQ(v.size(), 1u);
   EXPECT_NE(v[0].find("dead span 1"), std::string::npos) << v[0];
 }
@@ -421,7 +428,7 @@ TEST(PipelineInvariants, SpanReopenFlagged) {
       http_rec(0.5, TraceType::kSpanEnd, 1, "delivered"),
       http_rec(0.6, TraceType::kSpanStart, 1, "chunk"),
   };
-  const auto v = check_pipeline_invariants(trace, 4);
+  const auto v = audit(trace);
   ASSERT_EQ(v.size(), 1u);
   EXPECT_NE(v[0].find("reopened"), std::string::npos) << v[0];
 }
@@ -431,9 +438,25 @@ TEST(PipelineInvariants, RetryBudgetOverrunFlagged) {
       http_rec(0.0, TraceType::kSpanStart, 1, "chunk"),
       http_rec(0.5, TraceType::kHttp, 1, "retry", 5),
   };
-  const auto v = check_pipeline_invariants(trace, 4);
+  const auto v = audit(trace);
   ASSERT_EQ(v.size(), 1u);
   EXPECT_NE(v[0].find("retry budget exceeded"), std::string::npos) << v[0];
+}
+
+TEST(PipelineInvariants, ViolationsOnTwoSpansReportInRecordOrder) {
+  const std::vector<TraceRecord> trace = {
+      http_rec(0.0, TraceType::kSpanStart, 1, "chunk"),
+      http_rec(0.1, TraceType::kSpanStart, 2, "chunk"),
+      http_rec(0.4, TraceType::kHttp, 2, "retry", 6),
+      http_rec(0.5, TraceType::kSpanEnd, 1, "abandoned"),
+      http_rec(0.9, TraceType::kHttp, 1, "response", 0),
+  };
+  const auto v = audit(trace);
+  ASSERT_EQ(v.size(), 2u);
+  EXPECT_NE(v[0].find("retry budget exceeded: attempt 6 > 4 on span 2"),
+            std::string::npos)
+      << v[0];
+  EXPECT_NE(v[1].find("dead span 1"), std::string::npos) << v[1];
 }
 
 TEST(ChaosCampaign, PipelinedInvariantsHoldAcrossSeeds) {

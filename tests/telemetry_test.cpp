@@ -159,30 +159,6 @@ TraceRecord player_record(double t, int chunk) {
   return r;
 }
 
-TEST(TraceSink, RingBufferKeepsNewestOnWraparound) {
-  RingBufferSink ring(4);
-  for (int i = 0; i < 10; ++i) ring.on_record(player_record(i, i));
-  EXPECT_EQ(ring.size(), 4u);
-  EXPECT_EQ(ring.capacity(), 4u);
-  EXPECT_EQ(ring.total_seen(), 10u);
-  EXPECT_EQ(ring.overwritten(), 6u);
-  const auto snap = ring.snapshot();
-  ASSERT_EQ(snap.size(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(snap[static_cast<std::size_t>(i)].chunk, 6 + i);
-  ring.clear();
-  EXPECT_EQ(ring.size(), 0u);
-}
-
-TEST(TraceSink, RingBufferBelowCapacityReturnsAll) {
-  RingBufferSink ring(8);
-  for (int i = 0; i < 3; ++i) ring.on_record(player_record(i, i));
-  const auto snap = ring.snapshot();
-  ASSERT_EQ(snap.size(), 3u);
-  EXPECT_EQ(snap.front().chunk, 0);
-  EXPECT_EQ(snap.back().chunk, 2);
-  EXPECT_EQ(ring.overwritten(), 0u);
-}
-
 TEST(TraceSink, JsonEscaping) {
   EXPECT_EQ(json_quote("plain"), "\"plain\"");
   EXPECT_EQ(json_quote("a\"b"), "\"a\\\"b\"");
@@ -244,10 +220,11 @@ TEST(TraceSink, JsonlSinkWritesOnlyMaskedTypesAndLoadsBack) {
   sink.on_record(player_record(2.0, 1));
   EXPECT_EQ(sink.records_written(), 2u);
   ASSERT_TRUE(sink.close());
-  std::vector<TraceRecord> loaded;
+  TraceCollector reader;
   std::string err;
-  ASSERT_TRUE(load_trace_jsonl(path, &loaded, &err)) << err;
+  ASSERT_TRUE(read_trace_jsonl(path, reader, &err)) << err;
   std::remove(path.c_str());
+  const std::vector<TraceRecord>& loaded = reader.records();
   ASSERT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded[0].type, TraceType::kPlayer);
   EXPECT_EQ(loaded[1].chunk, 1);
@@ -315,9 +292,7 @@ TEST(Telemetry, AttachedSinksLeaveRunsBitwiseIdentical) {
   const RunOutcome bare = run_once(nullptr);
 
   Telemetry telemetry;
-  RingBufferSink ring(1 << 14);
   TraceCollector collector;
-  telemetry.add_sink(&ring);
   telemetry.add_sink(&collector);
   const RunOutcome traced = run_once(&telemetry);
 

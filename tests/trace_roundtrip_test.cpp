@@ -1,5 +1,5 @@
 // JSONL trace round-trip: every field trace_record_to_json emits must
-// parse back to an identical TraceRecord (load_trace_jsonl, beside the
+// parse back to an identical TraceRecord (read_trace_jsonl, beside the
 // writer in src/telemetry/trace_sink, is its inverse), both for hand-built
 // records of every type and for a full streaming-session trace written
 // through JsonlSink. Also pins the span-propagation contract (every record
@@ -270,10 +270,11 @@ TEST(TraceRoundTrip, NestedAndOverlappingSpansSurvive) {
     JsonlSink sink(path);
     for (const TraceRecord& r : live) sink.on_record(r);
   }
-  std::vector<TraceRecord> loaded;
+  TraceCollector reader;
   std::string err;
-  ASSERT_TRUE(load_trace_jsonl(path, &loaded, &err)) << err;
+  ASSERT_TRUE(read_trace_jsonl(path, reader, &err)) << err;
   std::remove(path.c_str());
+  const std::vector<TraceRecord>& loaded = reader.records();
 
   ASSERT_EQ(loaded.size(), live.size());
   for (std::size_t i = 0; i < live.size(); ++i) {
@@ -325,6 +326,31 @@ TEST(TraceRoundTrip, LoaderRejectsGarbage) {
     EXPECT_FALSE(err.empty()) << bad;
   }
   ASSERT_TRUE(trace_record_from_json(head + "}", &out, &err)) << err;
+}
+
+// A malformed line stops the reader after the records before it have
+// reached the sink, and the error names the file and line.
+TEST(TraceRoundTrip, ReaderFeedsRecordsBeforeAMalformedLine) {
+  const std::string path =
+      ::testing::TempDir() + "mpdash_malformed_line3.jsonl";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("{\"t\":1.0,\"type\":\"player\",\"chunk\":0,\"value\":0}\n"
+               "{\"t\":2.0,\"type\":\"player\",\"chunk\":1,\"value\":0}\n"
+               "{\"t\":3.0,\"type\":\"player\",\"chunk\":\n"
+               "{\"t\":4.0,\"type\":\"player\",\"chunk\":3,\"value\":0}\n",
+               f);
+    std::fclose(f);
+  }
+  TraceCollector reader;
+  std::string err;
+  EXPECT_FALSE(read_trace_jsonl(path, reader, &err));
+  std::remove(path.c_str());
+  ASSERT_EQ(reader.records().size(), 2u);
+  EXPECT_EQ(reader.records()[0].chunk, 0);
+  EXPECT_EQ(reader.records()[1].chunk, 1);
+  EXPECT_EQ(err.rfind(path + ":3: ", 0), 0u) << err;
 }
 
 TEST(TraceRoundTrip, LoaderDecodesUnicodeEscapesAsUtf8) {
@@ -412,9 +438,11 @@ class SessionTrace : public ::testing::Test {
       JsonlSink sink(path);
       for (const TraceRecord& r : records) sink.on_record(r);
     }
+    TraceCollector reader;
     std::string err;
-    EXPECT_TRUE(load_trace_jsonl(path, loaded, &err)) << err;
+    EXPECT_TRUE(read_trace_jsonl(path, reader, &err)) << err;
     std::remove(path.c_str());
+    *loaded = reader.take();
     return path;
   }
 };

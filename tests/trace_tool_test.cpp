@@ -1,8 +1,9 @@
 // Trace-tool analytics: RFC-4180 span CSV round-trips, deterministic
 // fault-kind tie-breaking, attribution_counts ordering, the flame-view
 // nesting model (HTTP attempts + per-path activity inside chunk spans),
-// the campaign roll-up aggregation, and the golden flame snapshot over
-// the pipelined scheduler fixture.
+// the campaign roll-up aggregation, the live span-model fold against the
+// batch one, and the golden flame snapshot over the pipelined scheduler
+// fixture.
 //
 // Regenerate the flame golden after an intentional rendering change:
 //   MPDASH_UPDATE_GOLDEN=1 ./tests/trace_tool_test
@@ -23,6 +24,7 @@
 #include "exp/scenario.h"
 #include "exp/session.h"
 #include "fault/fault.h"
+#include "runner/campaign.h"
 #include "telemetry/trace_sink.h"
 #include "util/csv.h"
 #include "util/json.h"
@@ -123,6 +125,30 @@ TEST(SpanCsv, Rfc4180RoundTripsCraftedSpans) {
             to_seconds(model.spans[0].end));
   // No raw (unquoted) comma from the crafted name may create extra cells.
   for (const auto& row : rows) EXPECT_EQ(row.size(), header.size());
+}
+
+// The CSV splits a span's bytes by the path attribution was told is
+// preferred, not by path 0.
+TEST(SpanCsv, PreferredBytesFollowThePreferredPath) {
+  std::vector<TraceRecord> trace;
+  trace.push_back(span_start(1, 0.0, "chunk", 0, 1, 3000, 4.0));
+  trace.push_back(deliver(1, 0.5, 0, 1000));
+  trace.push_back(deliver(1, 0.6, 1, 2000));
+  trace.push_back(span_end(1, 1.0, "delivered", 3000));
+  SpanModel model = build_span_model(trace);
+  attribute_misses(&model, 1);
+
+  const auto rows = parse_csv(spans_to_csv(model));
+  ASSERT_EQ(rows.size(), 2u);
+  auto col = [&](const char* want) -> std::string {
+    for (std::size_t i = 0; i < rows[0].size(); ++i) {
+      if (rows[0][i] == want) return rows[1][i];
+    }
+    ADD_FAILURE() << "missing column " << want;
+    return {};
+  };
+  EXPECT_EQ(col("preferred_bytes"), "2000");
+  EXPECT_EQ(col("costly_bytes"), "1000");
 }
 
 TEST(SpanCsv, ShortestDoubleIsLossless) {
@@ -345,9 +371,12 @@ TEST(Flame, GoldenPipelinedSnapshot) {
   blackout.path_id = 1;
   plan.events.push_back(blackout);
 
+  // The span model's records plus the subflow rows' kSubflowUpdate.
   Telemetry telemetry;
-  TraceCollector capture;
-  TypeFilterSink filter(&capture, flame_trace_mask());
+  SpanModelBuilder spans;
+  TypeFilterSink filter(
+      &spans, span_model_trace_mask() |
+                  (1u << static_cast<unsigned>(TraceType::kSubflowUpdate)));
   telemetry.add_sink(&filter);
 
   Scenario scenario(resolve_scenario_config(cfg.session, 7));
@@ -357,9 +386,8 @@ TEST(Flame, GoldenPipelinedSnapshot) {
   env.faults = &plan;
   run_streaming_session(scenario, chaos_video(cfg), scfg, env);
   telemetry.remove_sink(&filter);
-  const std::vector<TraceRecord>& trace = capture.records();
 
-  SpanModel model = build_span_model(trace);
+  SpanModel model = spans.finish();
   attribute_misses(&model);
   const std::string got = render_flame(model, 72);
   ASSERT_FALSE(got.empty());
@@ -386,6 +414,36 @@ TEST(Flame, GoldenPipelinedSnapshot) {
       << "flame rendering diverged from the committed snapshot. If the "
       << "change is intentional, regenerate with MPDASH_UPDATE_GOLDEN=1 "
       << "and commit the new fixture.";
+}
+
+// A builder attached while a pipelined chaos run emits (the live fold)
+// and build_span_model over the same records captured (the batch fold)
+// attribute every span alike.
+TEST(SpanModelBuilder, LiveFoldEqualsBatchFold) {
+  ChaosConfig cfg;
+  cfg.session.inflight = 3;
+  const std::uint64_t seed = derive_run_seed(4, "chaos/0");
+  Telemetry telemetry;
+  SpanModelBuilder builder;
+  TraceCollector collector;
+  TypeFilterSink live(&builder, span_model_trace_mask());
+  TypeFilterSink batch(&collector, span_model_trace_mask());
+  telemetry.add_sink(&live);
+  telemetry.add_sink(&batch);
+  run_chaos_single(cfg, chaos_video(cfg), seed,
+                   random_fault_plan(seed, cfg.plan), telemetry);
+  telemetry.remove_sink(&live);
+  telemetry.remove_sink(&batch);
+
+  SpanModel streamed = builder.finish();
+  SpanModel folded = build_span_model(collector.records());
+  attribute_misses(&streamed);
+  attribute_misses(&folded);
+  const RollupRow row = rollup_span_model(streamed, "4");
+  EXPECT_GT(row.misses, 0);
+  EXPECT_EQ(spans_to_csv(streamed), spans_to_csv(folded));
+  EXPECT_EQ(rollup_to_csv({row}),
+            rollup_to_csv({rollup_span_model(folded, "4")}));
 }
 
 // --- tentpole: campaign roll-up -----------------------------------------

@@ -1,6 +1,6 @@
 // mpdash_trace — causal-span trace analyzer.
 //
-// Loads a JSONL trace written by `mpdash_sim --trace`, reconstructs the
+// Reads a JSONL trace written by `mpdash_sim --trace` line by line into
 // per-chunk span timelines, renders per-layer latency waterfalls or a
 // Gantt/flame view, and runs the deadline-miss attribution pass
 // (scheduler-late vs fault-blackout vs retry-backoff vs
@@ -132,10 +132,12 @@ Args parse(int argc, char** argv) {
   return a;
 }
 
-void print_summary(const SpanModel& model,
-                   const std::vector<TraceRecord>& trace) {
-  std::map<std::string, std::size_t> by_type;
-  for (const TraceRecord& r : trace) ++by_type[to_string(r.type)];
+void print_summary(const SpanModel& model) {
+  std::map<std::string, std::size_t> by_type;  // by name, as printed
+  for (std::size_t i = 0; i < model.records_by_type.size(); ++i) {
+    if (model.records_by_type[i] == 0) continue;
+    by_type[to_string(static_cast<TraceType>(i))] = model.records_by_type[i];
+  }
   std::printf("trace: %zu records (%zu outside any span), %.3f s\n",
               model.records, model.unspanned_records,
               to_seconds(model.trace_end));
@@ -238,17 +240,17 @@ void print_waterfall(const SpanModel& model, int width) {
       const int d = static_cast<int>(t.deadline_s * scale);
       if (d >= 0 && d < len) bar[d] = '!';
     }
-    Bytes wifi = 0, other = 0;
+    Bytes preferred = 0, costly = 0;
     for (const auto& [path, bytes] : t.bytes_by_path) {
-      (path == 0 ? wifi : other) += bytes;
+      (path == model.preferred_path ? preferred : costly) += bytes;
     }
     std::printf("%-5llu %-6d %-9s %-6d %s",
                 static_cast<unsigned long long>(t.span), t.chunk,
                 t.status ? t.status : "open", t.level, bar.c_str());
-    if (other > 0) {
-      std::printf("  [%lld wifi / %lld costly]",
-                  static_cast<long long>(wifi),
-                  static_cast<long long>(other));
+    if (costly > 0) {
+      std::printf("  [%lld preferred / %lld costly]",
+                  static_cast<long long>(preferred),
+                  static_cast<long long>(costly));
     }
     if (t.cause != MissCause::kNone) {
       std::printf("  <- %s", to_string(t.cause));
@@ -257,18 +259,28 @@ void print_waterfall(const SpanModel& model, int width) {
   }
 }
 
-int run_analyze(const Args& args) {
-  std::vector<TraceRecord> trace;
+// Folds one trace file into an attributed span model; false (reported on
+// stderr) when the file does not read.
+bool read_span_model(const std::string& path, int preferred_path,
+                     SpanModel* model) {
+  SpanModelBuilder builder;
   std::string err;
-  if (!load_trace_jsonl(args.inputs.front(), &trace, &err)) {
+  if (!read_trace_jsonl(path, builder, &err)) {
     std::fprintf(stderr, "error: %s\n", err.c_str());
+    return false;
+  }
+  *model = builder.finish();
+  attribute_misses(model, preferred_path);
+  return true;
+}
+
+int run_analyze(const Args& args) {
+  SpanModel model;
+  if (!read_span_model(args.inputs.front(), args.preferred_path, &model)) {
     return 1;
   }
 
-  SpanModel model = build_span_model(trace);
-  attribute_misses(&model, args.preferred_path);
-
-  print_summary(model, trace);
+  print_summary(model);
   if (!model.spans.empty()) print_attribution(model);
   if (args.waterfall) print_waterfall(model, args.width);
   if (args.flame) std::printf("\n%s", render_flame(model, args.width).c_str());
@@ -340,13 +352,8 @@ int run_rollup(const Args& args) {
   std::vector<RollupRow> rows;
   rows.reserve(files.size());
   for (const std::string& path : files) {
-    std::vector<TraceRecord> trace;
-    if (!load_trace_jsonl(path, &trace, &err)) {
-      std::fprintf(stderr, "error: %s\n", err.c_str());
-      return 1;
-    }
-    SpanModel model = build_span_model(trace);
-    attribute_misses(&model, args.preferred_path);
+    SpanModel model;
+    if (!read_span_model(path, args.preferred_path, &model)) return 1;
     rows.push_back(rollup_span_model(model, rollup_source_key(path)));
   }
 
