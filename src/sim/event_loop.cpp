@@ -7,63 +7,77 @@ namespace mpdash {
 
 EventId EventLoop::schedule_at(TimePoint at, Callback cb) {
   if (at < now_) at = now_;
-  const std::uint64_t id = next_id_++;
-  queue_.push(Entry{at, next_seq_++, id});
-  callbacks_.emplace(id, std::move(cb));
-  return EventId{id};
+  std::uint32_t r;
+  if (free_.empty()) {
+    r = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    r = free_.back();
+    free_.pop_back();
+  }
+  Slot& slot = slots_[r];
+  slot.cb = std::move(cb);
+  slot.serial = next_serial_++;
+  claim(r, at);
+  return EventId{r, slot.serial};
 }
 
 EventId EventLoop::schedule_in(Duration delay, Callback cb) {
   return schedule_at(now_ + delay, std::move(cb));
 }
 
+bool EventLoop::is_pending(EventId id) const {
+  // Serials start at 1, so an invalid id names no record's occupant.
+  return id.record < slots_.size() && slots_[id.record].serial == id.serial &&
+         slots_[id.record].seq != 0;
+}
+
 bool EventLoop::cancel(EventId id) {
-  if (!id.valid()) return false;
-  if (callbacks_.erase(id.value) == 0) return false;
+  if (!is_pending(id)) return false;
+  release(id.record);  // the callback dies here, with the record free
   compact_if_stale();
   return true;
 }
 
-TimerId EventLoop::make_timer(Callback cb) {
-  timers_.push_back(Timer{std::move(cb)});
-  return TimerId{static_cast<std::uint32_t>(timers_.size() - 1)};
+bool EventLoop::reschedule(EventId id, TimePoint at) {
+  if (!is_pending(id)) return false;
+  claim(id.record, at < now_ ? now_ : at);
+  return true;
 }
 
-void EventLoop::arm_timer(TimerId t, TimePoint at) {
-  if (at < now_) at = now_;
-  Timer& timer = timers_[t.index];
-  if (timer.seq == 0) ++armed_timers_;
-  timer.at = at;
-  timer.seq = next_seq_++;
+void EventLoop::claim(std::uint32_t r, TimePoint at) {
+  Slot& slot = slots_[r];
+  slot.at = at;
+  slot.seq = next_seq_++;
   // A queued entry at or before the new deadline surfaces first and is
-  // re-queued then (timer_due); only an earlier deadline needs a push now,
+  // re-queued then (due); only an earlier deadline needs a push now,
   // which leaves the old entry stale.
-  const bool queued = timer.queued_seq != 0;
-  if (queued && timer.queued_at <= at) return;
-  queue_.push(Entry{at, timer.seq, kTimerTag | t.index});
-  timer.queued_at = at;
-  timer.queued_seq = timer.seq;
+  const bool queued = slot.queued_seq != 0;
+  if (queued && slot.queued_at <= at) return;
+  queue_.push(Entry{at, slot.seq, r});
+  slot.queued_at = at;
+  slot.queued_seq = slot.seq;
   if (queued) compact_if_stale();
 }
 
-void EventLoop::disarm_timer(TimerId t) {
-  Timer& timer = timers_[t.index];
-  if (timer.seq == 0) return;
-  timer.seq = 0;
-  timer.queued_seq = 0;  // its heap entry is stale now
-  --armed_timers_;
-  compact_if_stale();
+EventLoop::Callback EventLoop::release(std::uint32_t r) {
+  Slot& slot = slots_[r];
+  Callback cb = std::move(slot.cb);
+  slot.seq = 0;
+  slot.queued_seq = 0;  // its heap entry is stale now
+  free_.push_back(r);
+  return cb;
 }
 
-bool EventLoop::timer_due(const Entry& top) {
-  Timer& timer = timers_[top.id & ~kTimerTag];
-  if (top.seq == timer.queued_seq && top.seq == timer.seq) return true;
+bool EventLoop::due(const Entry& top) {
+  Slot& slot = slots_[top.record];
+  if (top.seq == slot.queued_seq && top.seq == slot.seq) return true;
   queue_.pop();
-  if (top.seq == timer.queued_seq) {
-    // Re-armed to a later key since this entry was pushed.
-    queue_.push(Entry{timer.at, timer.seq, top.id});
-    timer.queued_at = timer.at;
-    timer.queued_seq = timer.seq;
+  if (top.seq == slot.queued_seq) {
+    // Moved to a later key since this entry was pushed.
+    queue_.push(Entry{slot.at, slot.seq, top.record});
+    slot.queued_at = slot.at;
+    slot.queued_seq = slot.seq;
   }
   return false;
 }
@@ -71,20 +85,17 @@ bool EventLoop::timer_due(const Entry& top) {
 void EventLoop::compact_if_stale() {
   // A schedule/cancel-heavy workload would otherwise accumulate stale heap
   // entries without bound; rebuild once they outnumber the live ones.
-  const std::size_t live = callbacks_.size() + armed_timers_;
-  const std::size_t stale = queue_.size() - live;
-  if (stale > 64 && stale > live) compact();
+  const std::size_t pending = pending_callbacks();
+  const std::size_t stale = queue_.size() - pending;
+  if (stale > 64 && stale > pending) compact();
 }
 
 void EventLoop::compact() {
   std::vector<Entry> live;
-  live.reserve(callbacks_.size() + armed_timers_);
+  live.reserve(pending_callbacks());
   while (!queue_.empty()) {
     const Entry& e = queue_.top();
-    const bool keep = (e.id & kTimerTag)
-                          ? e.seq == timers_[e.id & ~kTimerTag].queued_seq
-                          : callbacks_.contains(e.id);
-    if (keep) live.push_back(e);
+    if (e.seq == slots_[e.record].queued_seq) live.push_back(e);
     queue_.pop();
   }
   queue_ = std::priority_queue<Entry, std::vector<Entry>, std::greater<>>(
@@ -108,25 +119,11 @@ bool EventLoop::step() {
   }
   while (!queue_.empty()) {
     const Entry top = queue_.top();
-    if (top.id & kTimerTag) {
-      if (!timer_due(top)) continue;
-      queue_.pop();
-      Timer& timer = timers_[top.id & ~kTimerTag];
-      timer.seq = 0;
-      timer.queued_seq = 0;
-      --armed_timers_;
-      begin_event(top.at);
-      timer.cb();
-      return true;
-    }
-    auto it = callbacks_.find(top.id);
-    if (it == callbacks_.end()) {
-      queue_.pop();  // cancelled
-      continue;
-    }
-    Callback cb = std::move(it->second);
-    callbacks_.erase(it);
+    if (!due(top)) continue;
     queue_.pop();
+    // The record is free before the callback runs: the callback may
+    // schedule into the slab, take this record back, or grow the slab.
+    Callback cb = release(top.record);
     begin_event(top.at);
     cb();
     return true;
@@ -142,21 +139,11 @@ void EventLoop::run() {
 void EventLoop::run_until(TimePoint deadline) {
   while (!queue_.empty()) {
     const Entry top = queue_.top();
-    if (top.id & kTimerTag) {
-      if (!timer_due(top)) continue;
-    } else if (!callbacks_.contains(top.id)) {
-      queue_.pop();
-      continue;
-    }
+    if (!due(top)) continue;
     if (top.at > deadline) break;
     step();
   }
   if (now_ < deadline) now_ = deadline;
-}
-
-bool EventLoop::has_pending() const {
-  // Stale heap entries don't count.
-  return !callbacks_.empty() || armed_timers_ > 0;
 }
 
 void EventLoop::set_interrupt(std::function<void()> check,

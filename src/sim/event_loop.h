@@ -7,10 +7,8 @@
 // deterministic for a given seed.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "telemetry/telemetry.h"
@@ -18,16 +16,14 @@
 
 namespace mpdash {
 
-// Handle for cancelling a scheduled event. Default-constructed ids are
-// invalid and safe to cancel (no-op).
+// Handle for a scheduled event: its record in the loop's slab and the
+// serial the event drew there. Default-constructed ids are invalid and
+// safe to cancel (no-op). Serials never repeat, so the id of a fired or
+// cancelled event never names the record's next occupant.
 struct EventId {
-  std::uint64_t value = 0;
-  bool valid() const { return value != 0; }
-};
-
-// Handle for a re-armable timer (see EventLoop::make_timer).
-struct TimerId {
-  std::uint32_t index = 0;
+  std::uint32_t record = 0;
+  std::uint64_t serial = 0;
+  bool valid() const { return serial != 0; }
 };
 
 class EventLoop {
@@ -45,37 +41,29 @@ class EventLoop {
   // no-op. Returns true if the event was pending.
   bool cancel(EventId id);
 
-  // Re-armable timer for deadlines that move on every call, such as a
-  // TCP retransmission timeout re-armed per ack. Firing disarms it; `cb`
-  // may re-arm. The timer lives as long as the loop: an owner that dies
-  // first disarms it in its destructor.
+  // Moves a pending event to `at` (clamped to now()), keeping its id and
+  // callback, for deadlines that move on every call such as a TCP
+  // retransmission timeout re-armed per ack. Returns false and does
+  // nothing when the event is not pending (it fired or was cancelled).
   //
-  // arm_timer(t, at) behaves exactly like cancel() + schedule_at(at, cb):
-  // it claims the next tie-break sequence number, and the timer fires at
-  // that (at, seq) key, so every event keeps the position the two calls
-  // would give it. It costs less: the heap keeps one entry per timer,
-  // pushed anew only when the deadline moves earlier than that entry's.
-  // A later deadline leaves the entry in place; when it surfaces early
-  // it is re-queued under the claimed key, which neither executes an
-  // event nor polls the interrupt hook. disarm_timer(t) claims nothing,
-  // like cancel().
-  TimerId make_timer(Callback cb);
-  void arm_timer(TimerId t, TimePoint at);
-  void disarm_timer(TimerId t);
+  // It behaves exactly like cancel() + schedule_at(at, same callback): it
+  // claims the next tie-break sequence number, and the event fires at that
+  // (at, seq) key. It costs less: a later deadline leaves the event's heap
+  // entry in place, and only an earlier one pushes a new entry.
+  bool reschedule(EventId id, TimePoint at);
 
   // Runs events until the queue is empty.
   void run();
   // Runs events with timestamp <= deadline, then advances now() to deadline.
   void run_until(TimePoint deadline);
 
-  // True if any event is pending or any timer armed.
-  bool has_pending() const;
+  bool has_pending() const { return pending_callbacks() > 0; }
   std::size_t executed_events() const { return executed_; }
-  // Live (non-cancelled) scheduled callbacks awaiting execution; armed
-  // timers are not counted.
-  std::size_t pending_callbacks() const { return callbacks_.size(); }
-  // Heap entries including stale ones left behind by cancel() and by
-  // timers; bounded by compaction, exposed for the regression tests.
+  // Live (non-cancelled) scheduled callbacks awaiting execution: every
+  // record not on the free list.
+  std::size_t pending_callbacks() const { return slots_.size() - free_.size(); }
+  // Heap entries including stale ones left behind by cancel() and
+  // reschedule(); bounded by compaction, exposed for the regression tests.
   std::size_t queued_entries() const { return queue_.size(); }
 
   // Attaches telemetry (counter `sim.executed_events`). Pass nullptr to
@@ -98,14 +86,10 @@ class EventLoop {
   std::uint64_t allocate_id() { return next_alloc_id_++; }
 
  private:
-  // Timer entries carry kTimerTag | timer index in `id`; event ids never
-  // reach that bit.
-  static constexpr std::uint64_t kTimerTag = std::uint64_t{1} << 63;
-
   struct Entry {
     TimePoint at;
     std::uint64_t seq;
-    std::uint64_t id;
+    std::uint32_t record;
     // Ordering for min-heap via std::greater.
     friend bool operator>(const Entry& a, const Entry& b) {
       if (a.at != b.at) return a.at > b.at;
@@ -113,43 +97,47 @@ class EventLoop {
     }
   };
 
-  struct Timer {
+  // One event record. Free records sit on `free_` with seq 0.
+  struct Slot {
     Callback cb;
-    // The key the last arm claimed; seq 0 = disarmed.
+    std::uint64_t serial = 0;
+    // The key the last schedule or reschedule claimed; seq 0 = not pending.
     TimePoint at = kTimeZero;
     std::uint64_t seq = 0;
-    // The key of the timer's one live heap entry, at or before the claimed
-    // key; seq 0 = none, exactly when disarmed.
+    // The key of the record's one live heap entry, at or before the
+    // claimed key; seq 0 = none, exactly when not pending.
     TimePoint queued_at = kTimeZero;
     std::uint64_t queued_seq = 0;
   };
 
+  bool is_pending(EventId id) const;
+  // Claims the next seq for record `r` at `at`, pushing a heap entry only
+  // when the record has none at or before `at`.
+  void claim(std::uint32_t r, TimePoint at);
+  // Returns record `r` to the free list and hands back its callback.
+  Callback release(std::uint32_t r);
   // Pops and runs the next event; returns false if queue empty after
   // discarding cancelled entries.
   bool step();
-  // Settles a timer entry at the top of the heap. Returns true when it is
-  // due under the key its last arm claimed; otherwise pops it (superseded
-  // or disarmed) or re-queues it under that key, and returns false.
-  bool timer_due(const Entry& top);
+  // Settles the entry at the top of the heap. Returns true when it is due
+  // under the key its record last claimed; otherwise pops it (superseded
+  // or cancelled) or re-queues it under that key, and returns false.
+  bool due(const Entry& top);
   void begin_event(TimePoint at);
   // Drops every stale heap entry once stale entries dominate the heap
-  // (cancel() and moving timers leave them behind; without this a
+  // (cancel() and earlier reschedules leave them behind; without this a
   // schedule/cancel loop would grow the heap without bound).
   void compact_if_stale();
   void compact();
 
   TimePoint now_ = kTimeZero;
   std::uint64_t next_seq_ = 1;
-  std::uint64_t next_id_ = 1;
+  std::uint64_t next_serial_ = 1;
   std::uint64_t next_alloc_id_ = 1;
   std::size_t executed_ = 0;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
-  // Callbacks keyed by id; erased on cancel so stale heap entries are
-  // skipped cheaply.
-  std::unordered_map<std::uint64_t, Callback> callbacks_;
-  // A deque keeps a running timer's callback in place if it makes timers.
-  std::deque<Timer> timers_;
-  std::size_t armed_timers_ = 0;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;
 
   Telemetry* telemetry_ = nullptr;
   Counter executed_counter_;

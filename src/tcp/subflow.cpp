@@ -15,10 +15,9 @@ SubflowSender::SubflowSender(EventLoop& loop, SubflowConfig config,
       on_capacity_(std::move(on_capacity)),
       cwnd_(config.initial_cwnd),
       srtt_(config.initial_rtt),
-      rttvar_(config.initial_rtt / 2),
-      rto_timer_(loop.make_timer([this] { on_rto(); })) {}
+      rttvar_(config.initial_rtt / 2) {}
 
-SubflowSender::~SubflowSender() { loop_.disarm_timer(rto_timer_); }
+SubflowSender::~SubflowSender() { loop_.cancel(rto_timer_); }
 
 bool SubflowSender::can_send() const {
   return static_cast<double>(inflight_) < cwnd_;
@@ -226,9 +225,10 @@ void SubflowSender::retransmit(std::uint64_t seq, SentPacket& sp) {
 
 void SubflowSender::arm_rto() {
   if (inflight_ == 0) {
-    loop_.disarm_timer(rto_timer_);
-  } else {
-    loop_.arm_timer(rto_timer_, loop_.now() + rto());
+    loop_.cancel(rto_timer_);
+  } else if (!loop_.reschedule(rto_timer_, loop_.now() + rto())) {
+    // Not pending: it fired or was cancelled.
+    rto_timer_ = loop_.schedule_in(rto(), [this] { on_rto(); });
   }
 }
 
@@ -285,7 +285,7 @@ std::uint64_t SubflowSender::first_original() {
 }
 
 std::vector<UnackedData> SubflowSender::take_unacked() {
-  loop_.disarm_timer(rto_timer_);
+  loop_.cancel(rto_timer_);
   std::vector<UnackedData> out;
   out.reserve(inflight_);
   for (std::uint64_t s = base_seq_; s < next_seq_; ++s) {
@@ -302,7 +302,7 @@ std::vector<UnackedData> SubflowSender::take_unacked() {
 
 void SubflowSender::reset_for_reconnect() {
   assert(inflight_ == 0);
-  loop_.disarm_timer(rto_timer_);
+  loop_.cancel(rto_timer_);
   cwnd_ = config_.initial_cwnd;
   ssthresh_ = 1e9;
   recovery_until_ = next_seq_;

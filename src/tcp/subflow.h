@@ -47,7 +47,7 @@ class SubflowSender {
   SubflowSender(EventLoop& loop, SubflowConfig config,
                 std::function<void(Packet)> transmit,
                 std::function<void()> on_capacity);
-  // The RTO timer's callback holds `this`.
+  // The RTO event's callback holds `this`.
   ~SubflowSender();
   SubflowSender(const SubflowSender&) = delete;
   SubflowSender& operator=(const SubflowSender&) = delete;
@@ -160,7 +160,7 @@ class SubflowSender {
   bool have_rtt_sample_ = false;
   int rto_backoff_ = 0;
   int consecutive_timeouts_ = 0;
-  TimerId rto_timer_;
+  EventId rto_timer_;
 
   Bytes bytes_acked_ = 0;
   std::size_t retransmissions_ = 0;

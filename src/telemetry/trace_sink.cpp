@@ -5,7 +5,6 @@
 #include <mutex>
 #include <unordered_set>
 
-#include "util/csv.h"
 #include "util/enum_string.h"
 #include "util/json.h"
 
@@ -300,22 +299,18 @@ bool trace_record_from_json(std::string_view line, TraceRecord* out,
   return json_parse(line, &doc, err) && record_from_json(doc, out, err);
 }
 
-bool read_trace_jsonl(const std::string& path, TraceSink& sink,
-                      std::string* err) {
-  std::string text;
-  if (!read_file(path, &text)) {
-    if (err) *err = "cannot open " + path;
-    return false;
-  }
+namespace {
+
+// Feeds the JSONL records of the open file `f` to `sink`. The file is read
+// in fixed-size chunks, and a line cut at a chunk's end carries over to
+// the next, so memory stays bounded by the longest line, not the file.
+bool feed_trace_jsonl(std::FILE* f, const std::string& path,
+                      TraceSink& sink, std::string* err) {
   JsonValue doc;  // one value for the whole file, reset in place per line
   std::size_t line_no = 0;
-  for (std::size_t pos = 0; pos < text.size();) {
-    std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) nl = text.size();
-    const std::string_view line(text.data() + pos, nl - pos);
-    pos = nl + 1;
+  auto feed = [&](std::string_view line) {
     ++line_no;
-    if (line.empty()) continue;
+    if (line.empty()) return true;
     TraceRecord r;
     std::string line_err;
     if (!json_parse(line, &doc, &line_err) ||
@@ -324,8 +319,40 @@ bool read_trace_jsonl(const std::string& path, TraceSink& sink,
       return false;
     }
     sink.on_record(r);
+    return true;
+  };
+  std::string line;  // the line being read; a chunk's end may cut it
+  char buf[1 << 16];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
+    std::string_view chunk(buf, n);
+    for (std::size_t nl; (nl = chunk.find('\n')) != std::string_view::npos;
+         chunk.remove_prefix(nl + 1)) {
+      line.append(chunk.data(), nl);
+      if (!feed(line)) return false;
+      line.clear();
+    }
+    line.append(chunk);
   }
-  return true;
+  if (std::ferror(f) != 0) {
+    if (err) *err = "cannot read " + path;
+    return false;
+  }
+  return line.empty() || feed(line);  // a last line without '\n'
+}
+
+}  // namespace
+
+bool read_trace_jsonl(const std::string& path, TraceSink& sink,
+                      std::string* err) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    if (err) *err = "cannot open " + path;
+    return false;
+  }
+  const bool ok = feed_trace_jsonl(f, path, sink, err);
+  std::fclose(f);
+  return ok;
 }
 
 }  // namespace mpdash

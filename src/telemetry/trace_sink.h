@@ -195,8 +195,10 @@ bool trace_record_from_json(std::string_view line, TraceRecord* out,
                             std::string* err = nullptr);
 
 // Feeds a JSONL trace file's records to `sink` in file order, skipping
-// blank lines. On failure returns false with *err naming the offending
-// `path:line`; the records before that line have been fed.
+// blank lines. The file streams through a fixed-size buffer, so memory
+// does not grow with it. On failure returns false with *err naming the
+// offending `path:line` (the records before that line have been fed),
+// or `cannot open <path>` / `cannot read <path>`.
 bool read_trace_jsonl(const std::string& path, TraceSink& sink,
                       std::string* err = nullptr);
 

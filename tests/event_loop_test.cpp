@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/event_loop.h"
@@ -151,30 +152,104 @@ TEST(EventLoop, CancelChurnKeepsHeapBounded) {
   EXPECT_EQ(loop.executed_events(), 0u);
 }
 
-// Re-armable timers against the cancel() + schedule_at() pair they
-// replace. One random script drives both: timers and one-shot events arm,
-// disarm and schedule at colliding millisecond timestamps (zero delays
-// and past deadlines included), from the top level between run_until()
-// phases and from inside callbacks. The script draws from one seeded Rng
-// as the events fire, so any divergence in order desynchronizes the rest.
+// A fired or cancelled event's record goes back to the slab; the next
+// schedule takes it, and the old id names nothing from then on.
+TEST(EventLoop, StaleIdsMissTheirRecordsNextOccupant) {
+  EventLoop loop;
+  std::vector<int> order;
+  const EventId fired =
+      loop.schedule_in(seconds(1.0), [&order] { order.push_back(1); });
+  loop.run();
+  const EventId second =
+      loop.schedule_in(seconds(1.0), [&order] { order.push_back(2); });
+  ASSERT_EQ(second.record, fired.record);
+  EXPECT_FALSE(loop.cancel(fired));
+  EXPECT_FALSE(loop.reschedule(fired, loop.now()));
+
+  const EventId cancelled =
+      loop.schedule_in(seconds(1.0), [&order] { order.push_back(3); });
+  EXPECT_TRUE(loop.cancel(cancelled));
+  const EventId third =
+      loop.schedule_in(seconds(2.0), [&order] { order.push_back(4); });
+  ASSERT_EQ(third.record, cancelled.record);
+  EXPECT_FALSE(loop.cancel(cancelled));
+  EXPECT_FALSE(loop.reschedule(cancelled, loop.now()));
+
+  EXPECT_EQ(loop.pending_callbacks(), 2u);
+  loop.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 4}));
+  EXPECT_EQ(loop.executed_events(), 3u);
+}
+
+// A running event is no longer pending: it cannot move itself, and a
+// fresh schedule from inside its callback (which takes its record back)
+// fires.
+TEST(EventLoop, RunningEventCannotRescheduleItself) {
+  EventLoop loop;
+  EventId self;
+  bool moved = true;
+  int rescheduled_runs = 0;
+  self = loop.schedule_at(seconds(1.0), [&] {
+    moved = loop.reschedule(self, loop.now() + seconds(1.0));
+    loop.schedule_at(loop.now() + seconds(1.0), [&] { ++rescheduled_runs; });
+  });
+  loop.run();
+  EXPECT_FALSE(moved);
+  EXPECT_EQ(rescheduled_runs, 1);
+  EXPECT_EQ(loop.executed_events(), 2u);
+  EXPECT_EQ(loop.now(), TimePoint(seconds(2.0)));
+}
+
+TEST(EventLoop, RescheduleMovesThePendingEvent) {
+  EventLoop loop;
+  std::vector<std::pair<char, std::int64_t>> fired;
+  auto record = [&](char c) {
+    return [&fired, &loop, c] { fired.emplace_back(c, loop.now().count()); };
+  };
+  // Earlier: fires ahead of an event it used to follow.
+  loop.schedule_at(seconds(2.0), record('a'));
+  const EventId b = loop.schedule_at(seconds(3.0), record('b'));
+  EXPECT_TRUE(loop.reschedule(b, TimePoint(seconds(1.0))));
+  // Same time: fires behind the events scheduled since.
+  const EventId c = loop.schedule_at(seconds(4.0), record('c'));
+  loop.schedule_at(seconds(4.0), record('d'));
+  EXPECT_TRUE(loop.reschedule(c, TimePoint(seconds(4.0))));
+  loop.run_until(TimePoint(seconds(3.0)));
+  // The past clamps to now.
+  const EventId e = loop.schedule_at(seconds(5.0), record('e'));
+  EXPECT_TRUE(loop.reschedule(e, TimePoint(seconds(1.0))));
+  loop.run();
+  const std::int64_t s = seconds(1.0).count();
+  EXPECT_EQ(fired, (std::vector<std::pair<char, std::int64_t>>{
+                       {'b', 1 * s},
+                       {'a', 2 * s},
+                       {'e', 3 * s},
+                       {'d', 4 * s},
+                       {'c', 4 * s}}));
+  EXPECT_EQ(loop.queued_entries(), 0u);
+}
+
+// reschedule() against the cancel() + schedule_at() pair it replaces.
+// One random script drives both: timers (events re-armed in place) and
+// one-shot events arm, disarm and schedule at colliding millisecond
+// timestamps (zero delays and past deadlines included), from the top level
+// between run_until() phases and from inside callbacks. The script draws
+// from one seeded Rng as the events fire, so any divergence in order
+// desynchronizes the rest.
 struct TimerScript {
   static constexpr int kTimers = 4;
 
   EventLoop loop;
-  bool lazy;  // true: arm_timer/disarm_timer; false: cancel + schedule_at
+  bool moving;  // true: reschedule; false: cancel + schedule_at
   Rng rng;
   int budget = 300;  // actions left; callbacks go quiet once it runs out
   int next_event = 0;
-  std::array<TimerId, kTimers> timers{};
   std::array<EventId, kTimers> ids{};
   std::vector<std::tuple<char, int, std::int64_t>> fired;
   std::uint64_t polls = 0;
 
-  TimerScript(std::uint64_t seed, bool lazy_timers)
-      : lazy(lazy_timers), rng(seed) {
-    for (int k = 0; k < kTimers; ++k) {
-      if (lazy) timers[k] = loop.make_timer([this, k] { on_timer(k); });
-    }
+  TimerScript(std::uint64_t seed, bool reschedule)
+      : moving(reschedule), rng(seed) {
     loop.set_interrupt([this] { ++polls; }, 1);
   }
 
@@ -183,25 +258,12 @@ struct TimerScript {
   }
 
   void arm(int k, TimePoint at) {
-    if (lazy) {
-      loop.arm_timer(timers[k], at);
-      return;
-    }
-    loop.cancel(ids[k]);
-    ids[k] = loop.schedule_at(at, [this, k] {
-      ids[k] = EventId{};
-      on_timer(k);
-    });
+    if (moving && loop.reschedule(ids[k], at)) return;
+    if (!moving) loop.cancel(ids[k]);
+    ids[k] = loop.schedule_at(at, [this, k] { on_timer(k); });
   }
 
-  void disarm(int k) {
-    if (lazy) {
-      loop.disarm_timer(timers[k]);
-      return;
-    }
-    loop.cancel(ids[k]);
-    ids[k] = EventId{};
-  }
+  void disarm(int k) { loop.cancel(ids[k]); }
 
   void schedule_event() {
     const int j = next_event++;
@@ -247,37 +309,40 @@ struct TimerScript {
 
 TEST(EventLoopTimer, MatchesCancelAndReschedule) {
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-    TimerScript lazy(seed, true);
+    TimerScript moved(seed, true);
     TimerScript reference(seed, false);
-    lazy.run();
+    moved.run();
     reference.run();
-    ASSERT_EQ(lazy.fired, reference.fired) << "seed " << seed;
-    ASSERT_EQ(lazy.loop.executed_events(), reference.loop.executed_events())
+    ASSERT_EQ(moved.fired, reference.fired) << "seed " << seed;
+    ASSERT_EQ(moved.loop.executed_events(), reference.loop.executed_events())
         << "seed " << seed;
-    ASSERT_EQ(lazy.polls, reference.polls) << "seed " << seed;
-    ASSERT_EQ(lazy.loop.now(), reference.loop.now()) << "seed " << seed;
-    EXPECT_FALSE(lazy.loop.has_pending());
+    ASSERT_EQ(moved.polls, reference.polls) << "seed " << seed;
+    ASSERT_EQ(moved.loop.now(), reference.loop.now()) << "seed " << seed;
+    EXPECT_FALSE(moved.loop.has_pending());
   }
 }
 
 TEST(EventLoopTimer, ArmedTimerIsPending) {
   EventLoop loop;
   int fired = 0;
-  const TimerId t = loop.make_timer([&fired] { ++fired; });
   EXPECT_FALSE(loop.has_pending());
-  loop.arm_timer(t, TimePoint(seconds(1.0)));
+  const EventId t =
+      loop.schedule_at(TimePoint(seconds(1.0)), [&fired] { ++fired; });
   EXPECT_TRUE(loop.has_pending());
-  EXPECT_EQ(loop.pending_callbacks(), 0u);
-  loop.disarm_timer(t);
+  EXPECT_EQ(loop.pending_callbacks(), 1u);
+  EXPECT_TRUE(loop.cancel(t));
   EXPECT_FALSE(loop.has_pending());
+  EXPECT_EQ(loop.pending_callbacks(), 0u);
   loop.run();
   EXPECT_EQ(fired, 0);
   EXPECT_EQ(loop.executed_events(), 0u);
 
-  // Re-armed later before its first deadline: the stale entry surfaces at
-  // 1 s and is re-queued, but only the 3 s deadline fires.
-  loop.arm_timer(t, TimePoint(seconds(1.0)));
-  loop.arm_timer(t, TimePoint(seconds(3.0)));
+  // Moved later before its first deadline: the entry pushed for 1 s stays
+  // and is re-queued when it surfaces, but only the 3 s deadline fires.
+  const EventId u =
+      loop.schedule_at(TimePoint(seconds(1.0)), [&fired] { ++fired; });
+  EXPECT_TRUE(loop.reschedule(u, TimePoint(seconds(3.0))));
+  EXPECT_EQ(loop.queued_entries(), 1u);
   loop.run_until(TimePoint(seconds(2.0)));
   EXPECT_EQ(fired, 0);
   EXPECT_TRUE(loop.has_pending());
@@ -288,18 +353,21 @@ TEST(EventLoopTimer, ArmedTimerIsPending) {
   EXPECT_EQ(loop.now(), TimePoint(seconds(3.0)));
 }
 
-// The timer analogue of CancelChurnKeepsHeapBounded: deadlines that jump
-// back and forth and interleaved disarms leave stale entries behind, and
-// compaction keeps them bounded.
+// The rescheduling analogue of CancelChurnKeepsHeapBounded: deadlines that
+// jump back and forth and interleaved cancels leave stale entries behind,
+// and compaction keeps them bounded.
 TEST(EventLoopTimer, RearmChurnKeepsHeapBounded) {
   EventLoop loop;
   Rng rng(7);
   int fired = 0;
-  const TimerId t = loop.make_timer([&fired] { ++fired; });
+  EventId t;
   std::size_t peak = 0;
   for (int i = 0; i < 10'000; ++i) {
-    loop.arm_timer(t, loop.now() + milliseconds(rng.uniform_int(1, 1000)));
-    if (i % 3 == 1) loop.disarm_timer(t);
+    const TimePoint at = loop.now() + milliseconds(rng.uniform_int(1, 1000));
+    if (!loop.reschedule(t, at)) {
+      t = loop.schedule_at(at, [&fired] { ++fired; });
+    }
+    if (i % 3 == 1) loop.cancel(t);
     peak = std::max(peak, loop.queued_entries());
   }
   EXPECT_LT(peak, 200u);

@@ -353,6 +353,76 @@ TEST(TraceRoundTrip, ReaderFeedsRecordsBeforeAMalformedLine) {
   EXPECT_EQ(err.rfind(path + ":3: ", 0), 0u) << err;
 }
 
+// Writes `text` to a fresh temp file and returns its path.
+std::string write_temp(const std::string& name, const std::string& text) {
+  const std::string path = ::testing::TempDir() + name;
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f != nullptr) {
+    std::fwrite(text.data(), 1, text.size(), f);
+    std::fclose(f);
+  }
+  return path;
+}
+
+TEST(TraceRoundTrip, ReaderLoadsALastLineWithoutNewline) {
+  const std::string path = write_temp(
+      "mpdash_no_final_newline.jsonl",
+      "{\"t\":1.0,\"type\":\"player\",\"chunk\":0,\"value\":0}\n"
+      "\n"
+      "{\"t\":2.0,\"type\":\"player\",\"chunk\":1,\"value\":0}");
+  TraceCollector reader;
+  std::string err;
+  EXPECT_TRUE(read_trace_jsonl(path, reader, &err)) << err;
+  std::remove(path.c_str());
+  ASSERT_EQ(reader.records().size(), 2u);
+  EXPECT_EQ(reader.records()[0].chunk, 0);
+  EXPECT_EQ(reader.records()[1].chunk, 1);
+}
+
+// The reader streams the file through a fixed-size buffer: a record line
+// longer than the buffer is carried across the chunk boundaries intact,
+// and the lines after it keep their numbers.
+TEST(TraceRoundTrip, ReaderLoadsALineLongerThanItsBuffer) {
+  const std::string label(100'000, 'x');
+  const std::string path = write_temp(
+      "mpdash_long_line.jsonl",
+      "{\"t\":1.0,\"type\":\"player\",\"chunk\":0,\"value\":0}\n"
+      "{\"t\":2.0,\"type\":\"player\",\"event\":\"" + label +
+          "\",\"chunk\":1,\"value\":0}\n"
+          "{\"t\":3.0,\"type\":\"player\",\"chunk\":2,\"value\":0}\n"
+          "{\"t\":4.0,\"type\":\"player\",\"chunk\":\n");
+  TraceCollector reader;
+  std::string err;
+  EXPECT_FALSE(read_trace_jsonl(path, reader, &err));
+  EXPECT_EQ(err.rfind(path + ":4: ", 0), 0u) << err;
+  std::remove(path.c_str());
+  ASSERT_EQ(reader.records().size(), 3u);
+  ASSERT_NE(reader.records()[1].label, nullptr);
+  EXPECT_EQ(reader.records()[1].label, label);
+  EXPECT_EQ(reader.records()[1].chunk, 1);
+  EXPECT_EQ(reader.records()[2].chunk, 2);
+}
+
+TEST(TraceRoundTrip, ReaderFailsOnAMissingPath) {
+  const std::string path = ::testing::TempDir() + "mpdash_no_such.jsonl";
+  std::remove(path.c_str());
+  TraceCollector reader;
+  std::string err;
+  EXPECT_FALSE(read_trace_jsonl(path, reader, &err));
+  EXPECT_EQ(err, "cannot open " + path);
+  EXPECT_TRUE(reader.records().empty());
+}
+
+TEST(TraceRoundTrip, ReaderFailsOnADirectory) {
+  const std::string dir = ::testing::TempDir();
+  TraceCollector reader;
+  std::string err;
+  EXPECT_FALSE(read_trace_jsonl(dir, reader, &err));
+  EXPECT_NE(err.find(dir), std::string::npos) << err;
+  EXPECT_TRUE(reader.records().empty());
+}
+
 TEST(TraceRoundTrip, LoaderDecodesUnicodeEscapesAsUtf8) {
   TraceRecord out;
   std::string err;

@@ -645,6 +645,18 @@ void print_run_problems(const std::vector<Run>& runs) {
   }
 }
 
+// The session flags chaos and the fleet share (--scheme, --algo,
+// --scheduler, --alpha, --inflight, --no-recovery), applied over `spec`.
+SessionSpec with_session_flags(const Args& a, SessionSpec spec) {
+  spec.scheme = parse_scheme(a.scheme);
+  spec.adaptation = a.algo;
+  spec.mptcp_scheduler = a.mptcp_scheduler;
+  spec.alpha = a.alpha;
+  spec.inflight = a.inflight;
+  spec.recovery = a.recovery;
+  return spec;
+}
+
 // Chaos campaign: N seeded random fault plans through the full stack with
 // recovery on, invariants audited per run. Exit status is the gate CI
 // uses: 0 only when every invariant held on every seed.
@@ -653,12 +665,7 @@ int cmd_chaos(const Args& a) {
   cfg.seed_count = a.seed_count < 0 ? 50 : a.seed_count;
   cfg.base_seed = a.seed;
   cfg.jobs = a.jobs;
-  cfg.session.scheme = parse_scheme(a.scheme);
-  cfg.session.adaptation = a.algo;
-  cfg.session.mptcp_scheduler = a.mptcp_scheduler;
-  cfg.session.alpha = a.alpha;
-  cfg.session.recovery = a.recovery;
-  cfg.session.inflight = a.inflight;
+  cfg.session = with_session_flags(a, default_chaos_spec());
   if (a.chunks > 0) cfg.chunk_count = a.chunks;
   cfg.trace_path = a.trace_path;
   cfg.trace_types = trace_type_mask(a);
@@ -760,13 +767,7 @@ int cmd_chaos(const Args& a) {
 // over tenants by run_fleet.
 std::vector<SessionSpec> parse_mix(const Args& a) {
   std::vector<SessionSpec> mix;
-  SessionSpec base;
-  base.scheme = parse_scheme(a.scheme);
-  base.adaptation = a.algo;
-  base.mptcp_scheduler = a.mptcp_scheduler;
-  base.alpha = a.alpha;
-  base.inflight = a.inflight;
-  base.recovery = a.recovery;
+  const SessionSpec base = with_session_flags(a, SessionSpec{});
   if (a.mix.empty()) {
     mix.push_back(base);
     return mix;
