@@ -138,22 +138,23 @@ inline void append_campaign_summary(const CampaignStats& stats) {
   append_bench_lines(buf);
 }
 
-// Runs one (scenario, scheme, algorithm) cell. When `json_out` is given,
-// the MPDASH_BENCH_JSON snapshot line is returned through it instead of
-// written immediately — required inside campaign workers, where direct
-// file appends would interleave nondeterministically.
+// Runs one (scenario, scheme, algorithm) cell; `sink` (borrowed, null =
+// none) sees the run's trace records as they are emitted. When `json_out`
+// is given, the MPDASH_BENCH_JSON snapshot line is returned through it
+// instead of written immediately — required inside campaign workers,
+// where direct file appends would interleave nondeterministically.
 inline SessionResult run_scheme(const ScenarioConfig& net, const Video& video,
                                 Scheme scheme, const std::string& algo,
-                                bool record = false,
+                                TraceSink* sink = nullptr,
                                 std::string* json_out = nullptr) {
   Scenario scenario(net);
   SessionConfig cfg;
   cfg.scheme = scheme;
   cfg.adaptation = algo;
-  cfg.record_trace = record;
   Telemetry telemetry;
+  telemetry.add_sink(sink);
   SessionEnv env;
-  if (bench_json_enabled()) env.telemetry = &telemetry;
+  if (sink != nullptr || bench_json_enabled()) env.telemetry = &telemetry;
   SessionResult res = run_streaming_session(scenario, video, cfg, env);
   if (bench_json_enabled()) {
     const std::string line = bench_snapshot_line(

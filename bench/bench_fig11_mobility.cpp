@@ -26,8 +26,8 @@ ScenarioConfig mobility_net(Duration horizon) {
   return cfg;
 }
 
-void plot(const char* title, const SessionResult& res) {
-  const ThroughputSeries series = throughput_series(res.trace);
+void plot(const char* title, const SessionResult& res,
+          const ThroughputSeries& series) {
   auto window = [](const std::vector<std::pair<double, double>>& pts) {
     std::vector<std::pair<double, double>> out;
     for (const auto& [t, v] : pts) {
@@ -56,16 +56,17 @@ int main() {
   const Duration horizon = video.total_duration() + seconds(120.0);
   const ScenarioConfig net = mobility_net(horizon);
 
+  ThroughputBuilder mpd_tput, base_tput, wifi_tput;
   const SessionResult mpd =
-      run_scheme(net, video, Scheme::kMpDashRate, "festive", true);
+      run_scheme(net, video, Scheme::kMpDashRate, "festive", &mpd_tput);
   const SessionResult base =
-      run_scheme(net, video, Scheme::kBaseline, "festive", true);
+      run_scheme(net, video, Scheme::kBaseline, "festive", &base_tput);
   const SessionResult wifi =
-      run_scheme(net, video, Scheme::kWifiOnly, "festive", true);
+      run_scheme(net, video, Scheme::kWifiOnly, "festive", &wifi_tput);
 
-  plot("MP-DASH (rate-based)", mpd);
-  plot("default MPTCP", base);
-  plot("single-path WiFi", wifi);
+  plot("MP-DASH (rate-based)", mpd, mpd_tput.finish());
+  plot("default MPTCP", base, base_tput.finish());
+  plot("single-path WiFi", wifi, wifi_tput.finish());
 
   std::printf("MP-DASH vs default MPTCP: cellular saving %.1f%%, energy "
               "saving %.1f%%\n",

@@ -13,11 +13,12 @@ using namespace mpdash::bench;
 int main() {
   print_header("Figure 1", "vanilla MPTCP drives LTE to capacity");
 
+  ThroughputBuilder throughput;
   const SessionResult res =
       run_scheme(constant_scenario(DataRate::mbps(3.8), DataRate::mbps(3.0)),
-                 bench_video(), Scheme::kBaseline, "gpac", /*record=*/true);
+                 bench_video(), Scheme::kBaseline, "gpac", &throughput);
 
-  const ThroughputSeries series = throughput_series(res.trace);
+  const ThroughputSeries series = throughput.finish();
   auto window = [](const std::vector<std::pair<double, double>>& pts) {
     std::vector<std::pair<double, double>> out;
     for (const auto& [t, v] : pts) {

@@ -11,8 +11,8 @@ using namespace mpdash::bench;
 
 namespace {
 
-void plot_session(const char* title, const SessionResult& res) {
-  const ThroughputSeries series = throughput_series(res.trace);
+void plot_session(const char* title, const SessionResult& res,
+                  const ThroughputSeries& series) {
   auto window = [](const std::vector<std::pair<double, double>>& pts) {
     std::vector<std::pair<double, double>> out;
     for (const auto& [t, v] : pts) {
@@ -55,18 +55,22 @@ int main() {
     SessionConfig cfg;
     cfg.scheme = Scheme::kBaseline;
     cfg.adaptation = "gpac";
-    cfg.record_trace = true;
-    plot_session("throttle 700 kbps (LTE dribbles)",
-                 run_streaming_session(scenario, video, cfg));
+    ThroughputBuilder throughput;
+    Telemetry telemetry;
+    telemetry.add_sink(&throughput);
+    const SessionResult res =
+        run_streaming_session(scenario, video, cfg, {.telemetry = &telemetry});
+    plot_session("throttle 700 kbps (LTE dribbles)", res, throughput.finish());
   }
-  plot_session(
-      "MP-DASH (LTE adaptive bursts only)",
-      run_scheme(constant_scenario(DataRate::mbps(3.8), DataRate::mbps(3.0)),
-                 video, Scheme::kMpDashRate, "gpac", /*record=*/true));
-  plot_session(
-      "default MPTCP (LTE at capacity)",
-      run_scheme(constant_scenario(DataRate::mbps(3.8), DataRate::mbps(3.0)),
-                 video, Scheme::kBaseline, "gpac", /*record=*/true));
+  for (const auto& [title, scheme] :
+       {std::pair{"MP-DASH (LTE adaptive bursts only)", Scheme::kMpDashRate},
+        std::pair{"default MPTCP (LTE at capacity)", Scheme::kBaseline}}) {
+    ThroughputBuilder throughput;
+    const SessionResult res = run_scheme(
+        constant_scenario(DataRate::mbps(3.8), DataRate::mbps(3.0)), video,
+        scheme, "gpac", &throughput);
+    plot_session(title, res, throughput.finish());
+  }
 
   std::printf("paper shape: throttling keeps a thin continuous LTE trickle; "
               "MP-DASH's LTE duty cycle is the lowest of the three.\n");

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
               cell.result = run_scheme(
                   constant_scenario(DataRate::mbps(net.wifi),
                                     DataRate::mbps(net.lte)),
-                  video, scheme, algo_name, false, &cell.bench_json);
+                  video, scheme, algo_name, nullptr, &cell.bench_json);
               return cell;
             });
       }

@@ -26,11 +26,11 @@ int main() {
         Config{"MP-DASH, rate-based deadlines", Scheme::kMpDashRate},
         Config{"MP-DASH, duration-based deadlines",
                Scheme::kMpDashDuration}}) {
-    const SessionResult res =
-        run_scheme(net, video, c.scheme, "festive", /*record=*/true);
     AnalyzerConfig acfg;
     acfg.device = galaxy_note();
-    const AnalysisReport report = analyze(res.trace, acfg);
+    AnalysisBuilder analysis(acfg);
+    run_scheme(net, video, c.scheme, "festive", &analysis);
+    const AnalysisReport report = analysis.finish();
 
     double cell_frac_sum = 0.0;
     for (const auto& ch : report.chunks) {

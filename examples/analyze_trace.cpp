@@ -1,20 +1,21 @@
-// Cross-layer analysis tool demo (paper §6): records a streaming session's
-// trace (packets and the player's kPlayer events), then reconstructs chunks
-// from the wire (MPTCP data sequencing -> HTTP framing -> DASH chunks),
-// prints per-path usage, per-chunk cellular attribution, stalls, and the
-// Figure 8-style ASCII timeline. Optionally dumps the player's events as
-// JSONL, the trace format `mpdash_trace` reads.
+// Cross-layer analysis tool demo (paper §6): folds a streaming session's
+// trace (packets and the player's kPlayer events) as it is emitted,
+// reconstructing chunks from the wire (MPTCP data sequencing -> HTTP
+// framing -> DASH chunks), then prints per-path usage, per-chunk cellular
+// attribution, stalls, and the Figure 8-style ASCII timeline. Optionally
+// dumps the player's events as JSONL, the trace format `mpdash_trace`
+// reads.
 //
 // Usage: analyze_trace [scheme: baseline|rate|duration] [events.jsonl]
 
 #include <cstdio>
+#include <optional>
 
 #include "analysis/analyzer.h"
 #include "analysis/render.h"
 #include "dash/video.h"
 #include "exp/scenario.h"
 #include "exp/session.h"
-#include "util/csv.h"
 
 using namespace mpdash;
 
@@ -30,20 +31,27 @@ int main(int argc, char** argv) {
                      DataRate::mbps(3.94)},
                     0.12, 42);
 
+  AnalyzerConfig acfg;
+  acfg.device = galaxy_note();
+  AnalysisBuilder analysis(acfg);
+  Telemetry telemetry;
+  telemetry.add_sink(&analysis);
+  std::optional<JsonlSink> events;  // the kPlayer records only
+  if (argc > 2) {
+    events.emplace(argv[2], 1u << static_cast<unsigned>(TraceType::kPlayer));
+    telemetry.add_sink(&*events);
+  }
+
   Scenario scenario(
       constant_scenario(DataRate::mbps(3.8), DataRate::mbps(3.0)));
   SessionConfig cfg;
   cfg.scheme = scheme;
   cfg.adaptation = "festive";
-  cfg.record_trace = true;
-  const SessionResult res = run_streaming_session(scenario, video, cfg);
+  run_streaming_session(scenario, video, cfg, {.telemetry = &telemetry});
+  const AnalysisReport report = analysis.finish();
 
-  AnalyzerConfig acfg;
-  acfg.device = galaxy_note();
-  const AnalysisReport report = analyze(res.trace, acfg);
-
-  std::printf("scheme: %s — %zu packets recorded, %zu chunks reconstructed\n\n",
-              to_string(scheme), res.trace.size(), report.chunks.size());
+  std::printf("scheme: %s — %zu chunks reconstructed\n\n", to_string(scheme),
+              report.chunks.size());
   std::printf("%s\n", render_chunk_timeline(report).c_str());
   std::printf("%s\n", render_path_summary(report).c_str());
 
@@ -62,12 +70,8 @@ int main(int argc, char** argv) {
               report.energy.total_j(), report.energy.wifi.total_j(),
               report.energy.lte.total_j());
 
-  if (argc > 2) {
-    std::string jsonl;
-    for (const TraceRecord& r : res.trace) {
-      if (r.type == TraceType::kPlayer) jsonl += trace_record_to_json(r) + '\n';
-    }
-    if (!write_file(argv[2], jsonl)) {
+  if (events) {
+    if (!events->close()) {
       std::fprintf(stderr, "cannot write %s\n", argv[2]);
       return 1;
     }

@@ -1,7 +1,7 @@
 #include "analysis/analyzer.h"
 
 #include <algorithm>
-#include <map>
+#include <tuple>
 
 #include "dash/events.h"
 
@@ -17,163 +17,155 @@ const PathUsage* AnalysisReport::path(int id) const {
 namespace {
 
 constexpr int kMaxPaths = 8;
-
-void accumulate_path_usage(const std::vector<TraceRecord>& trace,
-                           AnalysisReport& report) {
-  std::map<int, PathUsage> usage;
-  for (const auto& r : trace) {
-    if (!r.is_packet()) continue;
-    auto& u = usage[r.path_id];
-    u.path_id = r.path_id;
-    switch (r.type) {
-      case TraceType::kPacketDeliver:
-        ++u.packets;
-        if (r.is_downlink()) {
-          u.wire_bytes_down += r.wire_size;
-          if (r.kind == PacketKind::kData) u.data_bytes_down += r.payload_len;
-        } else {
-          u.wire_bytes_up += r.wire_size;
-        }
-        break;
-      case TraceType::kPacketDrop:
-        ++u.drops;
-        break;
-      default:  // kPacketSend
-        if (r.retransmit && r.is_downlink()) ++u.retransmissions;
-        break;
-    }
-  }
-  for (auto& [id, u] : usage) report.paths.push_back(u);
-}
-
-// Reconstructs HTTP responses from the delivered downlink data stream.
-void reconstruct_chunks(const std::vector<TraceRecord>& trace,
-                        AnalysisReport& report) {
-  // Unique delivered downlink data packets in data-sequence order, and the
-  // requested (level, chunk) pairs in the order the player issued them.
-  std::map<std::uint64_t, const TraceRecord*> stream;
-  std::vector<std::pair<int, int>> requested;
-  for (const auto& r : trace) {
-    if (is_player_event(r, PlayerEventType::kChunkRequest)) {
-      requested.emplace_back(r.level, r.chunk);
-    }
-    if (r.type != TraceType::kPacketDeliver || !r.is_downlink() ||
-        r.kind != PacketKind::kData || r.payload_len == 0) {
-      continue;
-    }
-    stream.emplace(r.data_seq, &r);  // first delivery wins (dup = retx)
-  }
-  std::size_t next_request = 0;
-
-  ChunkDelivery current;
-  bool is_media = false;
-  const TraceRecord* feeding = nullptr;
-  bool started = false;
-
-  HttpStreamParser parser(
-      HttpStreamParser::Mode::kResponses,
-      HttpStreamParser::Callbacks{
-          .on_request = nullptr,
-          .on_response_head =
-              [&](const HttpResponse& head) {
-                current = ChunkDelivery{};
-                current.index = static_cast<int>(report.chunks.size());
-                started = false;
-                const auto type = head.header("Content-Type");
-                is_media = type && *type == "video/iso.segment";
-                if (is_media && next_request < requested.size()) {
-                  current.level = requested[next_request].first;
-                  current.chunk = requested[next_request].second;
-                  ++next_request;
-                }
-              },
-          .on_body =
-              [&](Bytes count, const std::string&) {
-                current.total_bytes += count;
-                if (feeding && feeding->path_id >= 0 &&
-                    feeding->path_id < kMaxPaths) {
-                  current.bytes_per_path[feeding->path_id] += count;
-                }
-                if (feeding) {
-                  if (!started) {
-                    current.start = feeding->at;
-                    started = true;
-                  }
-                  current.end = feeding->at;
-                }
-              },
-          .on_message_complete =
-              [&] {
-                if (is_media) report.chunks.push_back(current);
-              },
-          .on_error = nullptr});
-
-  for (const auto& [seq, rec] : stream) {
-    feeding = rec;
-    parser.consume(rec->segments);
-  }
-  feeding = nullptr;
-}
-
-void collect_player_stats(const std::vector<TraceRecord>& trace,
-                          AnalysisReport& report) {
-  StallInterval open{};
-  bool in_stall = false;
-  for (const auto& r : trace) {
-    report.session_length = std::max(report.session_length, Duration(r.at));
-    if (is_player_event(r, PlayerEventType::kStallStart)) {
-      open.start = r.at;
-      in_stall = true;
-    } else if (in_stall && is_player_event(r, PlayerEventType::kStallEnd)) {
-      open.end = r.at;
-      report.stalls.push_back(open);
-      in_stall = false;
-    } else if (is_player_event(r, PlayerEventType::kQualitySwitch)) {
-      ++report.quality_switches;
-    }
-  }
-}
+constexpr Duration kThroughputInterval = milliseconds(500);
 
 }  // namespace
 
-AnalysisReport analyze(const std::vector<TraceRecord>& trace,
-                       const AnalyzerConfig& config) {
-  AnalysisReport report;
-  accumulate_path_usage(trace, report);
-  reconstruct_chunks(trace, report);
-  collect_player_stats(trace, report);
+AnalysisBuilder::AnalysisBuilder(const AnalyzerConfig& config)
+    : config_(config),
+      parser_(
+          HttpStreamParser::Mode::kResponses,
+          HttpStreamParser::Callbacks{
+              .on_request = nullptr,
+              .on_response_head =
+                  [this](const HttpResponse& head) {
+                    current_ = ChunkDelivery{};
+                    current_.index = static_cast<int>(report_.chunks.size());
+                    const auto type = head.header("Content-Type");
+                    is_media_ = type && *type == "video/iso.segment";
+                    if (is_media_) ++media_heads_;
+                  },
+              .on_body =
+                  [this](Bytes count, const std::string&) {
+                    // The parser never reports an empty body run.
+                    if (current_.total_bytes == 0) current_.start = feeding_->at;
+                    current_.end = feeding_->at;
+                    current_.total_bytes += count;
+                    const int path = feeding_->path_id;
+                    if (path >= 0 && path < kMaxPaths) {
+                      current_.bytes_per_path[path] += count;
+                    }
+                  },
+              .on_message_complete =
+                  [this] {
+                    if (!is_media_) return;
+                    report_.chunks.push_back(current_);
+                    response_of_.push_back(media_heads_ - 1);
+                  },
+              .on_error = nullptr}) {}
 
-  // Radio energy from the packet trace (delivered wire bytes, as seen at
-  // the client's radios).
-  std::vector<ByteEvent> wifi_ev, lte_ev;
-  for (const auto& r : trace) {
-    if (r.type != TraceType::kPacketDeliver) continue;
-    ByteEvent ev{r.at, r.wire_size, r.is_downlink()};
-    if (r.path_id == config.wifi_path_id) {
-      wifi_ev.push_back(ev);
-    } else if (r.path_id == config.cellular_path_id) {
-      lte_ev.push_back(ev);
-    }
+void AnalysisBuilder::on_record(const TraceRecord& r) {
+  report_.session_length = std::max(report_.session_length, Duration(r.at));
+  if (r.type == TraceType::kPlayer) {
+    on_player(r);
+    return;
   }
-  report.energy = price_session(config.device, wifi_ev, lte_ev,
-                                report.session_length);
-  return report;
+  if (!r.is_packet()) return;
+  PathUsage& u = usage_[r.path_id];
+  u.path_id = r.path_id;
+  switch (r.type) {
+    case TraceType::kPacketDeliver:
+      ++u.packets;
+      if (r.is_downlink()) {
+        u.wire_bytes_down += r.wire_size;
+        if (r.kind == PacketKind::kData) u.data_bytes_down += r.payload_len;
+      } else {
+        u.wire_bytes_up += r.wire_size;
+      }
+      break;
+    case TraceType::kPacketDrop:
+      ++u.drops;
+      return;
+    default:  // kPacketSend
+      if (r.retransmit && r.is_downlink()) ++u.retransmissions;
+      return;
+  }
+  // Radio energy comes from delivered wire bytes, as seen at the client's
+  // radios.
+  const ByteEvent ev{r.at, r.wire_size, r.is_downlink()};
+  if (r.path_id == config_.wifi_path_id) {
+    wifi_events_.push_back(ev);
+  } else if (r.path_id == config_.cellular_path_id) {
+    lte_events_.push_back(ev);
+  }
+  if (r.is_downlink() && r.kind == PacketKind::kData && r.payload_len > 0) {
+    on_downlink_data(r);
+  }
 }
 
-ThroughputSeries throughput_series(const std::vector<TraceRecord>& trace,
-                                   Duration interval) {
-  ThroughputSeries out;
-  std::map<std::int64_t, std::array<Bytes, kMaxPaths + 1>> buckets;
-  for (const auto& r : trace) {
-    if (r.type != TraceType::kPacketDeliver || !r.is_downlink()) continue;
-    auto& b = buckets[r.at.count() / interval.count()];
-    if (r.path_id >= 0 && r.path_id < kMaxPaths) {
-      b[static_cast<std::size_t>(r.path_id)] += r.wire_size;
+void AnalysisBuilder::on_downlink_data(const TraceRecord& r) {
+  if (r.data_seq != next_seq_) {
+    // Below the next byte it is a duplicate of parsed bytes; past a hole
+    // it waits, unless an earlier delivery of its data_seq already does.
+    if (r.data_seq < next_seq_) return;
+    const auto [it, added] = waiting_.try_emplace(r.data_seq);
+    if (added) {
+      Waiting& w = it->second;
+      if (r.payload) w.payload = *r.payload;
+      w.record = r;
+      w.record.payload = &w.payload;
     }
-    b[kMaxPaths] += r.wire_size;
+    return;
   }
-  const double dt = to_seconds(interval);
-  for (const auto& [idx, bytes] : buckets) {
+  parse(r);
+  // The record may have filled a hole: parse what waited behind it.
+  while (!waiting_.empty() && waiting_.begin()->first <= next_seq_) {
+    const auto node = waiting_.extract(waiting_.begin());
+    if (node.key() == next_seq_) parse(node.mapped().record);
+  }
+}
+
+void AnalysisBuilder::parse(const TraceRecord& r) {
+  feeding_ = &r;
+  if (r.payload) parser_.consume(*r.payload);
+  feeding_ = nullptr;
+  next_seq_ = r.data_seq + static_cast<std::uint64_t>(r.payload_len);
+}
+
+void AnalysisBuilder::on_player(const TraceRecord& r) {
+  if (is_player_event(r, PlayerEventType::kChunkRequest)) {
+    requested_.emplace_back(r.level, r.chunk);
+  } else if (is_player_event(r, PlayerEventType::kStallStart)) {
+    open_stall_.start = r.at;
+    in_stall_ = true;
+  } else if (in_stall_ && is_player_event(r, PlayerEventType::kStallEnd)) {
+    open_stall_.end = r.at;
+    report_.stalls.push_back(open_stall_);
+    in_stall_ = false;
+  } else if (is_player_event(r, PlayerEventType::kQualitySwitch)) {
+    ++report_.quality_switches;
+  }
+}
+
+AnalysisReport AnalysisBuilder::finish() {
+  // Bytes past a hole that never filled still parse, in data_seq order.
+  for (const auto& [seq, w] : waiting_) parse(w.record);
+  waiting_.clear();
+  for (std::size_t i = 0; i < report_.chunks.size(); ++i) {
+    if (response_of_[i] < requested_.size()) {
+      std::tie(report_.chunks[i].level, report_.chunks[i].chunk) =
+          requested_[response_of_[i]];
+    }
+  }
+  for (const auto& [id, u] : usage_) report_.paths.push_back(u);
+  report_.energy = price_session(config_.device, wifi_events_, lte_events_,
+                                 report_.session_length);
+  return std::move(report_);
+}
+
+void ThroughputBuilder::on_record(const TraceRecord& r) {
+  if (r.type != TraceType::kPacketDeliver || !r.is_downlink()) return;
+  auto& b = buckets_[r.at.count() / kThroughputInterval.count()];
+  if (r.path_id >= 0 && r.path_id < kMaxPaths) {
+    b[static_cast<std::size_t>(r.path_id)] += r.wire_size;
+  }
+  b[kMaxPaths] += r.wire_size;
+}
+
+ThroughputSeries ThroughputBuilder::finish() const {
+  ThroughputSeries out;
+  const double dt = to_seconds(kThroughputInterval);
+  for (const auto& [idx, bytes] : buckets_) {
     const double t = static_cast<double>(idx) * dt;
     for (int p = 0; p < kMaxPaths; ++p) {
       if (bytes[static_cast<std::size_t>(p)] > 0) {

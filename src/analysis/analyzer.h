@@ -1,10 +1,14 @@
 #pragma once
-// The Multipath Video Analysis Tool (paper §6): correlates the packet
-// records of a trace with the player's kPlayer records in the same trace
+// The Multipath Video Analysis Tool (paper §6): correlates a run's packet
+// records with the player's kPlayer records in the same record stream
 // across protocol layers (MPTCP data sequencing, HTTP framing, DASH chunk
 // structure) to produce per-chunk delivery breakdowns, path utilization,
-// rebuffering and switch statistics, and radio energy estimates.
+// rebuffering and switch statistics, and radio energy estimates. Both of
+// its passes are trace sinks that fold each record as it is emitted, so
+// no run holds its records for them.
 
+#include <array>
+#include <map>
 #include <vector>
 
 #include "energy/accounting.h"
@@ -65,21 +69,82 @@ struct AnalyzerConfig {
   DeviceEnergyProfile device;
 };
 
-// Runs the full cross-layer analysis on a telemetry trace: packet records
-// drive the network half, kPlayer records give the requested (level,
-// chunk) order, the stalls and the switches, and every other record type
-// is ignored, so a full mixed trace (SessionConfig::record_trace) can be
-// passed as-is.
-AnalysisReport analyze(const std::vector<TraceRecord>& trace,
-                       const AnalyzerConfig& config);
+// Folds a run's records into the cross-layer analysis as they are
+// emitted: attach it to the run's Telemetry, then call finish(). Packet
+// records drive the network half (a delivered data record's payload is
+// read while the record is emitted), kPlayer records give the requested
+// (level, chunk) order, the stalls and the switches, and every other
+// record type is ignored. The HTTP parser's callbacks hold `this`, so a
+// builder is neither copied nor moved.
+class AnalysisBuilder final : public TraceSink {
+ public:
+  explicit AnalysisBuilder(const AnalyzerConfig& config);
+  AnalysisBuilder(const AnalysisBuilder&) = delete;
+  AnalysisBuilder& operator=(const AnalysisBuilder&) = delete;
+
+  void on_record(const TraceRecord& r) override;
+
+  // Parses the bytes still waiting past a hole in the downlink stream,
+  // gives the i-th media response the i-th requested (level, chunk),
+  // prices the radio energy and hands over the report. Call once, after
+  // the last record.
+  AnalysisReport finish();
+
+ private:
+  // A delivery past a hole in the stream; `record.payload` points at the
+  // copy of its payload.
+  struct Waiting {
+    TraceRecord record;
+    WireData payload;
+  };
+
+  void on_downlink_data(const TraceRecord& r);
+  // Feeds r's payload to the parser; its body bytes count toward r's path.
+  void parse(const TraceRecord& r);
+  void on_player(const TraceRecord& r);
+
+  AnalyzerConfig config_;
+  AnalysisReport report_;
+  std::map<int, PathUsage> usage_;
+  std::vector<ByteEvent> wifi_events_, lte_events_;
+
+  // HTTP reconstruction: the downlink byte stream is parsed in data_seq
+  // order, each data_seq's first delivery only. A record past a hole
+  // waits, with a copy of its payload, until the hole fills or finish().
+  HttpStreamParser parser_;
+  std::uint64_t next_seq_ = 0;
+  std::map<std::uint64_t, Waiting> waiting_;
+  const TraceRecord* feeding_ = nullptr;  // the record being parsed
+  ChunkDelivery current_;
+  bool is_media_ = false;
+  std::size_t media_heads_ = 0;
+  // Per report chunk, the ordinal of its media response head; finish()
+  // maps it onto `requested_`, the kChunkRequest (level, chunk) pairs in
+  // the order the player issued them.
+  std::vector<std::size_t> response_of_;
+  std::vector<std::pair<int, int>> requested_;
+
+  StallInterval open_stall_;
+  bool in_stall_ = false;
+};
 
 // Per-interval path throughput series (for Figure 1/6/11-style plots):
-// returns (time_s, mbps) points per path plus the aggregate.
+// (time_s, mbps) points per path plus the aggregate, over 500 ms buckets.
 struct ThroughputSeries {
   std::vector<std::pair<double, double>> total;
   std::vector<std::pair<double, double>> per_path[8];
 };
-ThroughputSeries throughput_series(const std::vector<TraceRecord>& trace,
-                                   Duration interval = milliseconds(500));
+
+// Folds delivered downlink wire bytes into per-path 500 ms buckets as the
+// records are emitted; finish() turns them into a ThroughputSeries.
+class ThroughputBuilder final : public TraceSink {
+ public:
+  void on_record(const TraceRecord& r) override;
+  ThroughputSeries finish() const;
+
+ private:
+  // Bytes per path id (0..7), then the aggregate, keyed by bucket index.
+  std::map<std::int64_t, std::array<Bytes, 9>> buckets_;
+};
 
 }  // namespace mpdash

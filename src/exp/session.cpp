@@ -50,18 +50,14 @@ namespace {
 // (steady state): the first 20 % are skipped.
 constexpr double kSteadySkipFraction = 0.2;
 
-// Scopes run_streaming_session's telemetry wiring to the call, on every
-// exit path including the WatchdogTripped unwind: the trace collector
-// leaves the context it joined, and a scenario wired to the internal
-// context is unhooked (the scenario and its event loop outlive the run).
+// Unhooks a scenario wired to run_streaming_session's internal context
+// on every exit path, the WatchdogTripped unwind included: the scenario
+// and its event loop outlive the run and its context.
 struct WiringGuard {
   Scenario& scenario;
-  Telemetry* telemetry;
-  TraceSink* collector;  // null when not recording
   bool internal;
 
   ~WiringGuard() {
-    if (collector != nullptr) telemetry->remove_sink(collector);
     if (internal) scenario.set_telemetry(nullptr);
   }
 };
@@ -323,18 +319,8 @@ SessionResult run_streaming_session(Scenario& scenario, const Video& video,
                                     const SessionEnv& env) {
   Telemetry local_telemetry;
   Telemetry* telemetry = env.telemetry;
-  if (!telemetry && (config.record_trace || env.metrics)) {
-    telemetry = &local_telemetry;
-  }
-  TraceCollector collector;
-  const bool recording = telemetry != nullptr && config.record_trace;
-  if (recording) {
-    // The analyzer reconstructs HTTP framing from delivered payload.
-    telemetry->set_capture_payload(true);
-    telemetry->add_sink(&collector);
-  }
-  const WiringGuard guard{scenario, telemetry, recording ? &collector : nullptr,
-                          telemetry == &local_telemetry};
+  if (!telemetry && env.metrics) telemetry = &local_telemetry;
+  const WiringGuard guard{scenario, telemetry == &local_telemetry};
 
   StreamingRun run(scenario, video, {RunTenant{config, kTimeZero, telemetry}},
                    env.faults, telemetry);
@@ -353,7 +339,6 @@ SessionResult run_streaming_session(Scenario& scenario, const Video& video,
     res.faults_skipped = injector->faults_skipped();
     res.faults_quiescent = injector->quiescent();
   }
-  if (recording) res.trace = collector.take();
 
   const Duration horizon = seconds(res.session_s);
   const SessionEnergy energy = price_session(

@@ -57,9 +57,6 @@ struct SessionConfig {
   int debounce_ticks = 2;
   PlayerConfig player;
   Duration time_limit = seconds(1800.0);
-  // Captures the full telemetry trace into SessionResult::trace: packets
-  // with payload and the player's kPlayer events, all the analyzer reads.
-  bool record_trace = false;
   // Snapshot cadence when SessionEnv::metrics is set.
   Duration metrics_interval = seconds(1.0);
   DeviceEnergyProfile device = galaxy_note();
@@ -82,8 +79,8 @@ struct SessionConfig {
 // and is never owned by it. SessionConfig stays a pure value.
 struct SessionEnv {
   // Telemetry context (extra sinks, shared registry). When null and
-  // record_trace/metrics is requested, run_streaming_session uses an
-  // internal context for the duration of the run.
+  // metrics are requested, run_streaming_session uses an internal context
+  // for the duration of the run.
   Telemetry* telemetry = nullptr;
   // When set, registry snapshots are appended here every
   // SessionConfig::metrics_interval.
@@ -114,7 +111,6 @@ struct SessionResult {
   double energy_j() const { return wifi_energy_j + lte_energy_j; }
 
   std::vector<ChunkRecord> chunk_log;
-  std::vector<TraceRecord> trace;  // when record_trace
 
   // --- robustness / chaos accounting -----------------------------------
   int subflow_failures = 0;

@@ -274,10 +274,7 @@ void Link::emit_packet(TraceType type, const Packet& p) const {
   r.payload_len = p.payload_len;
   r.data_seq = p.data_seq;
   r.retransmit = p.is_retransmit;
-  if (type == TraceType::kPacketDeliver && telemetry_->capture_payload() &&
-      p.kind == PacketKind::kData && p.payload_len > 0) {
-    r.segments = p.segments;
-  }
+  r.payload = &p.segments;
   telemetry_->emit(r);
 }
 

@@ -1,5 +1,6 @@
 #include "sim/event_loop.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -91,15 +92,12 @@ void EventLoop::compact_if_stale() {
 }
 
 void EventLoop::compact() {
-  std::vector<Entry> live;
-  live.reserve(pending_callbacks());
-  while (!queue_.empty()) {
-    const Entry& e = queue_.top();
-    if (e.seq == slots_[e.record].queued_seq) live.push_back(e);
-    queue_.pop();
-  }
-  queue_ = std::priority_queue<Entry, std::vector<Entry>, std::greater<>>(
-      std::greater<>{}, std::move(live));
+  // Keys (at, seq) are unique, so the rebuilt heap's layout never decides
+  // firing order, and the vector keeps the capacity it grew.
+  std::erase_if(queue_.c, [this](const Entry& e) {
+    return e.seq != slots_[e.record].queued_seq;
+  });
+  std::make_heap(queue_.c.begin(), queue_.c.end(), std::greater<>{});
 }
 
 void EventLoop::begin_event(TimePoint at) {

@@ -135,7 +135,11 @@ class EventLoop {
   std::uint64_t next_serial_ = 1;
   std::uint64_t next_alloc_id_ = 1;
   std::size_t executed_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
+  // A min-heap on (at, seq) whose vector compact() filters in place.
+  struct Heap : std::priority_queue<Entry, std::vector<Entry>, std::greater<>> {
+    using priority_queue::c;
+  };
+  Heap queue_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
 

@@ -26,11 +26,6 @@ class Telemetry {
 
   bool tracing() const { return !sinks_.empty(); }
 
-  // Whether packet-delivery records should carry payload segments (needed
-  // for HTTP reconstruction in analysis; off for plain JSONL traces).
-  void set_capture_payload(bool on) { capture_payload_ = on; }
-  bool capture_payload() const { return capture_payload_; }
-
   // Span bookkeeping: the player opens one span per chunk request and
   // pushes it onto a stack of concurrently-open spans; emit() stamps the
   // top of the stack onto every record that does not already carry one.
@@ -70,7 +65,6 @@ class Telemetry {
  private:
   MetricsRegistry metrics_;
   std::vector<TraceSink*> sinks_;
-  bool capture_payload_ = false;
   SpanId next_span_id_ = 1;
   std::vector<SpanId> span_stack_;
 };

@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "link/packet.h"
@@ -73,9 +74,10 @@ struct TraceRecord {
   Bytes payload_len = 0;
   std::uint64_t data_seq = 0;
   bool retransmit = false;
-  // Payload content, captured on delivery only when the owning Telemetry
-  // has payload capture on (needed for HTTP reconstruction in analysis).
-  std::vector<SegmentRef> segments;
+  // The packet's own payload, borrowed like `label` and valid only inside
+  // on_record (the analysis tool reads HTTP framing from it). Null in
+  // stored and loaded records.
+  const std::vector<SegmentRef>* payload = nullptr;
 
   // --- subflow updates ---
   double cwnd = 0.0;
@@ -103,6 +105,8 @@ struct TraceRecord {
   }
   bool is_downlink() const { return link_id >= 0 && link_id % 2 == 0; }
 };
+// Plain data: every field is a value or a borrowed pointer.
+static_assert(std::is_trivially_copyable_v<TraceRecord>);
 
 class TraceSink {
  public:
@@ -110,21 +114,23 @@ class TraceSink {
   virtual void on_record(const TraceRecord& r) = 0;
 };
 
-// Unbounded in-memory capture — the full-fidelity trace the cross-layer
-// analyzer consumes.
+// Unbounded in-memory capture, for consumers that need the records
+// themselves. A stored record's payload is cleared: it would dangle.
 class TraceCollector final : public TraceSink {
  public:
-  void on_record(const TraceRecord& r) override { records_.push_back(r); }
+  void on_record(const TraceRecord& r) override {
+    records_.push_back(r);
+    records_.back().payload = nullptr;
+  }
   const std::vector<TraceRecord>& records() const { return records_; }
   std::vector<TraceRecord> take() { return std::move(records_); }
-  void clear() { records_.clear(); }
 
  private:
   std::vector<TraceRecord> records_;
 };
 
 // Streams the records whose type is set in `types` (bit = 1u << type, the
-// `--trace-types` mask) as JSON Lines. Payload segments are summarized by
+// `--trace-types` mask) as JSON Lines. The payload is summarized by its
 // length, never serialized.
 class JsonlSink final : public TraceSink {
  public:
@@ -178,8 +184,8 @@ std::string trace_record_to_json(const TraceRecord& r);
 
 // --- JSONL reader: the inverse of trace_record_to_json -------------------
 // Every field the writer emits parses back to an identical TraceRecord
-// (pinned by trace_roundtrip_test). One asymmetry by design: payload
-// `segments` never serialize, so loaded records have none.
+// (pinned by trace_roundtrip_test). One asymmetry by design: the payload
+// never serializes, so loaded records have none.
 
 // Maps a label string to process-lifetime storage, one pointer per
 // distinct string, so TraceRecord::label stays a borrowed pointer for

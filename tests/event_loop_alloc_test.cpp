@@ -2,9 +2,9 @@
 // operator new to count allocations, so it is an executable of its own:
 // every other test binary keeps the library's allocator.
 //
-// After a warm-up, scheduling and firing a small callback and moving a
-// pending event must not touch the heap: the event's record, the free
-// list and the heap's vector all reuse their storage.
+// After a warm-up, scheduling and firing a small callback, moving a
+// pending event and cancelling one must not touch the heap: the event's
+// record, the free list and the heap's vector all reuse their storage.
 
 #include <gtest/gtest.h>
 
@@ -90,6 +90,25 @@ TEST(EventLoopAlloc, RescheduleAllocatesNothing) {
   loop.run();
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(loop.executed_events(), 1u);
+}
+
+// A schedule/cancel loop leaves a stale heap entry per pair. Compaction
+// drops them in the heap's own vector, which keeps the capacity it grew,
+// so the pushes after it allocate nothing either.
+TEST(EventLoopAlloc, ScheduleThenCancelChurnAllocatesNothing) {
+  EventLoop loop;
+  auto churn = [&loop](int pairs) {
+    for (int i = 0; i < pairs; ++i) {
+      loop.cancel(loop.schedule_in(milliseconds(5), [] {}));
+    }
+  };
+  churn(1'000);
+  const std::size_t before = g_allocations;
+  churn(10'000);
+  const std::size_t allocations = g_allocations - before;
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_LE(loop.queued_entries(), 129u);
+  EXPECT_FALSE(loop.has_pending());
 }
 
 }  // namespace

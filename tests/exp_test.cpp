@@ -178,24 +178,32 @@ TEST(StreamingRun, BuildingTheStacksSchedulesNothing) {
   }
 }
 
-TEST(Session, WatchdogTripDetachesTheTraceCollector) {
-  // record_trace adds a collector to the caller's context for the run.
-  // A watchdog trip unwinds the run; the collector must not stay behind
-  // as a dangling sink for the caller's next emit.
+TEST(Session, WatchdogTripUnhooksTheInternalContext) {
+  // A metrics-only run (env.metrics, no env.telemetry) wires the scenario
+  // to an internal context that dies with the call. A watchdog trip
+  // unwinds the run; the scenario's loop and links outlive it and must
+  // not count into the dead context when they are used again. (The
+  // unwound run's own events stay queued; only a fresh one runs here.)
   Scenario sc(constant_scenario(DataRate::mbps(8.0), DataRate::mbps(6.0)));
   SessionConfig cfg;
   cfg.adaptation = "gpac";
-  cfg.record_trace = true;
   cfg.watchdog.max_sim_events = 5000;
   cfg.watchdog.poll_interval = 1;
-  Telemetry telemetry;
+  MetricsTimeline timeline;
   SessionEnv env;
-  env.telemetry = &telemetry;
+  env.metrics = &timeline;
   EXPECT_THROW(run_streaming_session(sc, tiny_video(), cfg, env),
                WatchdogTripped);
-  EXPECT_FALSE(telemetry.tracing());
-  TraceRecord r;
-  telemetry.emit(r);  // reaches no sink, destroyed or otherwise
+  const std::size_t executed = sc.loop().executed_events();
+  bool ran = false;
+  sc.loop().schedule_in(kDurationZero, [&ran] { ran = true; });
+  sc.loop().run_until(sc.loop().now());
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(sc.loop().executed_events(), executed + 1);
+  Packet p;
+  p.kind = PacketKind::kData;
+  p.wire_size = 1500;
+  sc.wifi().downlink().send(p);
 }
 
 class SchedulerNames : public ::testing::TestWithParam<const char*> {};

@@ -119,6 +119,40 @@ TEST(Link, TraceSinkSeesSendDeliverDrop) {
             1.0);
 }
 
+// A packet record borrows its packet's payload for the emit only: a sink
+// reads it inside on_record, and a record a TraceCollector stores has
+// none, so it never dangles once the packet is gone.
+TEST(Link, PacketRecordsBorrowThePayloadOnlyDuringTheEmit) {
+  EventLoop loop;
+  LinkConfig cfg;
+  cfg.rate = BandwidthTrace::constant(DataRate::mbps(1.0));
+  Link link(loop, cfg);
+  struct PayloadProbe final : TraceSink {
+    std::vector<std::size_t> lengths;
+    void on_record(const TraceRecord& r) override {
+      ASSERT_NE(r.payload, nullptr);
+      std::size_t len = 0;
+      for (const SegmentRef& seg : *r.payload) len += seg.len;
+      lengths.push_back(len);
+    }
+  } probe;
+  TraceCollector collector;
+  Telemetry telemetry;
+  telemetry.add_sink(&probe);
+  telemetry.add_sink(&collector);
+  link.set_telemetry(&telemetry);
+  link.set_deliver_handler([](Packet) {});
+  Packet p = data_packet(1000, 1);
+  p.segments.push_back(SegmentRef{nullptr, 0, 948});
+  link.send(p);
+  loop.run();
+  EXPECT_EQ(probe.lengths, (std::vector<std::size_t>{948, 948}));
+  ASSERT_EQ(collector.records().size(), 2u);  // send, deliver
+  for (const TraceRecord& r : collector.records()) {
+    EXPECT_EQ(r.payload, nullptr);
+  }
+}
+
 TEST(Link, RandomLossDropsApproximately) {
   EventLoop loop;
   LinkConfig cfg;

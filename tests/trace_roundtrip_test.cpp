@@ -65,7 +65,7 @@ TEST(TraceRoundTrip, PacketFieldsSurvive) {
   EXPECT_EQ(p.payload_len, 1400u);
   EXPECT_EQ(p.data_seq, 123456789012345ull);
   EXPECT_TRUE(p.retransmit);
-  EXPECT_TRUE(p.segments.empty());  // payload never serializes, by design
+  EXPECT_EQ(p.payload, nullptr);  // payload never serializes, by design
 }
 
 TEST(TraceRoundTrip, AckPacketOmitsPayloadFields) {

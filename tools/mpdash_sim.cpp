@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -269,6 +270,16 @@ Args parse(int argc, char** argv) {
       return parse_number<double>(flag, value(), "a number > 0",
                                   [](double v) { return v > 0.0; });
     };
+    // Seconds and megabytes become int64 nanoseconds and bytes (`per`
+    // each): a value whose count would not fit is out of range.
+    auto quantity = [&](double per, bool zero_ok) {
+      char want[64];
+      std::snprintf(want, sizeof want, "a number %s 0 and < %.3g",
+                    zero_ok ? ">=" : ">", 0x1p63 / per);
+      return parse_number<double>(flag, value(), want, [=](double v) {
+        return (zero_ok ? v >= 0.0 : v > 0.0) && v * per < 0x1p63;
+      });
+    };
     if (flag == "-h" || flag == "--help") {
       print_command_usage(*spec, stdout);
       std::exit(0);
@@ -284,14 +295,14 @@ Args parse(int argc, char** argv) {
     else if (flag == "--lte") a.lte_mbps = positive();
     else if (flag == "--wifi-trace") a.wifi_trace_path = value();
     else if (flag == "--lte-trace") a.lte_trace_path = value();
-    else if (flag == "--chunk") a.chunk_s = positive();
+    else if (flag == "--chunk") a.chunk_s = quantity(1e9, false);
     else if (flag == "--alpha")
       a.alpha = parse_number<double>(
           flag, value(), "a number in (0, 1]",
           [](double v) { return v > 0.0 && v <= 1.0; });
     else if (flag == "--scheduler") a.mptcp_scheduler = value();
-    else if (flag == "--size-mb") a.size_mb = positive();
-    else if (flag == "--deadline") a.deadline_s = positive();
+    else if (flag == "--size-mb") a.size_mb = quantity(1e6, false);
+    else if (flag == "--deadline") a.deadline_s = quantity(1e9, false);
     else if (flag == "--no-mpdash") a.use_mpdash = false;
     else if (flag == "--jobs") a.jobs = count(0);
     else if (flag == "--seed-count") a.seed_count = count(1);
@@ -307,22 +318,28 @@ Args parse(int argc, char** argv) {
     else if (flag == "--trace") a.trace_path = value();
     else if (flag == "--trace-types") a.trace_types = value();
     else if (flag == "--series") a.series_path = value();
-    else if (flag == "--series-interval") a.series_interval_s = positive();
+    else if (flag == "--series-interval")
+      a.series_interval_s = quantity(1e9, false);
     else if (flag == "--attrib") a.attrib_path = value();
     else if (flag == "--bundle-dir") a.bundle_dir = value();
     else if (flag == "--keep-going") a.keep_going = true;
     else if (flag == "--strict") a.strict = true;
     else if (flag == "--out") a.out_path = value();
     else if (flag == "--sessions") a.sessions = count(1);
-    else if (flag == "--stagger")
-      a.stagger_s = parse_number<double>(flag, value(), "a number >= 0",
-                                         [](double v) { return v >= 0.0; });
+    else if (flag == "--stagger") a.stagger_s = quantity(1e9, true);
     else if (flag == "--discipline") a.discipline = value();
     else if (flag == "--mix") a.mix = value();
     else if (flag == "--chaos") a.chaos = true;
     else if (!flag.empty() && flag[0] != '-' && a.input.empty())
       a.input = flag;
     else usage("unknown flag " + flag);
+  }
+  // Tenant i joins at i x stagger, in int64 nanoseconds too.
+  if (a.command == "fleet" && a.sessions > 1 &&
+      seconds(a.stagger_s).count() >
+          std::numeric_limits<std::int64_t>::max() / (a.sessions - 1)) {
+    usage("bad --stagger value: the last join, (sessions - 1) x stagger, "
+          "does not fit");
   }
   if (!factory_builds(make_adaptation, a.algo)) {
     usage("unknown adaptation " + a.algo);
@@ -358,10 +375,16 @@ Scheme parse_scheme(const std::string& s) {
 
 Video pick_video(const Args& a) {
   const Duration chunk = seconds(a.chunk_s);
-  if (a.video == "bbb") return big_buck_bunny(chunk);
-  if (a.video == "redbull") return red_bull_playstreets(chunk);
-  if (a.video == "tears") return tears_of_steel(chunk);
-  if (a.video == "tears-hd") return tears_of_steel_hd(chunk);
+  try {
+    if (a.video == "bbb") return big_buck_bunny(chunk);
+    if (a.video == "redbull") return red_bull_playstreets(chunk);
+    if (a.video == "tears") return tears_of_steel(chunk);
+    if (a.video == "tears-hd") return tears_of_steel_hd(chunk);
+  } catch (const std::invalid_argument&) {
+    // A chunk longer than the video leaves it no chunks.
+    usage("bad --chunk value for video " + a.video + " (want at most the "
+          "video's length)");
+  }
   usage("unknown video " + a.video);
 }
 

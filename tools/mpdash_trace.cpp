@@ -274,7 +274,7 @@ bool read_span_model(const std::string& path, int preferred_path,
   return true;
 }
 
-int run_analyze(const Args& args) {
+int run_views(const Args& args) {
   SpanModel model;
   if (!read_span_model(args.inputs.front(), args.preferred_path, &model)) {
     return 1;
@@ -392,5 +392,5 @@ int run_rollup(const Args& args) {
 
 int main(int argc, char** argv) {
   const Args args = parse(argc, argv);
-  return args.rollup ? run_rollup(args) : run_analyze(args);
+  return args.rollup ? run_rollup(args) : run_views(args);
 }
