@@ -85,6 +85,11 @@ namespace {
 
 Video make_preset(const char* name, Duration chunk_duration,
                   std::initializer_list<double> mbps, std::uint64_t seed) {
+  // A zero duration would divide by zero below, and a sub-millisecond one
+  // asks for hundreds of millions of chunk sizes.
+  if (chunk_duration < milliseconds(1)) {
+    throw std::invalid_argument("chunk duration below 1 ms");
+  }
   std::vector<DataRate> rates;
   for (double m : mbps) rates.push_back(DataRate::mbps(m));
   const int chunks = static_cast<int>(seconds(600.0) / chunk_duration);

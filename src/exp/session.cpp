@@ -74,6 +74,10 @@ class EnergyProbe {
     prev_ = read();
     arm();
   }
+  // The pending sample's callback holds `this`.
+  ~EnergyProbe() { scenario_.loop().cancel(pending_); }
+  EnergyProbe(const EnergyProbe&) = delete;
+  EnergyProbe& operator=(const EnergyProbe&) = delete;
 
   std::vector<ByteEvent> wifi_events;
   std::vector<ByteEvent> lte_events;
@@ -93,7 +97,7 @@ class EnergyProbe {
   }
 
   void arm() {
-    scenario_.loop().schedule_in(milliseconds(100), [this] {
+    pending_ = scenario_.loop().schedule_in(milliseconds(100), [this] {
       const TimePoint now = scenario_.loop().now() - base_;
       const Counters cur = read();
       if (cur.wifi_down > prev_.wifi_down) {
@@ -117,6 +121,7 @@ class EnergyProbe {
   const bool& done_;
   TimePoint base_;
   Counters prev_;
+  EventId pending_;
 };
 
 }  // namespace
@@ -226,7 +231,9 @@ StreamingRun::StreamingRun(Scenario& scenario, const Video& video,
   }
 }
 
-StreamingRun::~StreamingRun() = default;
+StreamingRun::~StreamingRun() {
+  for (const EventId id : joins_) scenario_.loop().cancel(id);
+}
 
 void StreamingRun::run(Duration time_limit, const WatchdogConfig& watchdog) {
   EventLoop& loop = scenario_.loop();
@@ -236,7 +243,8 @@ void StreamingRun::run(Duration time_limit, const WatchdogConfig& watchdog) {
   for (auto& t : tenants_) {
     if (t->join > loop.now()) {
       DashPlayer* player = t->player.get();
-      loop.schedule_at(t->join, [player] { player->start(); });
+      joins_.push_back(
+          loop.schedule_at(t->join, [player] { player->start(); }));
     }
   }
   // Armed last so budget accounting starts at the run boundary; the RAII

@@ -190,6 +190,8 @@ class StreamingRun {
   Scenario& scenario_;
   std::vector<std::unique_ptr<Tenant>> tenants_;
   std::unique_ptr<FaultInjector> injector_;
+  // The later tenants' join events; each callback holds its player.
+  std::vector<EventId> joins_;
   std::size_t done_ = 0;
   bool finished_ = false;
 };

@@ -42,31 +42,52 @@ class Qdisc {
 namespace {
 
 // Drop-tail: one queue in arrival order; a full buffer drops the arrival.
+// A power-of-two ring that keeps its storage while empty: an ACK link
+// drains to empty after nearly every packet, so a queue that freed it
+// would allocate once per ACK.
 class FifoQueue final : public Qdisc {
  public:
   using Qdisc::Qdisc;
 
   bool enqueue(Packet& p, Bytes over) override {
     if (over > 0) return false;
-    queue_.push_back(std::move(p));
+    if (size_ == ring_.size()) grow();
+    at(size_) = std::move(p);
+    ++size_;
     return true;
   }
 
   Packet dequeue() override {
-    Packet p = std::move(queue_.front());
-    queue_.pop_front();
+    Packet p = std::move(at(0));
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --size_;
     return p;
   }
 
-  bool empty() const override { return queue_.empty(); }
+  bool empty() const override { return size_ == 0; }
 
   // Tail first.
   void drop_all() override {
-    for (; !queue_.empty(); queue_.pop_back()) shed_(queue_.back());
+    for (; size_ > 0; --size_) {
+      const Packet p = std::move(at(size_ - 1));
+      shed_(p);
+    }
   }
 
  private:
-  std::deque<Packet> queue_;
+  // The i-th packet from the head.
+  Packet& at(std::size_t i) { return ring_[(head_ + i) & (ring_.size() - 1)]; }
+
+  void grow() {
+    std::vector<Packet> bigger(std::max<std::size_t>(16, 2 * ring_.size()));
+    for (std::size_t i = 0; i < size_; ++i) bigger[i] = std::move(at(i));
+    ring_ = std::move(bigger);
+    head_ = 0;
+  }
+
+  std::vector<Packet> ring_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
 };
 
 // Deficit round-robin over per-flow queues with longest-queue drop.
@@ -384,30 +405,40 @@ void Link::on_serialized() {
     // The link died while this packet was on the radio.
     drop_packet(p);
   } else {
+    std::uint32_t slot;
+    if (inflight_free_.empty()) {
+      slot = static_cast<std::uint32_t>(inflight_.size());
+      inflight_.push_back(std::move(p));
+    } else {
+      slot = inflight_free_.back();
+      inflight_free_.pop_back();
+      inflight_[slot] = std::move(p);
+    }
     loop_.schedule_in(config_.propagation_delay + extra_delay_,
-                      [this, p = std::move(p)]() mutable {
-                        delivered_bytes_ += p.wire_size;
-                        ++delivered_packets_;
-                        add_flow_bytes(flow_delivered_, p.flow, p.wire_size);
-                        if (telemetry_) {
-                          delivered_bytes_counter_.add(
-                              static_cast<double>(p.wire_size));
-                          delivered_packets_counter_.increment();
-                          if (telemetry_->tracing()) {
-                            emit_packet(TraceType::kPacketDeliver, p);
-                          }
-                        }
-                        const auto f = static_cast<std::size_t>(p.flow);
-                        if (f < flow_deliver_.size() && flow_deliver_[f]) {
-                          flow_deliver_[f](std::move(p));
-                        } else if (deliver_) {
-                          deliver_(std::move(p));
-                        }
-                      });
+                      [this, slot] { deliver(slot); });
   }
 
   busy_ = false;
   if (has_backlog()) start_serializing();
+}
+
+void Link::deliver(std::uint32_t slot) {
+  Packet p = std::move(inflight_[slot]);
+  inflight_free_.push_back(slot);
+  delivered_bytes_ += p.wire_size;
+  ++delivered_packets_;
+  add_flow_bytes(flow_delivered_, p.flow, p.wire_size);
+  if (telemetry_) {
+    delivered_bytes_counter_.add(static_cast<double>(p.wire_size));
+    delivered_packets_counter_.increment();
+    if (telemetry_->tracing()) emit_packet(TraceType::kPacketDeliver, p);
+  }
+  const auto f = static_cast<std::size_t>(p.flow);
+  if (f < flow_deliver_.size() && flow_deliver_[f]) {
+    flow_deliver_[f](std::move(p));
+  } else if (deliver_) {
+    deliver_(std::move(p));
+  }
 }
 
 }  // namespace mpdash

@@ -120,6 +120,8 @@ class Link {
  private:
   void start_serializing();
   void on_serialized();
+  // Hands the propagating packet in in-flight slot `slot` to its receiver.
+  void deliver(std::uint32_t slot);
   void drop_packet(const Packet& p);
   bool loss_model_drops();
   double draw_uniform();
@@ -137,6 +139,11 @@ class Link {
   // The packet on the radio. It has left queue_ but still counts toward
   // queued_bytes_ (it occupies the buffer until it leaves the radio).
   std::optional<Packet> serializing_;
+  // Packets past the radio, propagating to the far end: a slab reused
+  // through a free list, so each delivery event captures only `this` and
+  // a slot index and fits std::function's small buffer.
+  std::vector<Packet> inflight_;
+  std::vector<std::uint32_t> inflight_free_;
   // Per-flow state, indexed by flow id. The handler vector grows only in
   // set_flow_deliver, never while delivering, so a running handler is
   // never moved.

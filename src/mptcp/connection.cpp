@@ -28,6 +28,13 @@ MptcpConnection::MptcpConnection(EventLoop& loop, std::vector<NetPath*> paths)
   }
 }
 
+MptcpConnection::~MptcpConnection() {
+  for (NetPath* p : paths_) {
+    p->set_downlink_deliver(nullptr);
+    p->set_uplink_deliver(nullptr);
+  }
+}
+
 void MptcpConnection::set_telemetry(Telemetry* telemetry) {
   client_->set_telemetry(telemetry);
   server_->set_telemetry(telemetry);

@@ -18,6 +18,12 @@ class MptcpConnection {
  public:
   // Paths are borrowed; they must outlive the connection.
   MptcpConnection(EventLoop& loop, std::vector<NetPath*> paths);
+  // Clears the delivery handlers it installed on its paths' links, so the
+  // packets still propagating there never reach the dead endpoints.
+  ~MptcpConnection();
+
+  MptcpConnection(const MptcpConnection&) = delete;
+  MptcpConnection& operator=(const MptcpConnection&) = delete;
 
   MptcpEndpoint& client() { return *client_; }
   MptcpEndpoint& server() { return *server_; }

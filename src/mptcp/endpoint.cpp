@@ -138,8 +138,7 @@ void MptcpEndpoint::try_send() {
     // to vanilla MPTCP): the peer is head-of-line blocked on it, so any
     // live subflow may carry it.
     const bool vanilla = !reinject_.empty();
-    std::vector<SubflowSnapshot> snaps;
-    snaps.reserve(paths_.size());
+    snapshots_.clear();
     for (const auto& [id, st] : paths_) {
       if (st.dead) continue;  // a dead subflow can't carry anything
       SubflowSnapshot s;
@@ -147,9 +146,9 @@ void MptcpEndpoint::try_send() {
       s.has_cwnd_space = st.sender->can_send();
       s.enabled = vanilla || ((send_mask_ >> id) & 1u);
       s.srtt = st.sender->srtt();
-      snaps.push_back(s);
+      snapshots_.push_back(s);
     }
-    const int pick = scheduler_->select(snaps);
+    const int pick = scheduler_->select(snapshots_);
     if (pick < 0) break;
     PathState& st = path_state(pick);
     if (!reinject_.empty()) {
@@ -178,30 +177,41 @@ void MptcpEndpoint::on_packet(Packet p) {
 void MptcpEndpoint::handle_data(Packet p) {
   send_ack(p, p.path_id);
 
-  PathState& st = path_state(p.path_id);
   // Duplicate suppression: retransmits re-deliver identical ranges.
-  const bool is_new = p.data_seq >= next_expected_ &&
-                      !out_of_order_.contains(p.data_seq);
-  if (is_new) {
-    st.delivered_payload += p.payload_len;
-    // The kernel predictor samples a subflow whenever it carries traffic
-    // (the paper's HW predictor lives in the MPTCP stack, not in the
-    // MP-DASH activation window); the sampler itself skips idle gaps.
-    st.sampler->on_bytes(loop_.now(), p.payload_len);
-    out_of_order_.emplace(p.data_seq, std::move(p.segments));
-    deliver_in_order();
+  if (p.data_seq < next_expected_) return;
+  const auto it = std::lower_bound(
+      out_of_order_.begin(), out_of_order_.end(), p.data_seq,
+      [](const Arrival& a, std::uint64_t seq) { return a.data_seq < seq; });
+  if (it != out_of_order_.end() && it->data_seq == p.data_seq) return;
+
+  PathState& st = path_state(p.path_id);
+  st.delivered_payload += p.payload_len;
+  // The kernel predictor samples a subflow whenever it carries traffic
+  // (the paper's HW predictor lives in the MPTCP stack, not in the
+  // MP-DASH activation window); the sampler itself skips idle gaps.
+  st.sampler->on_bytes(loop_.now(), p.payload_len);
+  if (p.data_seq != next_expected_) {
+    out_of_order_.insert(it, Arrival{p.data_seq, std::move(p.segments)});
+    return;
   }
+  next_expected_ += static_cast<std::uint64_t>(wire_length(p.segments));
+  if (on_receive_) on_receive_(p.segments);
+  deliver_in_order();
 }
 
 void MptcpEndpoint::deliver_in_order() {
-  while (true) {
-    auto it = out_of_order_.find(next_expected_);
-    if (it == out_of_order_.end()) break;
-    WireData data = std::move(it->second);
-    out_of_order_.erase(it);
+  if (out_of_order_.empty()) return;
+  std::size_t n = 0;
+  for (; n < out_of_order_.size() &&
+         out_of_order_[n].data_seq == next_expected_;
+       ++n) {
+    const WireData data = std::move(out_of_order_[n].payload);
     next_expected_ += static_cast<std::uint64_t>(wire_length(data));
     if (on_receive_) on_receive_(data);
   }
+  out_of_order_.erase(out_of_order_.begin(),
+                      out_of_order_.begin() + static_cast<std::ptrdiff_t>(n));
+  if (out_of_order_.empty()) std::vector<Arrival>().swap(out_of_order_);
 }
 
 void MptcpEndpoint::send_ack(const Packet& data, int path_id) {

@@ -170,6 +170,7 @@ class MptcpEndpoint {
   StreamBuffer send_buffer_;
   std::uint64_t next_data_seq_ = 0;
   bool in_try_send_ = false;
+  std::vector<SubflowSnapshot> snapshots_;  // try_send's, reused per turn
 
   // failure recovery
   MptcpFailureConfig failure_policy_;  // inert until max_consecutive_rtos>0
@@ -181,8 +182,15 @@ class MptcpEndpoint {
   Counter reinjections_counter_;
 
   // receiver
+  struct Arrival {
+    std::uint64_t data_seq = 0;
+    WireData payload;
+  };
   std::uint64_t next_expected_ = 0;
-  std::map<std::uint64_t, WireData> out_of_order_;  // keyed by data_seq
+  // Arrivals above next_expected_, ascending by data_seq, unique. The
+  // storage is released whenever it empties: a fleet runs thousands of
+  // endpoints, most of them in order at any moment.
+  std::vector<Arrival> out_of_order_;
 
   bool sampling_active_ = false;
   EventId sampler_timer_;

@@ -28,12 +28,16 @@ class MetricsSnapshotter {
         done_(done) {
     arm();
   }
+  // The pending sample's callback holds `this`.
+  ~MetricsSnapshotter() { loop_.cancel(pending_); }
+  MetricsSnapshotter(const MetricsSnapshotter&) = delete;
+  MetricsSnapshotter& operator=(const MetricsSnapshotter&) = delete;
 
   std::size_t samples() const { return out_.snapshots().size(); }
 
  private:
   void arm() {
-    loop_.schedule_in(interval_, [this] {
+    pending_ = loop_.schedule_in(interval_, [this] {
       out_.record(telemetry_.metrics().snapshot(loop_.now()));
       if (!done_) arm();
     });
@@ -44,6 +48,7 @@ class MetricsSnapshotter {
   MetricsTimeline& out_;
   Duration interval_;
   const bool& done_;
+  EventId pending_;
 };
 
 }  // namespace mpdash

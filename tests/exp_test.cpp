@@ -182,8 +182,11 @@ TEST(Session, WatchdogTripUnhooksTheInternalContext) {
   // A metrics-only run (env.metrics, no env.telemetry) wires the scenario
   // to an internal context that dies with the call. A watchdog trip
   // unwinds the run; the scenario's loop and links outlive it and must
-  // not count into the dead context when they are used again. (The
-  // unwound run's own events stay queued; only a fresh one runs here.)
+  // not count into the dead context when they are used again. What the
+  // unwound run left queued is safe to run: the energy probe and the
+  // snapshotter cancelled their samples, and the packets still
+  // propagating reach no endpoint (the connection cleared its delivery
+  // handlers), though their links still count them.
   Scenario sc(constant_scenario(DataRate::mbps(8.0), DataRate::mbps(6.0)));
   SessionConfig cfg;
   cfg.adaptation = "gpac";
@@ -194,6 +197,20 @@ TEST(Session, WatchdogTripUnhooksTheInternalContext) {
   env.metrics = &timeline;
   EXPECT_THROW(run_streaming_session(sc, tiny_video(), cfg, env),
                WatchdogTripped);
+  const std::size_t samples = timeline.snapshots().size();
+  auto delivered = [&sc] {
+    std::size_t n = 0;
+    for (NetPath* p : sc.paths()) {
+      n += p->downlink().delivered_packets() + p->uplink().delivered_packets();
+    }
+    return n;
+  };
+  const std::size_t before = delivered();
+  sc.loop().run();
+  EXPECT_GT(delivered(), before);
+  EXPECT_FALSE(sc.loop().has_pending());
+  EXPECT_EQ(timeline.snapshots().size(), samples);
+
   const std::size_t executed = sc.loop().executed_events();
   bool ran = false;
   sc.loop().schedule_in(kDurationZero, [&ran] { ran = true; });
@@ -203,7 +220,31 @@ TEST(Session, WatchdogTripUnhooksTheInternalContext) {
   Packet p;
   p.kind = PacketKind::kData;
   p.wire_size = 1500;
+  const std::size_t wifi_delivered = sc.wifi().downlink().delivered_packets();
   sc.wifi().downlink().send(p);
+  sc.loop().run();
+  EXPECT_EQ(sc.wifi().downlink().delivered_packets(), wifi_delivered + 1);
+}
+
+TEST(StreamingRun, WatchdogTripBeforeALateJoinLeavesNoJoinBehind) {
+  // The second tenant would join after the trip. Its join event holds its
+  // player, which dies with the run, so the event must die with it too.
+  Scenario sc(constant_scenario(DataRate::mbps(8.0), DataRate::mbps(6.0)));
+  RunTenant first;
+  first.config.adaptation = "gpac";
+  RunTenant late = first;
+  late.join = TimePoint(seconds(30.0));
+  WatchdogConfig watchdog;
+  watchdog.max_sim_events = 5000;
+  watchdog.poll_interval = 1;
+  {
+    StreamingRun run(sc, tiny_video(), {first, late}, nullptr, nullptr);
+    EXPECT_THROW(run.run(seconds(600.0), watchdog), WatchdogTripped);
+    EXPECT_LT(sc.loop().now(), late.join);
+  }
+  sc.loop().run();
+  EXPECT_LT(sc.loop().now(), late.join);
+  EXPECT_FALSE(sc.loop().has_pending());
 }
 
 class SchedulerNames : public ::testing::TestWithParam<const char*> {};

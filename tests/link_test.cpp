@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "exp/scenario.h"
@@ -275,6 +276,41 @@ TEST(Link, ZeroRateFactorStallsUntilTheRateIsRestored) {
   EXPECT_LT(times[0], 1.2);
   EXPECT_NEAR(times[1] - times[0], 0.001, 1e-6);
   EXPECT_EQ(link.queued_bytes(), 0);
+}
+
+TEST(Link, ShorterDelayLetsALaterPacketOvertake) {
+  // Each propagating packet is its own delivery event, keyed when it
+  // leaves the radio. Packet 1 leaves at 1 ms under a 100 ms extra delay;
+  // the spike lifts before packet 2 leaves at 2 ms, so 2 arrives first.
+  // Packet 3 leaves at 3 ms under 98 ms and ties with 1 at 111 ms: the
+  // earlier-scheduled delivery goes first. Packet 4 is sent after 2 has
+  // arrived, so its slot is one a delivery freed while 1 and 3 wait.
+  EventLoop loop;
+  LinkConfig cfg;
+  cfg.rate = BandwidthTrace::constant(DataRate::mbps(8.0));  // 1 ms/packet
+  cfg.propagation_delay = milliseconds(10);
+  Link link(loop, cfg);
+  std::vector<std::pair<std::uint64_t, double>> arrivals;
+  link.set_deliver_handler([&](Packet p) {
+    arrivals.emplace_back(p.id, to_milliseconds(loop.now()));
+  });
+  link.set_extra_delay(milliseconds(100));
+  for (std::uint64_t id = 1; id <= 3; ++id) link.send(data_packet(1000, id));
+  loop.schedule_at(TimePoint(microseconds(1500)),
+                   [&] { link.set_extra_delay(kDurationZero); });
+  loop.schedule_at(TimePoint(microseconds(2500)),
+                   [&] { link.set_extra_delay(milliseconds(98)); });
+  loop.schedule_at(TimePoint(milliseconds(20)),
+                   [&] { link.send(data_packet(1000, 4)); });
+  loop.run();
+  const std::vector<std::pair<std::uint64_t, double>> expect{
+      {2, 12.0}, {1, 111.0}, {3, 111.0}, {4, 129.0}};
+  ASSERT_EQ(arrivals.size(), expect.size());
+  for (std::size_t i = 0; i < expect.size(); ++i) {
+    EXPECT_EQ(arrivals[i].first, expect[i].first) << i;
+    EXPECT_NEAR(arrivals[i].second, expect[i].second, 1e-6) << i;
+  }
+  EXPECT_EQ(link.delivered_packets(), 4u);
 }
 
 TEST(Shaper, ConformsToTokenRate) {

@@ -180,6 +180,47 @@ TEST(Endpoint, RejectsDuplicatePathIds) {
   EXPECT_THROW(ep.subflow(9), std::out_of_range);
 }
 
+TEST(Endpoint, ReassemblyCountsEachByteOnceAndDeliversInOrder) {
+  // Fed directly: out-of-order data, a duplicate of a buffered packet and
+  // a duplicate of a delivered one. Every arrival is acked; only new
+  // bytes count toward their path and reach the receiver, in order.
+  EventLoop loop;
+  MptcpEndpoint ep(loop, MptcpEndpoint::Role::kClient);
+  int acks = 0;
+  for (const int id : {0, 1}) {
+    SubflowConfig cfg;
+    cfg.path_id = id;
+    ep.add_path(cfg, [&acks](Packet p) { acks += p.kind == PacketKind::kAck; });
+  }
+  std::vector<std::string> received;
+  ep.set_receive_handler(
+      [&](const WireData& d) { received.push_back(wire_to_string(d)); });
+  std::uint64_t subflow_seq = 0;
+  auto arrive = [&](int path, std::uint64_t data_seq, const char* text) {
+    Packet p;
+    p.kind = PacketKind::kData;
+    p.path_id = path;
+    p.subflow_seq = ++subflow_seq;
+    p.data_seq = data_seq;
+    p.segments = wire_from_string(text);
+    p.payload_len = wire_length(p.segments);
+    ep.on_packet(std::move(p));
+  };
+  arrive(1, 8, "cccc");
+  arrive(0, 4, "bbbb");
+  arrive(0, 8, "cccc");  // duplicate of a buffered packet
+  EXPECT_TRUE(received.empty());
+  arrive(1, 0, "aaaa");
+  arrive(1, 4, "bbbb");  // duplicate of a delivered packet
+  arrive(0, 12, "dddd");
+  EXPECT_EQ(received,
+            (std::vector<std::string>{"aaaa", "bbbb", "cccc", "dddd"}));
+  EXPECT_EQ(ep.bytes_received_in_order(), 16u);
+  EXPECT_EQ(ep.delivered_payload_bytes(0), 8);
+  EXPECT_EQ(ep.delivered_payload_bytes(1), 8);
+  EXPECT_EQ(acks, 6);
+}
+
 struct FailureFixture : ConnFixture {
   void enable_detection() {
     MptcpFailureConfig policy;

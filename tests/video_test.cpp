@@ -28,6 +28,14 @@ TEST(Video, ChunkDurationControlsCount) {
   EXPECT_EQ(big_buck_bunny(seconds(10.0)).chunk_count(), 60);
 }
 
+TEST(Video, PresetsRejectChunksShorterThanAMillisecond) {
+  // Zero would divide the video's length by zero; a microsecond would ask
+  // for 600 M chunks per level.
+  EXPECT_THROW(big_buck_bunny(kDurationZero), std::invalid_argument);
+  EXPECT_THROW(tears_of_steel_hd(microseconds(999)), std::invalid_argument);
+  EXPECT_EQ(red_bull_playstreets(milliseconds(1)).chunk_count(), 600'000);
+}
+
 TEST(Video, VbrSizesVaryAroundNominal) {
   const Video v = big_buck_bunny();
   const Bytes nominal = v.nominal_chunk_size(4);

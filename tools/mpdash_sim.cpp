@@ -381,9 +381,9 @@ Video pick_video(const Args& a) {
     if (a.video == "tears") return tears_of_steel(chunk);
     if (a.video == "tears-hd") return tears_of_steel_hd(chunk);
   } catch (const std::invalid_argument&) {
-    // A chunk longer than the video leaves it no chunks.
-    usage("bad --chunk value for video " + a.video + " (want at most the "
-          "video's length)");
+    // A chunk shorter than 1 ms, or longer than the video (no chunks).
+    usage("bad --chunk value for video " + a.video + " (want at least 0.001 "
+          "and at most the video's length, 600 seconds)");
   }
   usage("unknown video " + a.video);
 }
