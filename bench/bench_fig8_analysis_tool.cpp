@@ -26,9 +26,7 @@ int main() {
         Config{"MP-DASH, rate-based deadlines", Scheme::kMpDashRate},
         Config{"MP-DASH, duration-based deadlines",
                Scheme::kMpDashDuration}}) {
-    AnalyzerConfig acfg;
-    acfg.device = galaxy_note();
-    AnalysisBuilder analysis(acfg);
+    AnalysisBuilder analysis;
     run_scheme(net, video, c.scheme, "festive", &analysis);
     const AnalysisReport report = analysis.finish();
 

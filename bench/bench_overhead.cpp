@@ -1,153 +1,37 @@
 // Runtime overhead (paper §8): "MP-DASH incurs negligible runtime
 // overhead, as both the scheduling algorithm and the Holt-Winters
-// prediction have low complexity." These google-benchmark microbenches
-// put numbers on every hot-path component: one Algorithm 1 decision, one
-// HW sample, HTTP framing, the offline DP, and the event loop itself —
-// plus end-to-end sessions with telemetry detached vs. idle-attached.
+// prediction have low complexity." perfbench's layer drivers time the
+// per-call costs (`python3 perfbench/run.py --workload field --trace 1`:
+// core.ns_per_decision, predict.ns_per_sample, http.ns_per_response,
+// sim.ns_per_event.*); this binary is the gate that keeps the telemetry
+// layer from eroding them.
 //
-// `bench_overhead --check` skips google-benchmark and instead times quick
-// sessions four ways — telemetry detached; idle-attached (every counter
-// live, no sinks); always-on (idle plus the 1 s metrics snapshotter,
-// with span allocation short-circuiting on `tracing()`); and fully
-// traced (a span-model builder fed live, what `chaos --attrib` pays).
-// The gate is the marginal cost of the observability machinery: always-on
-// must stay within 2% of the idle-attached budget when
-// MPDASH_OVERHEAD_STRICT=1. The detached→idle instrumentation cost and
-// the opt-in full-tracing cost are reported and recorded in
-// BENCH_overhead.json but not gated.
-
-#include <benchmark/benchmark.h>
+// `bench_overhead --check` times quick sessions four ways — telemetry
+// detached; idle-attached (every counter live, no sinks); always-on (idle
+// plus the 1 s metrics snapshotter, with span allocation short-circuiting
+// on `tracing()`); and fully traced (a span-model builder fed live, what
+// `chaos --attrib` pays). The gate is the marginal cost of the
+// observability machinery: always-on must stay within 2% of the
+// idle-attached budget when MPDASH_OVERHEAD_STRICT=1. The detached→idle
+// instrumentation cost and the opt-in full-tracing cost are reported and
+// recorded in BENCH_overhead.json but not gated.
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <vector>
 
 #include "analysis/spans.h"
 #include "bench_common.h"
-#include "core/deadline_scheduler.h"
-#include "core/offline_optimal.h"
 #include "dash/video.h"
 #include "exp/scenario.h"
 #include "exp/session.h"
-#include "http/parser.h"
-#include "predict/holt_winters.h"
-#include "sim/event_loop.h"
 #include "telemetry/telemetry.h"
-#include "trace/generators.h"
-#include "util/rng.h"
 
 namespace mpdash {
 namespace {
-
-class BenchControl final : public MultipathControl {
- public:
-  std::vector<ControlledPath> paths() const override {
-    return {{0, 0.0}, {1, 1.0}};
-  }
-  void set_path_enabled(int id, bool e) override {
-    enabled_[static_cast<std::size_t>(id)] = e;
-  }
-  bool path_enabled(int id) const override {
-    return enabled_[static_cast<std::size_t>(id)];
-  }
-  Bytes transferred_bytes() const override { return transferred; }
-  DataRate path_throughput(int) const override { return DataRate::mbps(4.0); }
-  Bytes transferred = 0;
-
- private:
-  bool enabled_[2] = {true, true};
-};
-
-void BM_DeadlineSchedulerDecision(benchmark::State& state) {
-  BenchControl control;
-  DeadlineScheduler sched(control);
-  sched.begin(kTimeZero, megabytes(2), seconds(4.0));
-  std::int64_t t = 0;
-  for (auto _ : state) {
-    control.transferred += 1400;
-    sched.update(TimePoint(nanoseconds(t += 50'000)));
-    if (!sched.active()) {
-      control.transferred = 0;
-      sched.begin(TimePoint(nanoseconds(t)), megabytes(2), seconds(4.0));
-    }
-  }
-}
-BENCHMARK(BM_DeadlineSchedulerDecision);
-
-void BM_HoltWintersSample(benchmark::State& state) {
-  HoltWinters hw;
-  Rng rng(1);
-  for (auto _ : state) {
-    hw.add_sample(DataRate::mbps(rng.uniform(1.0, 8.0)));
-    benchmark::DoNotOptimize(hw.predict());
-  }
-}
-BENCHMARK(BM_HoltWintersSample);
-
-void BM_HttpParseResponseHead(benchmark::State& state) {
-  HttpResponse resp;
-  resp.headers.push_back({"Content-Type", "video/iso.segment"});
-  resp.body_len = 2'000'000;
-  const WireData wire = resp.to_wire();
-  for (auto _ : state) {
-    std::size_t done = 0;
-    HttpStreamParser parser(
-        HttpStreamParser::Mode::kResponses,
-        {.on_request = nullptr,
-         .on_response_head = nullptr,
-         .on_body = nullptr,
-         .on_message_complete = [&done] { ++done; },
-         .on_error = nullptr});
-    parser.consume(wire);
-    benchmark::DoNotOptimize(done);
-  }
-}
-BENCHMARK(BM_HttpParseResponseHead);
-
-void BM_EventLoopScheduleRun(benchmark::State& state) {
-  for (auto _ : state) {
-    EventLoop loop;
-    int fired = 0;
-    for (int i = 0; i < 100; ++i) {
-      loop.schedule_in(milliseconds(i), [&fired] { ++fired; });
-    }
-    loop.run();
-    benchmark::DoNotOptimize(fired);
-  }
-}
-BENCHMARK(BM_EventLoopScheduleRun);
-
-void BM_OfflineOptimalDp(benchmark::State& state) {
-  const auto n_slots = static_cast<std::size_t>(state.range(0));
-  SlottedInstance inst;
-  inst.slot = milliseconds(50);
-  Rng rng(2);
-  for (int i = 0; i < 2; ++i) {
-    std::vector<Bytes> row(n_slots);
-    for (auto& b : row) b = rng.uniform_int(10, 40);
-    inst.bytes_per_slot.push_back(std::move(row));
-  }
-  inst.unit_cost = {0.0, 1.0};
-  inst.target = static_cast<Bytes>(25 * n_slots);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(optimal_dp(inst));
-  }
-}
-BENCHMARK(BM_OfflineOptimalDp)->Arg(20)->Arg(100);
-
-void BM_FieldTraceGeneration(benchmark::State& state) {
-  for (auto _ : state) {
-    Rng rng(3);
-    FieldParams p;
-    p.mean = DataRate::mbps(5.0);
-    p.horizon = seconds(600.0);
-    benchmark::DoNotOptimize(gen_field(p, rng));
-  }
-}
-BENCHMARK(BM_FieldTraceGeneration);
-
-// --- end-to-end telemetry overhead -----------------------------------
 
 Video overhead_video() {
   return Video("Overhead", seconds(4.0), 10,
@@ -184,23 +68,6 @@ SessionResult overhead_session_full(MetricsTimeline* timeline) {
   telemetry.add_sink(&filter);
   return overhead_session(&telemetry, timeline);
 }
-
-void BM_SessionTelemetryDetached(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(overhead_session(nullptr));
-  }
-}
-BENCHMARK(BM_SessionTelemetryDetached)->Unit(benchmark::kMillisecond);
-
-void BM_SessionTelemetryIdle(benchmark::State& state) {
-  // Telemetry attached (all metric updates live) but no trace sink: the
-  // configuration a deployment would leave on permanently.
-  for (auto _ : state) {
-    Telemetry telemetry;
-    benchmark::DoNotOptimize(overhead_session(&telemetry));
-  }
-}
-BENCHMARK(BM_SessionTelemetryIdle)->Unit(benchmark::kMillisecond);
 
 // Interleaved A/B/C/D timing; each sample batches several sessions so a
 // single descheduling blip cannot swing it, and taking each config's
@@ -327,14 +194,9 @@ int run_overhead_check() {
 }  // namespace mpdash
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0) {
-      return mpdash::run_overhead_check();
-    }
+  if (argc == 2 && std::strcmp(argv[1], "--check") == 0) {
+    return mpdash::run_overhead_check();
   }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  std::fprintf(stderr, "usage: %s --check\n", argv[0]);
+  return 2;
 }

@@ -31,9 +31,7 @@ int main(int argc, char** argv) {
                      DataRate::mbps(3.94)},
                     0.12, 42);
 
-  AnalyzerConfig acfg;
-  acfg.device = galaxy_note();
-  AnalysisBuilder analysis(acfg);
+  AnalysisBuilder analysis;
   Telemetry telemetry;
   telemetry.add_sink(&analysis);
   std::optional<JsonlSink> events;  // the kPlayer records only

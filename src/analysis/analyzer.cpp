@@ -18,12 +18,14 @@ namespace {
 
 constexpr int kMaxPaths = 8;
 constexpr Duration kThroughputInterval = milliseconds(500);
+// The scenario's path ids (exp/scenario.h).
+constexpr int kWifiPath = 0;
+constexpr int kCellularPath = 1;
 
 }  // namespace
 
-AnalysisBuilder::AnalysisBuilder(const AnalyzerConfig& config)
-    : config_(config),
-      parser_(
+AnalysisBuilder::AnalysisBuilder()
+    : parser_(
           HttpStreamParser::Mode::kResponses,
           HttpStreamParser::Callbacks{
               .on_request = nullptr,
@@ -83,9 +85,9 @@ void AnalysisBuilder::on_record(const TraceRecord& r) {
   // Radio energy comes from delivered wire bytes, as seen at the client's
   // radios.
   const ByteEvent ev{r.at, r.wire_size, r.is_downlink()};
-  if (r.path_id == config_.wifi_path_id) {
+  if (r.path_id == kWifiPath) {
     wifi_events_.push_back(ev);
-  } else if (r.path_id == config_.cellular_path_id) {
+  } else if (r.path_id == kCellularPath) {
     lte_events_.push_back(ev);
   }
   if (r.is_downlink() && r.kind == PacketKind::kData && r.payload_len > 0) {
@@ -148,7 +150,7 @@ AnalysisReport AnalysisBuilder::finish() {
     }
   }
   for (const auto& [id, u] : usage_) report_.paths.push_back(u);
-  report_.energy = price_session(config_.device, wifi_events_, lte_events_,
+  report_.energy = price_session(galaxy_note(), wifi_events_, lte_events_,
                                  report_.session_length);
   return std::move(report_);
 }

@@ -63,12 +63,6 @@ struct AnalysisReport {
   const PathUsage* path(int id) const;
 };
 
-struct AnalyzerConfig {
-  int wifi_path_id = 0;
-  int cellular_path_id = 1;
-  DeviceEnergyProfile device;
-};
-
 // Folds a run's records into the cross-layer analysis as they are
 // emitted: attach it to the run's Telemetry, then call finish(). Packet
 // records drive the network half (a delivered data record's payload is
@@ -78,7 +72,7 @@ struct AnalyzerConfig {
 // builder is neither copied nor moved.
 class AnalysisBuilder final : public TraceSink {
  public:
-  explicit AnalysisBuilder(const AnalyzerConfig& config);
+  AnalysisBuilder();
   AnalysisBuilder(const AnalysisBuilder&) = delete;
   AnalysisBuilder& operator=(const AnalysisBuilder&) = delete;
 
@@ -86,8 +80,9 @@ class AnalysisBuilder final : public TraceSink {
 
   // Parses the bytes still waiting past a hole in the downlink stream,
   // gives the i-th media response the i-th requested (level, chunk),
-  // prices the radio energy and hands over the report. Call once, after
-  // the last record.
+  // prices the radio energy (path 0 as WiFi, path 1 as LTE, on the
+  // Galaxy Note profile) and hands over the report. Call once, after the
+  // last record.
   AnalysisReport finish();
 
  private:
@@ -103,7 +98,6 @@ class AnalysisBuilder final : public TraceSink {
   void parse(const TraceRecord& r);
   void on_player(const TraceRecord& r);
 
-  AnalyzerConfig config_;
   AnalysisReport report_;
   std::map<int, PathUsage> usage_;
   std::vector<ByteEvent> wifi_events_, lte_events_;

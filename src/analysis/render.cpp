@@ -12,14 +12,15 @@
 
 namespace mpdash {
 
-std::string render_chunk_timeline(const AnalysisReport& report,
-                                  RenderConfig config) {
+constexpr int kCellularPath = 1;  // the scenario's (exp/scenario.h)
+
+std::string render_chunk_timeline(const AnalysisReport& report) {
   std::ostringstream out;
   if (report.chunks.empty()) return "(no chunks)\n";
   const double total_s = to_seconds(report.session_length);
   if (total_s <= 0.0) return "(empty session)\n";
 
-  const int width = std::max(config.width, 20);
+  constexpr int width = 100;
   // Row 1: bitrate level digit per column; row 2: cellular share.
   std::string levels(static_cast<std::size_t>(width), ' ');
   std::string cellular(static_cast<std::size_t>(width), ' ');
@@ -34,7 +35,7 @@ std::string render_chunk_timeline(const AnalysisReport& report,
     const int b = std::max(a, col(ch.end));
     const char glyph =
         ch.level >= 0 ? static_cast<char>('1' + std::min(ch.level, 8)) : '?';
-    const double frac = ch.cellular_fraction(config.cellular_path_id);
+    const double frac = ch.cellular_fraction(kCellularPath);
     for (int c = a; c <= b; ++c) {
       levels[static_cast<std::size_t>(c)] = glyph;
       // Mark the leading fraction of the bar as cellular, like the black

@@ -11,13 +11,8 @@
 
 namespace mpdash {
 
-struct RenderConfig {
-  int width = 100;            // columns for the whole session
-  int cellular_path_id = 1;
-};
-
-std::string render_chunk_timeline(const AnalysisReport& report,
-                                  RenderConfig config = {});
+// 100 columns for the whole session; path 1 is the cellular one.
+std::string render_chunk_timeline(const AnalysisReport& report);
 
 // Compact per-path usage summary table.
 std::string render_path_summary(const AnalysisReport& report);

@@ -6,6 +6,9 @@
 
 namespace mpdash {
 
+// Cadence of the kBufferSample player events.
+constexpr Duration kBufferSampleInterval = seconds(1.0);
+
 DashPlayer::DashPlayer(EventLoop& loop, HttpClient& client,
                        RateAdaptation& adaptation, PlayerConfig config,
                        StreamingHooks* hooks)
@@ -50,8 +53,8 @@ void DashPlayer::on_manifest(const HttpTransfer& transfer) {
   close_span(&manifest_span_, "delivered", -1, -1, transfer.body_bytes);
   video_ = video_from_manifest(transfer.body);
   buffer_.emplace(config_.buffer_capacity);
-  sample_timer_ = loop_.schedule_in(config_.buffer_sample_interval,
-                                    [this] { sample_buffer(); });
+  sample_timer_ =
+      loop_.schedule_in(kBufferSampleInterval, [this] { sample_buffer(); });
   fetch_next_chunk();
 }
 
@@ -332,8 +335,8 @@ void DashPlayer::sample_buffer() {
   if (done_) return;
   log(PlayerEventType::kBufferSample, -1, -1, 0,
       to_seconds(buffer_->level(loop_.now())));
-  sample_timer_ = loop_.schedule_in(config_.buffer_sample_interval,
-                                    [this] { sample_buffer(); });
+  sample_timer_ =
+      loop_.schedule_in(kBufferSampleInterval, [this] { sample_buffer(); });
 }
 
 void DashPlayer::finish() {

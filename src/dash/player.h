@@ -59,7 +59,6 @@ struct PlayerConfig {
   // Playback begins once this much content is buffered (and resumes from
   // a stall the same way).
   Duration startup_buffer = seconds(8.0);
-  Duration buffer_sample_interval = seconds(1.0);
   // Graceful degradation: total fetch attempts per chunk before the chunk
   // is abandoned and playback skips over it. Each retry downshifts one
   // quality level (smaller segment, better odds on a degraded network).

@@ -29,10 +29,9 @@ std::string qoe_series_csv(const MetricsTimeline& timeline,
                            std::uint64_t seed) {
   std::string out;
   char buf[256];
-  for (const MetricsSnapshot& s : timeline.snapshots()) {
-    auto val = [&s](const char* name) {
-      const MetricValue* v = s.find(name);
-      return v ? v->value : 0.0;
+  for (std::size_t i = 0; i < timeline.size(); ++i) {
+    auto val = [&timeline, i](const char* name) {
+      return timeline.value(i, name);
     };
     const double wifi = val("link.wifi.down.delivered_bytes") +
                         val("link.wifi.up.delivered_bytes");
@@ -41,7 +40,8 @@ std::string qoe_series_csv(const MetricsTimeline& timeline,
     const double total = wifi + cell;
     std::snprintf(buf, sizeof buf,
                   "%llu,%.3f,%.6f,%.0f,%.0f,%.0f,%.0f,%.0f,%.6f\n",
-                  static_cast<unsigned long long>(seed), to_seconds(s.at),
+                  static_cast<unsigned long long>(seed),
+                  to_seconds(timeline.at(i)),
                   val("player.buffer_s"), val("player.level"),
                   val("player.stalls"), val("player.chunks"), wifi, cell,
                   total > 0.0 ? cell / total : 0.0);

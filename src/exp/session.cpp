@@ -49,18 +49,8 @@ namespace {
 // The paper reports bitrate statistics over the last 80 % of chunks
 // (steady state): the first 20 % are skipped.
 constexpr double kSteadySkipFraction = 0.2;
-
-// Unhooks a scenario wired to run_streaming_session's internal context
-// on every exit path, the WatchdogTripped unwind included: the scenario
-// and its event loop outlive the run and its context.
-struct WiringGuard {
-  Scenario& scenario;
-  bool internal;
-
-  ~WiringGuard() {
-    if (internal) scenario.set_telemetry(nullptr);
-  }
-};
+// Download warm-up transfer (DownloadConfig::warmup).
+constexpr Bytes kWarmupSize = kilobytes(500);
 
 // Samples per-interface delivered bytes every 100 ms for the energy model;
 // stops itself once `done` flips.
@@ -325,18 +315,19 @@ SessionResult StreamingRun::collect(int tenant) const {
 SessionResult run_streaming_session(Scenario& scenario, const Video& video,
                                     const SessionConfig& config,
                                     const SessionEnv& env) {
-  Telemetry local_telemetry;
-  Telemetry* telemetry = env.telemetry;
-  if (!telemetry && env.metrics) telemetry = &local_telemetry;
-  const WiringGuard guard{scenario, telemetry == &local_telemetry};
-
-  StreamingRun run(scenario, video, {RunTenant{config, kTimeZero, telemetry}},
-                   env.faults, telemetry);
+  if (env.metrics && !env.telemetry) {
+    throw std::invalid_argument(
+        "run_streaming_session: SessionEnv::metrics samples "
+        "SessionEnv::telemetry's registry, which is null");
+  }
+  StreamingRun run(scenario, video,
+                   {RunTenant{config, kTimeZero, env.telemetry}}, env.faults,
+                   env.telemetry);
   EnergyProbe probe(scenario, run.finished());
   std::unique_ptr<MetricsSnapshotter> snapshotter;
-  if (telemetry && env.metrics) {
+  if (env.metrics) {
     snapshotter = std::make_unique<MetricsSnapshotter>(
-        scenario.loop(), *telemetry, *env.metrics, config.metrics_interval,
+        scenario.loop(), *env.telemetry, *env.metrics, config.metrics_interval,
         run.finished());
   }
   run.run(config.time_limit, config.watchdog);
@@ -350,7 +341,7 @@ SessionResult run_streaming_session(Scenario& scenario, const Video& video,
 
   const Duration horizon = seconds(res.session_s);
   const SessionEnergy energy = price_session(
-      config.device, probe.wifi_events, probe.lte_events, horizon);
+      galaxy_note(), probe.wifi_events, probe.lte_events, horizon);
   res.wifi_energy_j = energy.wifi.total_j();
   res.lte_energy_j = energy.lte.total_j();
   return res;
@@ -370,7 +361,7 @@ DownloadResult run_download_session(Scenario& scenario,
   HttpServer server(conn.server(), [&config](const HttpRequest& req) {
     HttpResponse resp;
     resp.headers.push_back({"Content-Type", "application/octet-stream"});
-    resp.body_len = req.target == "/warmup" ? config.warmup_size : config.size;
+    resp.body_len = req.target == "/warmup" ? kWarmupSize : config.size;
     return resp;
   });
   HttpClient client(loop, conn.client());
@@ -413,11 +404,11 @@ DownloadResult run_download_session(Scenario& scenario,
   const Duration horizon =
       res.completed ? res.finish_time + seconds(1.0) : config.time_limit;
   const SessionEnergy energy = price_session(
-      config.device, probe.wifi_events, probe.lte_events, horizon);
+      galaxy_note(), probe.wifi_events, probe.lte_events, horizon);
   res.wifi_energy_j = energy.wifi.total_j();
   res.lte_energy_j = energy.lte.total_j();
   const SessionEnergy transfer_only =
-      price_session(config.device, probe.wifi_events, probe.lte_events,
+      price_session(galaxy_note(), probe.wifi_events, probe.lte_events,
                     res.completed ? res.finish_time : config.time_limit);
   res.transfer_energy_j = transfer_only.total_j();
   return res;

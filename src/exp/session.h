@@ -57,9 +57,8 @@ struct SessionConfig {
   int debounce_ticks = 2;
   PlayerConfig player;
   Duration time_limit = seconds(1800.0);
-  // Snapshot cadence when SessionEnv::metrics is set.
+  // Sampling cadence when SessionEnv::metrics is set.
   Duration metrics_interval = seconds(1.0);
-  DeviceEnergyProfile device = galaxy_note();
 
   // --- robustness (all default off: seed-identical behavior) -----------
   // Transport recovery: subflow-failure detection + reinjection on both
@@ -78,12 +77,11 @@ struct SessionConfig {
 // explicit at the signature level: everything here outlives the session
 // and is never owned by it. SessionConfig stays a pure value.
 struct SessionEnv {
-  // Telemetry context (extra sinks, shared registry). When null and
-  // metrics are requested, run_streaming_session uses an internal context
-  // for the duration of the run.
+  // Telemetry context (extra sinks, shared registry); null = none.
   Telemetry* telemetry = nullptr;
-  // When set, registry snapshots are appended here every
-  // SessionConfig::metrics_interval.
+  // When set, the telemetry context's registry is sampled here every
+  // SessionConfig::metrics_interval. Requires `telemetry`:
+  // run_streaming_session throws std::invalid_argument without it.
   MetricsTimeline* metrics = nullptr;
   // Fault plan injected during the run; null = no faults.
   const FaultPlan* faults = nullptr;
@@ -106,6 +104,7 @@ struct SessionResult {
   int deadline_misses = 0;
   int chunks_engaged = 0;   // MP-DASH activated for these
 
+  // Radio energy on the paper's Galaxy Note profile.
   double wifi_energy_j = 0.0;
   double lte_energy_j = 0.0;
   double energy_j() const { return wifi_energy_j + lte_energy_j; }
@@ -210,13 +209,11 @@ struct DownloadConfig {
   Duration time_limit = seconds(600.0);
   // Externally-owned telemetry context, wired for the duration of the run.
   Telemetry* telemetry = nullptr;
-  DeviceEnergyProfile device = galaxy_note();
-  // Runs a small unmeasured transfer first so congestion windows and
-  // throughput estimates are warm — the paper averages 10 consecutive
+  // Runs a small (500 kB) unmeasured transfer first so congestion windows
+  // and throughput estimates are warm — the paper averages 10 consecutive
   // runs on a live connection, so its measured downloads never start
   // cold. Byte and energy accounting cover only the measured transfer.
   bool warmup = false;
-  Bytes warmup_size = kilobytes(500);
 };
 
 struct DownloadResult {
@@ -225,6 +222,7 @@ struct DownloadResult {
   bool deadline_missed = false;
   Bytes wifi_bytes = 0;
   Bytes cell_bytes = 0;
+  // Radio energy on the paper's Galaxy Note profile.
   double wifi_energy_j = 0.0;
   double lte_energy_j = 0.0;
   double energy_j() const { return wifi_energy_j + lte_energy_j; }

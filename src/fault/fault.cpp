@@ -47,11 +47,12 @@ FaultPlan random_fault_plan(std::uint64_t seed, const RandomPlanConfig& cfg) {
   const double hi = to_seconds(cfg.horizon) - to_seconds(cfg.end_margin);
   if (cfg.num_events <= 0 || hi - lo < 2.0) return plan;
 
+  constexpr int kKinds = 7;  // every FaultKind
+  constexpr int kPaths = 2;
   Rng rng(derive_stream_seed(seed, "fault-plan"));
-  const int kind_count = cfg.server_faults ? 7 : 5;  // server kinds are last
   for (int i = 0; i < cfg.num_events; ++i) {
     FaultEvent e;
-    e.kind = static_cast<FaultKind>(rng.uniform_int(0, kind_count - 1));
+    e.kind = static_cast<FaultKind>(rng.uniform_int(0, kKinds - 1));
     const double start = rng.uniform(lo, hi - 1.0);
     const double max_dur =
         std::min(hi - start, 0.25 * to_seconds(cfg.horizon));
@@ -59,8 +60,7 @@ FaultPlan random_fault_plan(std::uint64_t seed, const RandomPlanConfig& cfg) {
     // Draw within [min(1, max_dur), max_dur] so the end-margin and the
     // 0.25*horizon cap hold by construction, with no post-hoc clipping.
     e.duration = seconds(rng.uniform(std::min(1.0, max_dur), max_dur));
-    e.path_id =
-        static_cast<int>(rng.uniform_int(0, std::max(1, cfg.num_paths) - 1));
+    e.path_id = static_cast<int>(rng.uniform_int(0, kPaths - 1));
     switch (e.kind) {
       case FaultKind::kFlap:
         e.value = rng.uniform(0.5, 2.5);  // down-phase length, seconds

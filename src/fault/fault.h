@@ -63,11 +63,10 @@ struct RandomPlanConfig {
   Duration start_margin = seconds(5.0);
   Duration end_margin = seconds(20.0);
   int num_events = 4;
-  int num_paths = 2;
-  bool server_faults = true;  // include kServerStall / kServerReset
 };
 
-// Deterministic: the same (seed, config) always yields the same plan.
+// Deterministic: the same (seed, config) always yields the same plan. Each
+// event draws any kind, the server kinds included, on path 0 or 1.
 FaultPlan random_fault_plan(std::uint64_t seed, const RandomPlanConfig& cfg);
 
 }  // namespace mpdash

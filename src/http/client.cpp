@@ -7,6 +7,12 @@
 
 namespace mpdash {
 
+// Retry backoff: the base delay doubles per attempt, and the cap bounds
+// the final, post-jitter delay.
+constexpr Duration kBackoffBase = milliseconds(250);
+constexpr double kBackoffFactor = 2.0;
+constexpr Duration kBackoffCap = seconds(4.0);
+
 const char* to_string(TransferError e) {
   switch (e) {
     case TransferError::kNone: return "none";
@@ -234,15 +240,14 @@ void HttpClient::on_timeout(Pending* p) {
 }
 
 Duration HttpClient::backoff_delay(int attempt) {
-  const double factor = std::pow(config_.backoff_factor, attempt);
+  const double factor = std::pow(kBackoffFactor, attempt);
   // Deterministic jitter: scale by [1, 1.25) so synchronized clients
-  // (e.g. a fleet of chaos runs) don't retry in lockstep. backoff_cap
-  // bounds the final, post-jitter delay.
+  // (e.g. a fleet of chaos runs) don't retry in lockstep.
   const double jitter = 1.0 + 0.25 * jitter_rng_.uniform();
   const double raw =
-      static_cast<double>(config_.backoff_base.count()) * factor * jitter;
+      static_cast<double>(kBackoffBase.count()) * factor * jitter;
   const double capped =
-      std::min(raw, static_cast<double>(config_.backoff_cap.count()));
+      std::min(raw, static_cast<double>(kBackoffCap.count()));
   return Duration(static_cast<Duration::rep>(capped));
 }
 

@@ -62,11 +62,9 @@ struct HttpClientConfig {
   // layer (seed behavior: wait forever, no id header on the wire).
   Duration request_timeout = kDurationZero;
   int max_retries = 3;  // resends after the first attempt
-  Duration backoff_base = milliseconds(250);
-  double backoff_factor = 2.0;
-  Duration backoff_cap = seconds(4.0);
-  // Deterministic jitter stream: each backoff is scaled by a uniform
-  // factor in [1, 1.25) drawn from this seed.
+  // Deterministic jitter stream: each backoff (250 ms doubling per
+  // attempt, at most 4 s) is scaled by a uniform factor in [1, 1.25)
+  // drawn from this seed.
   std::uint64_t jitter_seed = 0;
   // Maximum requests in flight on the persistent connection. 1 = strict
   // sequential (seed behavior); a pipelined player raises it to its

@@ -33,12 +33,10 @@ class MetricsSnapshotter {
   MetricsSnapshotter(const MetricsSnapshotter&) = delete;
   MetricsSnapshotter& operator=(const MetricsSnapshotter&) = delete;
 
-  std::size_t samples() const { return out_.snapshots().size(); }
-
  private:
   void arm() {
     pending_ = loop_.schedule_in(interval_, [this] {
-      out_.record(telemetry_.metrics().snapshot(loop_.now()));
+      out_.record(telemetry_.metrics(), loop_.now());
       if (!done_) arm();
     });
   }

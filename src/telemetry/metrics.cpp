@@ -1,8 +1,9 @@
 #include "telemetry/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
+
+#include "util/json.h"
 
 namespace mpdash {
 
@@ -76,18 +77,23 @@ Histogram MetricsRegistry::histogram(std::string_view name,
   return Histogram(&slot(name, MetricKind::kHistogram, &bounds));
 }
 
-MetricsSnapshot MetricsRegistry::snapshot(TimePoint at) const {
-  // index_ is name-ordered, making snapshots stable across runs; the
-  // flat cache only memoizes that order between registrations.
+const std::vector<const detail::MetricSlot*>& MetricsRegistry::ordered()
+    const {
+  // index_ is name-ordered, making samples stable across runs; the flat
+  // cache only memoizes that order between registrations.
   if (ordered_.size() != slots_.size()) {
     ordered_.clear();
     ordered_.reserve(slots_.size());
     for (const auto& [name, s] : index_) ordered_.push_back(s);
   }
+  return ordered_;
+}
+
+MetricsSnapshot MetricsRegistry::snapshot(TimePoint at) const {
   MetricsSnapshot snap;
   snap.at = at;
-  snap.values.reserve(ordered_.size());
-  for (const detail::MetricSlot* s : ordered_) {
+  snap.values.reserve(slots_.size());
+  for (const detail::MetricSlot* s : ordered()) {
     snap.values.emplace_back(MetricValue{s->name, s->kind, s->value, s->bounds,
                                          s->bucket_counts, s->count, s->sum,
                                          s->min, s->max});
@@ -95,57 +101,49 @@ MetricsSnapshot MetricsRegistry::snapshot(TimePoint at) const {
   return snap;
 }
 
-void MetricsTimeline::record(MetricsSnapshot snap) {
-  bool fast = snap.values.size() == last_.size();
-  if (fast) {
-    for (std::size_t i = 0; i < snap.values.size(); ++i) {
-      if (snap.values[i].name.data() != last_[i].first ||
-          snap.values[i].name != *last_[i].second) {
-        fast = false;
-        break;
-      }
+void MetricsTimeline::record(const MetricsRegistry& registry, TimePoint at) {
+  const std::vector<const detail::MetricSlot*>& slots = registry.ordered();
+  if (layouts_.empty() || layouts_.back().names.size() != slots.size()) {
+    Layout& layout = layouts_.emplace_back();
+    for (const detail::MetricSlot* s : slots) {
+      layout.names.push_back(s->name);
+      layout.kinds.push_back(s->kind);
+      layout.bounds.push_back(s->bounds);
+      layout.offsets.push_back(layout.width);
+      layout.width += s->kind == MetricKind::kHistogram
+                          ? 4 + s->bucket_counts.size()
+                          : 1;
     }
   }
-  if (fast) {
-    for (std::size_t i = 0; i < snap.values.size(); ++i) {
-      snap.values[i].name = *last_[i].second;
+  Row& row = rows_.emplace_back(Row{at, layouts_.size() - 1, {}});
+  row.values.reserve(layouts_.back().width);
+  for (const detail::MetricSlot* s : slots) {
+    if (s->kind != MetricKind::kHistogram) {
+      row.values.push_back(s->value);
+      continue;
     }
-  } else {
-    last_.clear();
-    last_.reserve(snap.values.size());
-    for (MetricValue& v : snap.values) {
-      // The content check guards against address reuse (a new registry
-      // allocating a slot where an old one died): re-intern whenever the
-      // cached copy drifts.
-      std::string& owned = names_[static_cast<const void*>(v.name.data())];
-      if (owned != v.name) owned.assign(v.name);
-      last_.emplace_back(v.name.data(), &owned);
-      v.name = owned;
+    row.values.insert(row.values.end(),
+                      {static_cast<double>(s->count), s->sum, s->min, s->max});
+    for (const std::uint64_t c : s->bucket_counts) {
+      row.values.push_back(static_cast<double>(c));
     }
   }
-  snapshots_.push_back(std::move(snap));
 }
 
-const MetricValue* MetricsSnapshot::find(std::string_view name) const {
-  const auto it = std::lower_bound(
-      values.begin(), values.end(), name,
-      [](const MetricValue& v, std::string_view n) { return v.name < n; });
-  if (it == values.end() || it->name != name) return nullptr;
-  return &*it;
+double MetricsTimeline::value(std::size_t i, std::string_view name) const {
+  const Row& row = rows_[i];
+  const Layout& layout = layouts_[row.layout];
+  const auto it =
+      std::lower_bound(layout.names.begin(), layout.names.end(), name);
+  if (it == layout.names.end() || *it != name) return 0.0;
+  const auto k = static_cast<std::size_t>(it - layout.names.begin());
+  return layout.kinds[k] == MetricKind::kHistogram
+             ? 0.0
+             : row.values[layout.offsets[k]];
 }
-
-namespace {
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%g", v);
-  return buf;
-}
-
-}  // namespace
 
 std::string MetricsSnapshot::to_json() const {
-  std::string out = "{\"time_s\":" + fmt_double(to_seconds(at)) +
+  std::string out = "{\"time_s\":" + json_double(to_seconds(at)) +
                     ",\"metrics\":{";
   bool first = true;
   for (const auto& v : values) {
@@ -156,19 +154,20 @@ std::string MetricsSnapshot::to_json() const {
     out += "\":";
     if (v.kind == MetricKind::kHistogram) {
       out += "{\"count\":" + std::to_string(v.count) +
-             ",\"sum\":" + fmt_double(v.sum) + ",\"min\":" + fmt_double(v.min) +
-             ",\"max\":" + fmt_double(v.max) + ",\"buckets\":[";
+             ",\"sum\":" + json_double(v.sum) +
+             ",\"min\":" + json_double(v.min) +
+             ",\"max\":" + json_double(v.max) + ",\"buckets\":[";
       std::uint64_t cumulative = 0;
       for (std::size_t i = 0; i < v.bucket_counts.size(); ++i) {
         if (i > 0) out += ',';
         cumulative += v.bucket_counts[i];
         out += "{\"le\":";
-        out += i < v.bounds.size() ? fmt_double(v.bounds[i]) : "\"inf\"";
+        out += i < v.bounds.size() ? json_double(v.bounds[i]) : "\"inf\"";
         out += ",\"count\":" + std::to_string(cumulative) + "}";
       }
       out += "]}";
     } else {
-      out += fmt_double(v.value);
+      out += json_double(v.value);
     }
   }
   out += "}}";
@@ -178,35 +177,39 @@ std::string MetricsSnapshot::to_json() const {
 std::string MetricsTimeline::to_csv() const {
   std::string out = "time_s,metric,value\n";
   auto row = [&out](double t, std::string_view name, double value) {
-    out += fmt_double(t);
+    out += json_double(t);
     out += ',';
     out += name;
     out += ',';
-    out += fmt_double(value);
+    out += json_double(value);
     out += '\n';
   };
-  for (const auto& snap : snapshots_) {
-    const double t = to_seconds(snap.at);
-    for (const auto& v : snap.values) {
-      if (v.kind == MetricKind::kHistogram) {
-        const std::string base(v.name);
-        row(t, base + ".count", static_cast<double>(v.count));
-        row(t, base + ".sum", v.sum);
-        if (v.count > 0) {
-          row(t, base + ".mean", v.sum / static_cast<double>(v.count));
-          row(t, base + ".min", v.min);
-          row(t, base + ".max", v.max);
-        }
-        std::uint64_t cumulative = 0;
-        for (std::size_t i = 0; i < v.bucket_counts.size(); ++i) {
-          cumulative += v.bucket_counts[i];
-          const std::string suffix =
-              i < v.bounds.size() ? ".le_" + fmt_double(v.bounds[i])
-                                  : std::string(".le_inf");
-          row(t, base + suffix, static_cast<double>(cumulative));
-        }
-      } else {
-        row(t, v.name, v.value);
+  for (const Row& r : rows_) {
+    const Layout& layout = layouts_[r.layout];
+    const double t = to_seconds(r.at);
+    for (std::size_t k = 0; k < layout.names.size(); ++k) {
+      const std::string& name = layout.names[k];
+      const double* v = &r.values[layout.offsets[k]];
+      if (layout.kinds[k] != MetricKind::kHistogram) {
+        row(t, name, v[0]);
+        continue;
+      }
+      // v: count, sum, min, max, then one count per bucket
+      const std::vector<double>& bounds = layout.bounds[k];
+      row(t, name + ".count", v[0]);
+      row(t, name + ".sum", v[1]);
+      if (v[0] > 0.0) {
+        row(t, name + ".mean", v[1] / v[0]);
+        row(t, name + ".min", v[2]);
+        row(t, name + ".max", v[3]);
+      }
+      double cumulative = 0.0;
+      for (std::size_t b = 0; b <= bounds.size(); ++b) {
+        cumulative += v[4 + b];
+        const std::string suffix = b < bounds.size()
+                                       ? ".le_" + json_double(bounds[b])
+                                       : std::string(".le_inf");
+        row(t, name + suffix, cumulative);
       }
     }
   }

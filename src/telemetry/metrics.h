@@ -101,12 +101,9 @@ class Histogram {
 // One metric's state at snapshot time.
 struct MetricValue {
   // Views the registry's slot name (slots have stable addresses and names
-  // never mutate after registration), so sampling on a tight cadence does
-  // not allocate one string per metric per snapshot. A raw snapshot must
-  // not outlive the registry it was taken from; MetricsTimeline::record
-  // re-points names into storage the timeline owns, so recorded
-  // snapshots may outlive the registry (sessions tear their private
-  // Telemetry down before the caller reads the series).
+  // never mutate after registration), so a snapshot must not outlive the
+  // registry it was taken from. A series that outlives its registry is a
+  // MetricsTimeline, which copies the names it needs.
   std::string_view name;
   MetricKind kind = MetricKind::kCounter;
   double value = 0.0;                        // counter total / gauge level
@@ -122,9 +119,6 @@ struct MetricsSnapshot {
   TimePoint at = kTimeZero;
   std::vector<MetricValue> values;  // sorted by name
 
-  // Binary search by name (values are sorted); nullptr when absent.
-  const MetricValue* find(std::string_view name) const;
-
   std::string to_json() const;
 };
 
@@ -138,38 +132,43 @@ class MetricsRegistry {
   Histogram histogram(std::string_view name, std::vector<double> bounds);
 
   std::size_t size() const { return slots_.size(); }
+  // End-of-run export (JSON, Prometheus, roll-ups).
   MetricsSnapshot snapshot(TimePoint at) const;
 
  private:
+  friend class MetricsTimeline;
+
   detail::MetricSlot& slot(std::string_view name, MetricKind kind,
                            std::vector<double>* bounds);
+  // The slots in name order, rebuilt lazily when registrations change, so
+  // a sample walks a contiguous array instead of map nodes.
+  const std::vector<const detail::MetricSlot*>& ordered() const;
 
   std::deque<detail::MetricSlot> slots_;  // deque: stable addresses
   std::map<std::string, detail::MetricSlot*, std::less<>> index_;
-  // Name-ordered slot pointers, rebuilt lazily when registrations change;
-  // lets the snapshotter walk a contiguous array instead of map nodes.
   mutable std::vector<const detail::MetricSlot*> ordered_;
 };
 
-// Accumulates snapshots over a run for time-series export. Recording
-// interns every metric name into timeline-owned storage (keyed by the
-// registry slot's stable address, so steady-state sampling does one
-// pointer-keyed lookup per metric instead of a string allocation), which
-// lets the series be read after the registry that produced it is gone.
+// One registry's metrics sampled over a run, for time-series export. A
+// timeline samples one registry for its whole life (the snapshotter's, or
+// `mpdash_sim download`'s single end-of-run sample) and owns everything it
+// records, so it may outlive that registry and copies are safe.
+//
+// A sample is one row of doubles in the registry's name order: a counter
+// or gauge stores its value, a histogram its count, sum, min, max and
+// per-bucket counts. Names, kinds and histogram bounds are stored once per
+// layout; registries only ever add metrics, so a new layout starts only
+// when the registry has gained one since the previous sample.
 class MetricsTimeline {
  public:
-  // Recorded snapshots view names in names_: a copy's would still view the
-  // source's map, so copying is an error. A move keeps the map's nodes,
-  // and the views stay valid.
-  MetricsTimeline() = default;
-  MetricsTimeline(const MetricsTimeline&) = delete;
-  MetricsTimeline& operator=(const MetricsTimeline&) = delete;
-  MetricsTimeline(MetricsTimeline&&) = default;
-  MetricsTimeline& operator=(MetricsTimeline&&) = default;
+  void record(const MetricsRegistry& registry, TimePoint at);
 
-  void record(MetricsSnapshot snap);
-  const std::vector<MetricsSnapshot>& snapshots() const { return snapshots_; }
-  bool empty() const { return snapshots_.empty(); }
+  std::size_t size() const { return rows_.size(); }
+  bool empty() const { return rows_.empty(); }
+  TimePoint at(std::size_t i) const { return rows_[i].at; }
+  // Counter total or gauge level of `name` in sample i; 0 when that sample
+  // has no such scalar metric.
+  double value(std::size_t i, std::string_view name) const;
 
   // Long format: `time_s,metric,value`. Histograms flatten to
   // `<name>.count`, `<name>.sum`, `<name>.mean`, `<name>.min`,
@@ -177,13 +176,21 @@ class MetricsTimeline {
   std::string to_csv() const;
 
  private:
-  std::vector<MetricsSnapshot> snapshots_;
-  // node-based: interned strings keep stable addresses as the map grows
-  std::map<const void*, std::string> names_;
-  // Steady-state fast path: one registry feeds a timeline, so successive
-  // snapshots carry the same slot-name pointers in the same order and a
-  // single sweep of pointer+content checks replaces the map lookups.
-  std::vector<std::pair<const char*, const std::string*>> last_;
+  struct Layout {
+    std::vector<std::string> names;  // name order
+    std::vector<MetricKind> kinds;
+    std::vector<std::vector<double>> bounds;  // empty for scalars
+    std::vector<std::size_t> offsets;  // metric k's first value in a row
+    std::size_t width = 0;             // doubles per row
+  };
+  struct Row {
+    TimePoint at;
+    std::size_t layout;
+    std::vector<double> values;
+  };
+
+  std::vector<Layout> layouts_;
+  std::vector<Row> rows_;
 };
 
 }  // namespace mpdash

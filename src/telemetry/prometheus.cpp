@@ -1,7 +1,8 @@
 #include "telemetry/prometheus.h"
 
 #include <cstdint>
-#include <cstdio>
+
+#include "util/json.h"
 
 namespace mpdash {
 namespace {
@@ -9,12 +10,6 @@ namespace {
 bool name_char_ok(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
          (c >= '0' && c <= '9') || c == '_' || c == ':';
-}
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%g", v);
-  return buf;
 }
 
 const char* type_name(MetricKind k) {
@@ -99,16 +94,16 @@ std::string to_prometheus(const MetricsSnapshot& snap,
       for (std::size_t i = 0; i < v.bucket_counts.size(); ++i) {
         cumulative += v.bucket_counts[i];
         const std::string le =
-            i < v.bounds.size() ? fmt_double(v.bounds[i]) : "+Inf";
+            i < v.bounds.size() ? json_double(v.bounds[i]) : "+Inf";
         out += name + "_bucket" + label_block(labels, &le) + " " +
                std::to_string(cumulative) + stamp + "\n";
       }
       out += name + "_sum" + label_block(labels, nullptr) + " " +
-             fmt_double(v.sum) + stamp + "\n";
+             json_double(v.sum) + stamp + "\n";
       out += name + "_count" + label_block(labels, nullptr) + " " +
              std::to_string(v.count) + stamp + "\n";
     } else {
-      out += name + label_block(labels, nullptr) + " " + fmt_double(v.value) +
+      out += name + label_block(labels, nullptr) + " " + json_double(v.value) +
              stamp + "\n";
     }
   }

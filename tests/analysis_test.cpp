@@ -110,7 +110,7 @@ TraceRecord delivered(const HandBuiltStream& s, std::size_t i, int path,
 }
 
 AnalysisReport analyze_records(const std::vector<TraceRecord>& records) {
-  AnalysisBuilder analysis(AnalyzerConfig{});
+  AnalysisBuilder analysis;
   for (const TraceRecord& r : records) analysis.on_record(r);
   return analysis.finish();
 }
@@ -173,9 +173,7 @@ TEST(Analyzer, ReconstructionOrderingRules) {
 
 
 TEST(Analyzer, ReconstructsEveryChunkFromTheWire) {
-  AnalyzerConfig cfg;
-  cfg.device = galaxy_note();
-  AnalysisBuilder analysis(cfg);
+  AnalysisBuilder analysis;
   const SessionResult res = recorded_session(Scheme::kBaseline, analysis);
   ASSERT_TRUE(res.completed);
   const AnalysisReport report = analysis.finish();
@@ -200,9 +198,7 @@ TEST(Analyzer, PathUsageMatchesLinkCounters) {
   SessionConfig cfg;
   cfg.scheme = Scheme::kBaseline;
   cfg.adaptation = "gpac";
-  AnalyzerConfig acfg;
-  acfg.device = galaxy_note();
-  AnalysisBuilder analysis(acfg);
+  AnalysisBuilder analysis;
   const SessionResult res = run_with(scenario, cfg, analysis);
   ASSERT_TRUE(res.completed);
 
@@ -217,9 +213,7 @@ TEST(Analyzer, PathUsageMatchesLinkCounters) {
 }
 
 TEST(Analyzer, MpDashShiftsChunkBytesOffCellular) {
-  AnalyzerConfig cfg;
-  cfg.device = galaxy_note();
-  AnalysisBuilder base(cfg), mpd(cfg);
+  AnalysisBuilder base, mpd;
   recorded_session(Scheme::kBaseline, base);
   recorded_session(Scheme::kMpDashRate, mpd);
   const auto base_report = base.finish();
@@ -236,9 +230,7 @@ TEST(Analyzer, MpDashShiftsChunkBytesOffCellular) {
 }
 
 TEST(Analyzer, EnergyAndSessionLengthPopulated) {
-  AnalyzerConfig cfg;
-  cfg.device = galaxy_note();
-  AnalysisBuilder analysis(cfg);
+  AnalysisBuilder analysis;
   recorded_session(Scheme::kBaseline, analysis);
   const AnalysisReport report = analysis.finish();
   EXPECT_GT(to_seconds(report.session_length), 10.0);
@@ -258,7 +250,7 @@ TEST(Analyzer, StallsAndSwitchesMatchTheSession) {
   SessionConfig cfg;
   cfg.scheme = Scheme::kBaseline;
   cfg.adaptation = "gpac";
-  AnalysisBuilder analysis(AnalyzerConfig{});
+  AnalysisBuilder analysis;
   const SessionResult res = run_with(scenario, cfg, analysis);
   ASSERT_TRUE(res.completed);
   ASSERT_GT(res.stalls, 1);
@@ -286,9 +278,7 @@ TEST(Analyzer, ThroughputSeriesCoversSession) {
 }
 
 TEST(Render, TimelineShowsLevelsAndCellularShare) {
-  AnalyzerConfig cfg;
-  cfg.device = galaxy_note();
-  AnalysisBuilder analysis(cfg);
+  AnalysisBuilder analysis;
   recorded_session(Scheme::kBaseline, analysis);
   const AnalysisReport report = analysis.finish();
   const std::string out = render_chunk_timeline(report);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -178,15 +179,25 @@ TEST(StreamingRun, BuildingTheStacksSchedulesNothing) {
   }
 }
 
-TEST(Session, WatchdogTripUnhooksTheInternalContext) {
-  // A metrics-only run (env.metrics, no env.telemetry) wires the scenario
-  // to an internal context that dies with the call. A watchdog trip
-  // unwinds the run; the scenario's loop and links outlive it and must
-  // not count into the dead context when they are used again. What the
-  // unwound run left queued is safe to run: the energy probe and the
-  // snapshotter cancelled their samples, and the packets still
+TEST(Session, MetricsWithoutATelemetryContextThrow) {
+  // The timeline samples the context's registry; there is none to sample.
+  Scenario sc(constant_scenario(DataRate::mbps(8.0), DataRate::mbps(6.0)));
+  MetricsTimeline timeline;
+  SessionEnv env;
+  env.metrics = &timeline;
+  EXPECT_THROW(run_streaming_session(sc, tiny_video(), SessionConfig{}, env),
+               std::invalid_argument);
+  EXPECT_FALSE(sc.loop().has_pending());
+}
+
+TEST(Session, WatchdogTripLeavesTheLoopSafeToRun) {
+  // A watchdog trip unwinds the run; the scenario's loop and links outlive
+  // it. What the unwound run left queued is safe to run: the energy probe
+  // and the snapshotter cancelled their samples, and the packets still
   // propagating reach no endpoint (the connection cleared its delivery
-  // handlers), though their links still count them.
+  // handlers), though their links still count them. The context is
+  // declared before the scenario, which stays wired to it.
+  Telemetry telemetry;
   Scenario sc(constant_scenario(DataRate::mbps(8.0), DataRate::mbps(6.0)));
   SessionConfig cfg;
   cfg.adaptation = "gpac";
@@ -194,10 +205,11 @@ TEST(Session, WatchdogTripUnhooksTheInternalContext) {
   cfg.watchdog.poll_interval = 1;
   MetricsTimeline timeline;
   SessionEnv env;
+  env.telemetry = &telemetry;
   env.metrics = &timeline;
   EXPECT_THROW(run_streaming_session(sc, tiny_video(), cfg, env),
                WatchdogTripped);
-  const std::size_t samples = timeline.snapshots().size();
+  const std::size_t samples = timeline.size();
   auto delivered = [&sc] {
     std::size_t n = 0;
     for (NetPath* p : sc.paths()) {
@@ -209,7 +221,7 @@ TEST(Session, WatchdogTripUnhooksTheInternalContext) {
   sc.loop().run();
   EXPECT_GT(delivered(), before);
   EXPECT_FALSE(sc.loop().has_pending());
-  EXPECT_EQ(timeline.snapshots().size(), samples);
+  EXPECT_EQ(timeline.size(), samples);
 
   const std::size_t executed = sc.loop().executed_events();
   bool ran = false;

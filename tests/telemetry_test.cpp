@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "dash/video.h"
@@ -92,15 +91,21 @@ TEST(Metrics, SnapshotIsNameSortedAndTimelineExportsCsv) {
   MetricsRegistry reg;
   reg.gauge("b.level").set(2.0);
   reg.counter("a.total").add(5.0);
-  MetricsTimeline timeline;
-  timeline.record(reg.snapshot(TimePoint(seconds(1.0))));
-  reg.counter("a.total").add(1.0);
-  timeline.record(reg.snapshot(TimePoint(seconds(2.0))));
+  const MetricsSnapshot snap = reg.snapshot(kTimeZero);
+  ASSERT_EQ(snap.values.size(), 2u);
+  EXPECT_EQ(snap.values[0].name, "a.total");
+  EXPECT_EQ(snap.values[1].name, "b.level");
 
-  const MetricsSnapshot& first = timeline.snapshots().front();
-  ASSERT_EQ(first.values.size(), 2u);
-  EXPECT_EQ(first.values[0].name, "a.total");
-  EXPECT_EQ(first.values[1].name, "b.level");
+  MetricsTimeline timeline;
+  timeline.record(reg, TimePoint(seconds(1.0)));
+  reg.counter("a.total").add(1.0);
+  timeline.record(reg, TimePoint(seconds(2.0)));
+  ASSERT_EQ(timeline.size(), 2u);
+  EXPECT_EQ(timeline.at(1), TimePoint(seconds(2.0)));
+  EXPECT_DOUBLE_EQ(timeline.value(0, "a.total"), 5.0);
+  EXPECT_DOUBLE_EQ(timeline.value(1, "a.total"), 6.0);
+  EXPECT_DOUBLE_EQ(timeline.value(1, "b.level"), 2.0);
+  EXPECT_DOUBLE_EQ(timeline.value(1, "no.such"), 0.0);
 
   const std::string csv = timeline.to_csv();
   EXPECT_NE(csv.find("time_s,metric,value"), std::string::npos);
@@ -115,37 +120,68 @@ TEST(Metrics, TimelineFlattensHistograms) {
   h.record(3.0);
   h.record(42.0);
   MetricsTimeline timeline;
-  timeline.record(reg.snapshot(TimePoint(seconds(1.0))));
+  timeline.record(reg, TimePoint(seconds(1.0)));
   const std::string csv = timeline.to_csv();
   EXPECT_NE(csv.find("rtt_ms.count,2"), std::string::npos);
+  EXPECT_NE(csv.find("rtt_ms.mean,22.5"), std::string::npos);
+  EXPECT_NE(csv.find("rtt_ms.min,3"), std::string::npos);
+  EXPECT_NE(csv.find("rtt_ms.max,42"), std::string::npos);
   EXPECT_NE(csv.find("rtt_ms.le_10,1"), std::string::npos);
   EXPECT_NE(csv.find("rtt_ms.le_100,2"), std::string::npos);  // cumulative
   EXPECT_NE(csv.find("rtt_ms.le_inf,2"), std::string::npos);
+  // A histogram has no scalar value.
+  EXPECT_DOUBLE_EQ(timeline.value(0, "rtt_ms"), 0.0);
 }
 
-// Snapshots view names the timeline owns, so a copy would dangle once its
-// source died; only moves are allowed.
-static_assert(!std::is_copy_constructible_v<MetricsTimeline>);
-static_assert(!std::is_copy_assignable_v<MetricsTimeline>);
+TEST(Metrics, TimelineStartsALayoutWhenTheRegistryGrows) {
+  MetricsRegistry reg;
+  reg.counter("b.total").add(1.0);
+  MetricsTimeline timeline;
+  timeline.record(reg, TimePoint(seconds(1.0)));
+  reg.histogram("a.rtt", {1.0}).record(0.5);
+  reg.gauge("c.level").set(7.0);
+  timeline.record(reg, TimePoint(seconds(2.0)));
+  timeline.record(reg, TimePoint(seconds(3.0)));
 
+  EXPECT_DOUBLE_EQ(timeline.value(0, "c.level"), 0.0);
+  EXPECT_DOUBLE_EQ(timeline.value(0, "b.total"), 1.0);
+  EXPECT_DOUBLE_EQ(timeline.value(1, "b.total"), 1.0);
+  EXPECT_DOUBLE_EQ(timeline.value(2, "c.level"), 7.0);
+  EXPECT_EQ(timeline.to_csv(),
+            "time_s,metric,value\n"
+            "1,b.total,1\n"
+            "2,a.rtt.count,1\n2,a.rtt.sum,0.5\n2,a.rtt.mean,0.5\n"
+            "2,a.rtt.min,0.5\n2,a.rtt.max,0.5\n2,a.rtt.le_1,1\n"
+            "2,a.rtt.le_inf,1\n2,b.total,1\n2,c.level,7\n"
+            "3,a.rtt.count,1\n3,a.rtt.sum,0.5\n3,a.rtt.mean,0.5\n"
+            "3,a.rtt.min,0.5\n3,a.rtt.max,0.5\n3,a.rtt.le_1,1\n"
+            "3,a.rtt.le_inf,1\n3,b.total,1\n3,c.level,7\n");
+}
+
+// The timeline owns every name and value it records, so a copy or a
+// move outlives both its source and the registry.
 TEST(Metrics, MovedTimelineOutlivesItsSourceAndRegistry) {
   std::string want;
   std::optional<MetricsTimeline> moved;
+  std::optional<MetricsTimeline> copied;
   {
     auto reg = std::make_unique<MetricsRegistry>();
     reg->gauge("buffer.level_s").set(4.5);
     reg->counter("http.requests").add(3.0);
     auto source = std::make_unique<MetricsTimeline>();
-    source->record(reg->snapshot(TimePoint(seconds(1.0))));
+    source->record(*reg, TimePoint(seconds(1.0)));
     reg->counter("http.requests").add(1.0);
-    source->record(reg->snapshot(TimePoint(seconds(2.0))));
+    source->record(*reg, TimePoint(seconds(2.0)));
     want = source->to_csv();
+    copied.emplace(*source);
     moved.emplace(std::move(*source));
     source.reset();
     reg.reset();
   }
   EXPECT_EQ(moved->to_csv(), want);
-  EXPECT_EQ(moved->snapshots().back().values[0].name, "buffer.level_s");
+  EXPECT_EQ(copied->to_csv(), want);
+  EXPECT_DOUBLE_EQ(moved->value(1, "buffer.level_s"), 4.5);
+  EXPECT_DOUBLE_EQ(copied->value(1, "http.requests"), 4.0);
 }
 
 // --- trace sinks ------------------------------------------------------
@@ -324,12 +360,15 @@ TEST(Telemetry, AttachedSinksLeaveRunsBitwiseIdentical) {
 }
 
 TEST(Telemetry, SessionMetricsTimelineSamplesBufferAndCwnd) {
+  // Declared before the scenario, which stays wired to it.
+  Telemetry telemetry;
   Scenario scenario(
       constant_scenario(DataRate::mbps(5.0), DataRate::mbps(3.0)));
   SessionConfig cfg;
   cfg.scheme = Scheme::kMpDashRate;
   MetricsTimeline timeline;
   SessionEnv env;
+  env.telemetry = &telemetry;
   env.metrics = &timeline;
   const SessionResult res =
       run_streaming_session(scenario, determinism_video(), cfg, env);

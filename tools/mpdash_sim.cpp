@@ -493,7 +493,7 @@ int cmd_stream(const Args& a) {
   if (!a.metrics_path.empty() &&
       !write_artifact(a.metrics_path, timeline.to_csv(),
                       "metrics timeline (" +
-                          std::to_string(timeline.snapshots().size()) +
+                          std::to_string(timeline.size()) +
                           " snapshots)")) {
     return 1;
   }
@@ -580,7 +580,7 @@ int cmd_download(const Args& a) {
     // Downloads are short; export a single end-of-run snapshot, stamped
     // at the transfer finish (the loop itself drains to the trace horizon).
     MetricsTimeline timeline;
-    timeline.record(telemetry.metrics().snapshot(res.finish_time));
+    timeline.record(telemetry.metrics(), res.finish_time);
     if (!write_artifact(a.metrics_path, timeline.to_csv(), "metrics")) {
       return 1;
     }
